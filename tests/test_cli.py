@@ -3,6 +3,7 @@ determinism, and the named check suites."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -232,6 +233,28 @@ def test_reports_have_sorted_keys(capsys):
     keys = [line.split('"')[1] for line in out.splitlines()
             if line.startswith('  "')]
     assert keys == sorted(keys)
+
+
+def _golden_reports():
+    with open(util.GOLDEN_DIR / "cli_reports.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _golden_reports(),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_reports_match_golden_digests(capsys, tmp_path, case):
+    """Exit code and stdout digest of one run per subcommand, pinned;
+    *.json arguments name corpus files or the block maps written here."""
+    maps = {"upsilon2.json": higher_block_map(AB, 2),
+            "lambda2.json": lambda_first_letter(AB, 2)}
+    for name, phi in maps.items():
+        (tmp_path / name).write_text(json.dumps(block_map_to_json(phi)))
+    argv = [str(tmp_path / a) if a in maps
+            else str(util.DATA / a) if a.endswith(".json") else a
+            for a in case["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
 # -- check suites ---------------------------------------------------------
