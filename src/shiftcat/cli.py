@@ -18,17 +18,17 @@ from .codes import (CentralBlockMap, apply_to_presentation, block_map_from_json,
                     block_map_to_json, centralize, compose, higher_block_map,
                     lambda_first_letter, word_code)
 from .errors import (EmptyShift, NonIntegralCoefficient, ShiftcatError)
-from .flowops import classify_type, expand_shift, verify_naturality
-from .karoubi import (build, iso_class_census, karoubi_vs_lu_comparison,
-                      lu_labeled_poset, retraction_order)
+from .flowops import classify_type, expand_shift, naturality_rows
+from .karoubi import (build, iso_class_census, lu_labeled_poset,
+                      retraction_order)
 from .pseudowords import (closure_membership, eval_term, format_term,
-                          mirage_membership, parse_term, quotient_equal,
-                          term_block_code, term_factors)
-from .semigroups import (generate, green, random_transformation_semigroup,
-                         schutzenberger, syntactic_semigroup)
+                          mirage_membership, parse_term, term_block_code,
+                          term_factors)
+from .semigroups import (green, random_transformation_semigroup,
+                         syntactic_semigroup)
 from .shifts import (ShiftPresentation, blocks, is_block, is_irreducible,
-                     is_periodic_point, periodic_counts, zeta)
-from .words import Alphabet, Word, is_primitive
+                     periodic_counts, zeta)
+from .words import Alphabet, Word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,26 +84,6 @@ def _report(schema: str, **fields) -> dict:
 
 def _is_term_text(text: str) -> bool:
     return any(c in text for c in "()^")
-
-
-def _battery(alphabet: Alphabet, seed: int | None, extra=()):
-    """Cyclic group quotients, optional seeded random ones, and extras."""
-    out = list(extra)
-    for m in (2, 3):
-        rot = tuple((i + 1) % m for i in range(m))
-        ident = tuple(range(m))
-        gens = [rot if i % 2 == 0 else ident for i in range(len(alphabet))]
-        s = generate(gens, alphabet)
-        out.append((s, dict(s.gen_of)))
-    if seed is not None:
-        rng = random.Random(seed)
-        added = 0
-        while added < 3:
-            s = random_transformation_semigroup(alphabet, 3, rng)
-            if s.size <= 40:
-                out.append((s, dict(s.gen_of)))
-                added += 1
-    return out
 
 
 def _green_summary(s) -> list[dict]:
@@ -220,6 +200,10 @@ def cmd_lu_poset(args) -> int:
 
 
 def cmd_code(args) -> int:
+    if args.action != "centralize" and args.second is None:
+        print(f"usage error: code {args.action} needs a second path",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.action == "centralize":
         phi = centralize(block_map_from_json(_load_json(args.code)))
         _emit(_central_to_json(phi))
@@ -283,58 +267,11 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _idempotent_terms(ctx, bound: int):
-    """Canonical idempotents w^ω, one per primitive cyclic block w of
-    the expanded shift (distinct rotations are distinct idempotents)."""
-    from .pseudowords import OmegaTerm, Power, canonical
-    seen = set()
-    out = []
-    for w in sorted(blocks(ctx.target, bound),
-                    key=lambda v: (len(v), v.lex_key())):
-        if not is_primitive(w):
-            continue
-        if not is_periodic_point(ctx.target, w):
-            continue
-        t = canonical(OmegaTerm(ctx.target.alphabet, (Power(w, 0),)))
-        key = format_term(t)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(t)
-    return out
-
-
-def _connector(ctx, e, f):
-    from .pseudowords import OmegaTerm, canonical
-    cands = [None] + sorted(blocks(ctx.target, 4),
-                            key=lambda v: (len(v), v.lex_key()))
-    for c in cands:
-        mid = (canonical(e * f) if c is None
-               else canonical(e * OmegaTerm.from_word(c) * f))
-        if mirage_membership(mid, ctx.target, 2):
-            return mid
-    return None
-
-
 def cmd_flowcheck(args) -> int:
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
-    s_tgt, _ = syntactic_semigroup(ctx.target)
-    tests = _battery(ctx.target.alphabet, args.seed,
-                     extra=[(s_tgt, dict(s_tgt.gen_of))])
-    idems = _idempotent_terms(ctx, args.bound)
-    rows = []
-    ok = True
-    for e in idems:
-        for f in idems:
-            mid = _connector(ctx, e, f)
-            if mid is None:
-                continue
-            v = verify_naturality((e, mid, f), ctx, tests)
-            rows.append({"dom": format_term(e), "cod": format_term(f),
-                         "kind": v.kind, "case": v.note.split(";")[0]})
-            if v.kind != "EqualInAll":
-                ok = False
+    rows = list(naturality_rows(ctx, args.bound, args.seed))
+    ok = all(row["kind"] == "EqualInAll" for row in rows)
     _emit(_report("flowcheck", letter=args.letter, bound=args.bound,
                   arrows=rows, passed=ok))
     return EXIT_OK if ok else EXIT_FAIL
@@ -361,14 +298,6 @@ def _corpus() -> dict[str, ShiftPresentation]:
     }
 
 
-def _random_words(alphabet: Alphabet, rng: random.Random, max_len: int,
-                  count: int):
-    for _ in range(count):
-        n = rng.randrange(1, max_len + 1)
-        yield Word(alphabet, tuple(rng.choice(alphabet.symbols)
-                                   for _ in range(n)))
-
-
 def _suite_word_code_identities(seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
     ab = Alphabet(("a", "b"))
@@ -377,9 +306,9 @@ def _suite_word_code_identities(seed: int) -> tuple[bool, dict]:
         ups = higher_block_map(ab, n)
         lam = lambda_first_letter(ab, n)
         for _ in range(500):
-            u = next(_random_words(ab, rng, 8, 1))
-            v = next(iter([Word(ab, tuple(rng.choice(ab.symbols)
-                                          for _ in range(n - 1)))]))
+            length = rng.randrange(1, 9)
+            u = Word(ab, tuple(rng.choice(ab.symbols) for _ in range(length)))
+            v = Word(ab, tuple(rng.choice(ab.symbols) for _ in range(n - 1)))
             img = word_code(lam, word_code(ups, u * v))
             if img != u:
                 return False, {"failure": {"n": n, "u": u.as_str(),
@@ -431,23 +360,11 @@ def _suite_mirage_preservation(seed: int | None) -> tuple[bool, dict]:
 
 
 def _suite_flow_naturality(seed: int | None) -> tuple[bool, dict]:
-    x = _corpus()["even"]
-    ctx = expand_shift(x, "a")
-    s_tgt, _ = syntactic_semigroup(ctx.target)
-    tests = _battery(ctx.target.alphabet, seed,
-                     extra=[(s_tgt, dict(s_tgt.gen_of))])
-    idems = _idempotent_terms(ctx, 4)
     rows = []
-    for e in idems:
-        for f in idems:
-            mid = _connector(ctx, e, f)
-            if mid is None:
-                continue
-            v = verify_naturality((e, mid, f), ctx, tests)
-            rows.append({"dom": format_term(e), "cod": format_term(f),
-                         "kind": v.kind, "case": v.note.split(";")[0]})
-            if v.kind != "EqualInAll":
-                return False, {"arrows": rows}
+    for row in naturality_rows(expand_shift(_corpus()["even"], "a"), 4, seed):
+        rows.append(row)
+        if row["kind"] != "EqualInAll":
+            return False, {"arrows": rows}
     return True, {"arrows": rows}
 
 

@@ -244,15 +244,24 @@ def block_map_to_json(phi: BlockMap) -> dict:
 
 
 def block_map_from_json(data: dict | str) -> BlockMap:
+    """Read the JSON form; malformed input raises a one-line ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
-    source = Alphabet(tuple(data["source"]))
-    target = Alphabet(tuple(data["target"]))
-    window = data["window"]
-    table = {}
-    for key, val in data["table"].items():
-        letters = tuple(key) if source.is_single_char() else tuple(key.split("|"))
-        table[letters] = val
-    memory = data.get("memory", 0)
-    return BlockMap(source, target, window, table,
-                    memory, data.get("anticipation", window - 1 - memory))
+    if not isinstance(data, dict):
+        raise ValueError(f"a block map is a JSON object, not "
+                         f"{type(data).__name__}")
+    try:
+        source = Alphabet(tuple(data["source"]))
+        target = Alphabet(tuple(data["target"]))
+        window = data["window"]
+        table = {}
+        for key, val in data["table"].items():
+            letters = tuple(key) if source.is_single_char() else tuple(key.split("|"))
+            table[letters] = val
+        memory = data.get("memory", 0)
+        return BlockMap(source, target, window, table,
+                        memory, data.get("anticipation", window - 1 - memory))
+    except KeyError as e:
+        raise ValueError(f"block map has no {e.args[0]!r} field") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed block map: {e}") from None

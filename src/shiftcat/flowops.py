@@ -15,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
-                     MismatchBug, NotIdempotentWitness, NotInMirage2, TooShort)
-from .pseudowords import (EmptyResult, OmegaTerm, Power, Verdict, canonical,
-                          canonical_equal, expand_word, first_letter,
-                          image_E_membership, last_letter, mirage_membership,
-                          quotient_equal, strip_boundary, term_contract,
-                          term_expand, unfold, unfold_exponent)
+                     MismatchBug, NotIdempotentWitness, NotInMirage2)
+from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
+                          canonical_equal, connector, drop_first, drop_last,
+                          expand_word, first_letter, format_term,
+                          idempotent_terms, image_E_membership, last_letter,
+                          mirage_membership, quotient_equal, strip_boundary,
+                          term_contract, term_expand, unfold, unfold_exponent)
+from .semigroups import battery, syntactic_semigroup
 from .shifts import ShiftPresentation, blocks, is_block, mirage_membership_k
 from .words import Alphabet, Word
 
@@ -105,44 +107,6 @@ def expand_shift(x: ShiftPresentation, alpha: str,
 # -- the five-type classification --------------------------------------
 
 
-def _drop_first(t: OmegaTerm) -> OmegaTerm:
-    """Remove the first letter, staying an exact ω-term."""
-    t = canonical(t)
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < 1:
-            raise TooShort("empty term")
-        return OmegaTerm.from_word(w[1:])
-    items = list(t.body)
-    head = items[0]
-    if isinstance(head, Word):
-        items[0] = head[1:]
-    else:
-        a, y = head.base[0], head.base[1:]
-        rotated = Word(t.alphabet, y.letters + (a,))
-        items[0:1] = [Power(rotated, head.q - 1), y]
-    return canonical(OmegaTerm(t.alphabet, tuple(items)))
-
-
-def _drop_last(t: OmegaTerm) -> OmegaTerm:
-    """Remove the last letter, staying an exact ω-term."""
-    t = canonical(t)
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < 1:
-            raise TooShort("empty term")
-        return OmegaTerm.from_word(w[: len(w) - 1])
-    items = list(t.body)
-    tail = items[-1]
-    if isinstance(tail, Word):
-        items[-1] = tail[: len(tail) - 1]
-    else:
-        x, b = tail.base[: len(tail.base) - 1], tail.base[-1]
-        rotated = Word(t.alphabet, (b,) + x.letters)
-        items[-1:] = [x, Power(rotated, tail.q - 1)]
-    return canonical(OmegaTerm(t.alphabet, tuple(items)))
-
-
 def term_image_E(t: OmegaTerm, alpha: str, diamond: str = "o") -> bool:
     """Whether the term lies in the image of the expansion E.
 
@@ -206,9 +170,9 @@ def classify_type(w, ctx: ExpansionContext, k: int = 2) -> str:
         fl, ll = first_letter(w), last_letter(w)
         if term_image_E(w, alpha, dia):
             matches.append("ImageE")
-        if fl == dia and term_image_E(_drop_first(w), alpha, dia):
+        if fl == dia and term_image_E(drop_first(w), alpha, dia):
             matches.append("DiamondImageE")
-        if ll == alpha and term_image_E(_drop_last(w), alpha, dia):
+        if ll == alpha and term_image_E(drop_last(w), alpha, dia):
             matches.append("ImageEAlpha")
         if fl == dia and ll == alpha:
             inner = strip_boundary(w)
@@ -347,3 +311,26 @@ def verify_naturality(arrow, ctx: ExpansionContext, tests) -> Verdict:
     v = quotient_equal(lhs, rhs, tests)
     note = f"case dom={te}, cod={tf}; {v.note}"
     return Verdict(v.kind, v.canonical_equal, v.distinguished_by, note)
+
+
+def naturality_rows(ctx: ExpansionContext, bound: int,
+                    seed: int | None = None):
+    """Naturality verdicts on sampled arrows of the expanded shift.
+
+    For each ordered pair (e, f) of idempotent_terms(target, bound) that
+    has a connector u, yields {"dom", "cod", "kind", "case"} for
+    verify_naturality((e, u, f)).  The tests are the target's syntactic
+    semigroup followed by the battery for the seed.
+    """
+    s_tgt, _ = syntactic_semigroup(ctx.target)
+    tests = battery(ctx.target.alphabet, seed,
+                    extra=[(s_tgt, dict(s_tgt.gen_of))])
+    idems = idempotent_terms(ctx.target, bound)
+    for e in idems:
+        for f in idems:
+            mid = connector(ctx.target, e, f)
+            if mid is None:
+                continue
+            v = verify_naturality((e, mid, f), ctx, tests)
+            yield {"dom": format_term(e), "cod": format_term(f),
+                   "kind": v.kind, "case": v.note.split(";")[0]}

@@ -19,9 +19,9 @@ from typing import Iterable, Union
 
 from .errors import TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
-from .shifts import ShiftPresentation
-from .words import (Alphabet, Word, factors_up_to, prefix_k, primitive_root,
-                    suffix_k)
+from .shifts import ShiftPresentation, blocks, is_periodic_point
+from .words import (Alphabet, Word, factors_up_to, is_primitive, prefix_k,
+                    primitive_root, suffix_k)
 
 
 @dataclass(frozen=True)
@@ -262,9 +262,37 @@ def term_factors(t: OmegaTerm, k: int) -> set[Word]:
 
 def mirage_membership(t: OmegaTerm, x: ShiftPresentation, k: int) -> bool:
     """True iff every factor of t of length ≤ k is a block of x."""
-    from .shifts import blocks
     allowed = blocks(x, k)
     return all(f in allowed for f in term_factors(t, k))
+
+
+def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
+    """canonical(w^ω) for every primitive block w of x, |w| ≤ bound,
+    with w^∞ a point of x; distinct rotations stay distinct."""
+    seen = set()
+    out = []
+    for w in sorted(blocks(x, bound), key=lambda v: (len(v), v.lex_key())):
+        if not is_primitive(w) or not is_periodic_point(x, w):
+            continue
+        t = canonical(OmegaTerm(x.alphabet, (Power(w, 0),)))
+        key = format_term(t)
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
+def connector(x: ShiftPresentation, e: OmegaTerm,
+              f: OmegaTerm) -> OmegaTerm | None:
+    """The first middle term e·f, then e·c·f over the blocks c of x with
+    |c| ≤ 4 by length, that lies in the 2-mirage of x; None if none does."""
+    cands = sorted(blocks(x, 4), key=lambda v: (len(v), v.lex_key()))
+    for c in [None] + cands:
+        mid = (canonical(e * f) if c is None
+               else canonical(e * OmegaTerm.from_word(c) * f))
+        if mirage_membership(mid, x, 2):
+            return mid
+    return None
 
 
 # -- evaluation -------------------------------------------------------
@@ -450,6 +478,44 @@ def last_letter(t: OmegaTerm) -> str:
     return term_suffix_k(t, 1).letters[0]
 
 
+def _drop_first_item(items: list[Item]) -> list[Item]:
+    # a leading power (a·y)^(ω+q) = a · (y·a)^(ω+q-1) · y loses its a
+    head = items[0]
+    if isinstance(head, Word):
+        return [head[1:]] + items[1:]
+    a, y = head.base[0], head.base[1:]
+    rotated = Word(y.alphabet, y.letters + (a,))
+    return [Power(rotated, head.q - 1), y] + items[1:]
+
+
+def _drop_last_item(items: list[Item]) -> list[Item]:
+    # a trailing power (x·b)^(ω+q) = x · (b·x)^(ω+q-1) · b loses its b
+    tail = items[-1]
+    if isinstance(tail, Word):
+        return items[:-1] + [tail[: len(tail) - 1]]
+    x, b = tail.base[: len(tail.base) - 1], tail.base[-1]
+    rotated = Word(x.alphabet, (b,) + x.letters)
+    return items[:-1] + [x, Power(rotated, tail.q - 1)]
+
+
+def drop_first(t: OmegaTerm) -> OmegaTerm:
+    """Remove the first letter, staying an exact ω-term."""
+    t = canonical(t)
+    if not t.body:
+        raise TooShort("empty term")
+    items = _drop_first_item(list(t.body))
+    return canonical(OmegaTerm(t.alphabet, tuple(items)))
+
+
+def drop_last(t: OmegaTerm) -> OmegaTerm:
+    """Remove the last letter, staying an exact ω-term."""
+    t = canonical(t)
+    if not t.body:
+        raise TooShort("empty term")
+    items = _drop_last_item(list(t.body))
+    return canonical(OmegaTerm(t.alphabet, tuple(items)))
+
+
 def strip_boundary(t: OmegaTerm) -> OmegaTerm:
     """Remove the first and last letter, staying an exact ω-term.
 
@@ -459,28 +525,10 @@ def strip_boundary(t: OmegaTerm) -> OmegaTerm:
     in every finite semigroup (checked by canonical form in tests).
     """
     t = canonical(t)
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < 2:
-            raise TooShort("need at least two letters to strip")
-        return OmegaTerm.from_word(w[1: len(w) - 1])
-    items = list(t.body)
-    first = items[0]
-    if isinstance(first, Word):
-        items[0] = first[1:]
-    else:
-        a, y = first.base[0], first.base[1:]
-        rotated = Word(t.alphabet, y.letters + (a,))
-        items[0:1] = [Power(rotated, first.q - 1), y]
-    items, _ = _flatten(t.alphabet, items)
-    last = items[-1]
-    if isinstance(last, Word):
-        items[-1] = last[: len(last) - 1]
-    else:
-        x, b = last.base[: len(last.base) - 1], last.base[-1]
-        rotated = Word(t.alphabet, (b,) + x.letters)
-        items[-1:] = [x, Power(rotated, last.q - 1)]
-    return canonical(OmegaTerm(t.alphabet, tuple(items)))
+    if t.is_plain() and len(t.as_plain_word()) < 2:
+        raise TooShort("need at least two letters to strip")
+    items, _ = _flatten(t.alphabet, _drop_first_item(list(t.body)))
+    return canonical(OmegaTerm(t.alphabet, tuple(_drop_last_item(items))))
 
 
 # -- quotient comparison -----------------------------------------------

@@ -168,6 +168,28 @@ def random_transformation_semigroup(alphabet: Alphabet, states: int,
     return generate(maps, alphabet, max_size=max_size)
 
 
+def battery(alphabet: Alphabet, seed: int | None = None, extra=()):
+    """Finite-quotient tests: the given extras, cyclic Z/2 and Z/3
+    quotients (these separate ω+p from ω+q exponents, which aperiodic
+    random quotients cannot), and optionally seeded random ones."""
+    out = list(extra)
+    for m in (2, 3):
+        rot = tuple((i + 1) % m for i in range(m))
+        ident = tuple(range(m))
+        gens = [rot if i % 2 == 0 else ident for i in range(len(alphabet))]
+        s = generate(gens, alphabet)
+        out.append((s, dict(s.gen_of)))
+    if seed is not None:
+        rng = random.Random(seed)
+        added = 0
+        while added < 3:
+            s = random_transformation_semigroup(alphabet, 3, rng)
+            if s.size <= 40:
+                out.append((s, dict(s.gen_of)))
+                added += 1
+    return out
+
+
 def _minimize_dfa(n_states: int, trans: dict[tuple[int, str], int],
                   alphabet: Alphabet, accepting: set[int]):
     """Moore refinement; returns (class_of, class_count)."""

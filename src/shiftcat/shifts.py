@@ -230,20 +230,36 @@ class ShiftPresentation:
 
     @staticmethod
     def from_json(data: dict | str) -> "ShiftPresentation":
+        """Read the JSON form; malformed input raises a one-line
+        ValueError."""
         if isinstance(data, str):
             data = json.loads(data)
-        alphabet = Alphabet(tuple(data["alphabet"]))
-        if data["kind"] == "sft":
-            forb = [w if isinstance(w, Word) else
-                    (Word.from_str(alphabet, w) if isinstance(w, str)
-                     else Word(alphabet, tuple(w)))
-                    for w in data.get("forbidden", [])]
-            return ShiftPresentation(alphabet, "sft", forbidden=forb)
-        if data["kind"] == "sofic":
-            edges = [(s, a, d) for s, a, d in data["edges"]]
-            return ShiftPresentation(alphabet, "sofic",
-                                     vertices=data["vertices"], edges=edges)
-        raise ValueError(f"unknown kind {data['kind']!r}")
+        if not isinstance(data, dict):
+            raise ValueError("a shift presentation is a JSON object, not "
+                             f"{type(data).__name__}")
+        try:
+            alphabet = Alphabet(tuple(data["alphabet"]))
+            kind = data["kind"]
+            if kind == "sft":
+                forb = [w if isinstance(w, Word) else
+                        (Word.from_str(alphabet, w) if isinstance(w, str)
+                         else Word(alphabet, tuple(w)))
+                        for w in data.get("forbidden", [])]
+                return ShiftPresentation(alphabet, "sft", forbidden=forb)
+            if kind == "sofic":
+                edges = [tuple(e) for e in data["edges"]]
+                if any(len(e) != 3 for e in edges):
+                    raise ValueError("each edge of a shift presentation is "
+                                     "[source, label, target]")
+                return ShiftPresentation(alphabet, "sofic",
+                                         vertices=data["vertices"],
+                                         edges=edges)
+        except KeyError as e:
+            raise ValueError(f"shift presentation has no {e.args[0]!r} "
+                             "field") from None
+        except TypeError as e:
+            raise ValueError(f"malformed shift presentation: {e}") from None
+        raise ValueError(f"unknown kind {kind!r}")
 
     def to_json(self) -> dict:
         if self.kind == "sft":
@@ -366,18 +382,6 @@ def is_irreducible(x: ShiftPresentation) -> bool:
     states, trans = subset_dfa(g, x.alphabet)
     syms = x.alphabet.symbols
 
-    def reach(i: int) -> set[int]:
-        seen = {i}
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for a in syms:
-                k = trans[(j, a)]
-                if states[k] and k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        return seen
-
     def reads_everything(wset: frozenset) -> bool:
         # hunt for a word readable from all vertices but not from wset
         start = (frozenset(g.vertices), wset)
@@ -402,38 +406,47 @@ def is_irreducible(x: ShiftPresentation) -> bool:
         if not st or i == 0:
             continue
         union: set[Hashable] = set()
-        for j in reach(i):
+        for j in _reach(states, trans, syms, i):
             union.update(states[j])
         if not reads_everything(frozenset(union)):
             verdict = False
             break
 
-    _crosscheck_irreducible(x, verdict)
+    _crosscheck_irreducible(x, verdict, states, trans)
     return verdict
 
 
-def _crosscheck_irreducible(x: ShiftPresentation, verdict: bool) -> None:
+def _reach(states: list[frozenset], trans: dict[tuple[int, str], int],
+           syms, i: int) -> set[int]:
+    """Subset-DFA states reachable from state i through nonempty ones."""
+    seen = {i}
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        for a in syms:
+            k = trans[(j, a)]
+            if states[k] and k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return seen
+
+
+def _crosscheck_irreducible(x: ShiftPresentation, verdict: bool,
+                            states: list[frozenset],
+                            trans: dict[tuple[int, str], int]) -> None:
     """Witness search for u·w·v on short blocks; disagreement is a bug.
 
     Only one direction is conclusive: if the verdict is irreducible,
     every short pair must have a witness.  A reducible shift may still
-    connect all its short blocks.
+    connect all its short blocks.  states and trans are the subset DFA
+    of x's graph.
     """
     g = x.graph()
-    states, trans = subset_dfa(g, x.alphabet)
     index = {s: i for i, s in enumerate(states)}
     short = sorted(blocks(x, min(4, len(g.vertices) + 2)), key=Word.lex_key)
     for u in short:
         t0 = index[frozenset(g.walk(set(g.vertices), u.letters))]
-        seen = {t0}
-        stack = [t0]
-        while stack:
-            j = stack.pop()
-            for a in x.alphabet.symbols:
-                k = trans[(j, a)]
-                if states[k] and k not in seen:
-                    seen.add(k)
-                    stack.append(k)
+        seen = _reach(states, trans, x.alphabet.symbols, t0)
         for v in short:
             found = any(g.walk(set(states[j]), v.letters) for j in seen)
             if verdict and not found:

@@ -17,15 +17,16 @@ from shiftcat.codes import (BlockMap, apply_to_presentation, block_alphabet,
                             centralize, compose, higher_block_map,
                             lambda_first_letter, word_code)
 from shiftcat.flowops import (TYPES, classify_type, expand_shift,
-                              verify_naturality)
+                              naturality_rows)
 from shiftcat.karoubi import (induced_functor_on_arrow,
                               induced_functor_on_idempotent,
                               karoubi_vs_lu_comparison, lu_labeled_poset,
                               poset_isomorphic)
 from shiftcat.pseudowords import (OmegaTerm, canonical, closure_membership,
-                                  expand_word, format_term, parse_term,
+                                  connector, expand_word, format_term,
+                                  idempotent_terms, parse_term,
                                   quotient_equal, term_contract, EmptyResult)
-from shiftcat.semigroups import omega_power, syntactic_semigroup
+from shiftcat.semigroups import battery, omega_power, syntactic_semigroup
 from shiftcat.shifts import mirage_membership_k, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word, prefix_k, suffix_k
 
@@ -147,16 +148,14 @@ def test_ac_05_induced_functor_laws_and_independence():
         y = apply_to_presentation(ups2c, x)
         s_src, _ = syntactic_semigroup(x)
         s_tgt, _ = syntactic_semigroup(y)
-        tests = (util.battery(x.alphabet,
-                              extra=[(s_src, dict(s_src.gen_of))])
-                 + util.battery(y.alphabet,
-                                extra=[(s_tgt, dict(s_tgt.gen_of))]))
+        tests = (battery(x.alphabet, extra=[(s_src, dict(s_src.gen_of))])
+                 + battery(y.alphabet, extra=[(s_tgt, dict(s_tgt.gen_of))]))
 
-        idems = util.idempotent_terms(x, 4)
+        idems = idempotent_terms(x, 4)
         arrows = {}
         for i, e in enumerate(idems):
             for j, f in enumerate(idems):
-                mid = util.connector(x, e, f)
+                mid = connector(x, e, f)
                 if mid is not None:
                     arrows[(i, j)] = (e, mid, f)
         assert arrows
@@ -275,18 +274,7 @@ def test_ac_09_expansion_mirage_lemmas_exhaustively():
 def _flow_invariance_report():
     x = util.load("even")
     ctx = expand_shift(x, "a")
-    s_tgt, accept_tgt = syntactic_semigroup(ctx.target)
-    tests = util.battery(ctx.target.alphabet,
-                         extra=[(s_tgt, dict(s_tgt.gen_of))])
-    idems = util.idempotent_terms(ctx.target, 4)
-    rows = []
-    for e in idems:
-        for f in idems:
-            mid = util.connector(ctx.target, e, f)
-            assert mid is not None
-            v = verify_naturality((e, mid, f), ctx, tests)
-            rows.append({"dom": format_term(e), "cod": format_term(f),
-                         "kind": v.kind, "case": v.note.split(";")[0]})
+    rows = list(naturality_rows(ctx, 4))
 
     def poset_json(poset):
         return {"elements": list(poset.elements),
@@ -297,6 +285,7 @@ def _flow_invariance_report():
                            for (e, reg, grp) in poset.labels]}
 
     s_src, accept_src = syntactic_semigroup(x)
+    s_tgt, accept_tgt = syntactic_semigroup(ctx.target)
     p_src = lu_labeled_poset(s_src, accept_src)
     p_tgt = lu_labeled_poset(s_tgt, accept_tgt)
     verdict = poset_isomorphic(p_src, p_tgt)

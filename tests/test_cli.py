@@ -201,6 +201,10 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "blocks", GOLDEN)[0] == 64
     assert run(capsys, "check", "no-such-suite")[0] == 64
     assert run(capsys, "check", "word-code-identities")[0] == 64
+    for action in ("apply", "compose"):
+        code, out, err = run(capsys, "code", action, EVEN)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
 def test_missing_file_exit_code(capsys):
@@ -210,10 +214,35 @@ def test_missing_file_exit_code(capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("command, data", [
+    (["blocks", "--order", "2"], {"alphabet": ["a", "b"]}),
+    (["blocks", "--order", "2"], [{"alphabet": ["a", "b"], "kind": "sft"}]),
+    (["irreducible"], {"alphabet": ["a"], "kind": "sofic", "vertices": ["0"],
+                       "edges": [["0", "a"]]}),
+    (["code", "centralize"], util.load("even").to_json()),
+])
+def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_failure_exit_code_for_bad_term(capsys):
     code, _, err = run(capsys, "member", EVEN, "(a z)^w")
     assert code == 1
     assert err
+
+
+def test_cli_corpus_matches_the_data_files():
+    def text(x):
+        return json.dumps(x.to_json(), sort_keys=True)
+
+    files = sorted(util.DATA.glob("*.json"))
+    assert len(files) == len(cli._corpus()) == 6
+    assert (sorted(map(text, cli._corpus().values()))
+            == sorted(text(util.load(p.stem)) for p in files))
 
 
 # -- determinism ----------------------------------------------------------

@@ -12,10 +12,11 @@ from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                              NotIdempotentWitness, NotInMirage2)
 from shiftcat.flowops import (TYPES, classify_type, eta, eta_inverse,
                               expand_shift, functor_F, functor_G,
-                              term_expand_of_contract, term_image_E,
-                              verify_naturality)
-from shiftcat.pseudowords import canonical, canonical_equal, parse_term
-from shiftcat.semigroups import syntactic_semigroup
+                              naturality_rows, term_expand_of_contract,
+                              term_image_E)
+from shiftcat.pseudowords import (canonical, canonical_equal, connector,
+                                  idempotent_terms, parse_term)
+from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word
 
@@ -178,10 +179,10 @@ def test_term_image_membership():
 def _source_arrows(limit: int = 12):
     """Arrows (e, u, f) of idempotent terms over the even shift."""
     arrows = []
-    terms = util.idempotent_terms(EVEN, 3)
+    terms = idempotent_terms(EVEN, 3)
     for e in terms:
         for f in terms:
-            u = util.connector(EVEN, e, f)
+            u = connector(EVEN, e, f)
             if u is not None:
                 arrows.append((e, u, f))
             if len(arrows) >= limit:
@@ -190,7 +191,7 @@ def _source_arrows(limit: int = 12):
 
 
 def test_contraction_inverts_expansion_on_arrows():
-    tests = util.battery(EVEN.alphabet, seed=5)
+    tests = battery(EVEN.alphabet, seed=5)
     for arrow in _source_arrows():
         img = functor_F(arrow, CTX, tests=tests)
         for comp in img:
@@ -207,7 +208,7 @@ def test_expansion_inverts_contraction_on_expanded_arrows():
 
 def test_expansion_rejects_a_loose_middle():
     s, _ = syntactic_semigroup(util.load("golden_mean"))
-    tests = util.battery(EVEN.alphabet, extra=[(s, dict(s.gen_of))])
+    tests = battery(EVEN.alphabet, extra=[(s, dict(s.gen_of))])
     AB = EVEN.alphabet
     arrow = (parse_term(AB, "(a)^w"), parse_term(AB, "b a"),
              parse_term(AB, "(b)^w"))
@@ -267,7 +268,7 @@ def test_eta_frozen_components():
 
 
 def test_eta_requires_an_idempotent_witness():
-    tests = util.battery(B, seed=7)
+    tests = battery(B, seed=7)
     with pytest.raises(NotIdempotentWitness):
         eta(term("b a"), CTX, tests=tests)
 
@@ -285,18 +286,8 @@ def test_expand_of_contract():
 
 
 def test_naturality_on_mixed_idempotent_pairs():
-    s, _ = syntactic_semigroup(CTX.target)
-    tests = util.battery(B, seed=13, extra=[(s, dict(s.gen_of))])
-    idems = [term("(a o)^w"), term("(o b b a)^w"), term("(o a)^w")]
-    seen_cases = set()
-    for e in idems:
-        for f in idems:
-            u = util.connector(CTX.target, e, f)
-            if u is None:
-                continue
-            verdict = verify_naturality((e, u, f), CTX, tests)
-            assert verdict.kind == "EqualInAll", (str(e), str(f))
-            assert verdict.note.startswith("case dom=")
-            seen_cases.add((classify_type(e, CTX), classify_type(f, CTX)))
-    assert ("ImageE", "DiamondImageEAlpha") in seen_cases
-    assert ("DiamondImageEAlpha", "DiamondImageEAlpha") in seen_cases
+    rows = list(naturality_rows(CTX, 4, seed=13))
+    assert rows and all(row["kind"] == "EqualInAll" for row in rows)
+    cases = {row["case"] for row in rows}
+    assert "case dom=ImageE, cod=DiamondImageEAlpha" in cases
+    assert "case dom=DiamondImageEAlpha, cod=DiamondImageEAlpha" in cases

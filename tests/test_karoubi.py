@@ -17,9 +17,8 @@ from shiftcat.karoubi import (ComparisonVerdict, KaroubiCategory,
                               retraction_order)
 from shiftcat.pseudowords import (canonical, canonical_equal, parse_term,
                                   quotient_equal)
-from shiftcat.semigroups import (FiniteSemigroup, generate, green,
-                                 local_units,
-                                 random_transformation_semigroup,
+from shiftcat.semigroups import (FiniteSemigroup, battery, generate, green,
+                                 local_units, random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup)
 from shiftcat.words import Alphabet, Word
 
@@ -225,8 +224,8 @@ def test_karoubi_vs_lu_on_randoms():
 
 def test_induced_functor_identity_law():
     cen = centralize(higher_block_map(AB, 2))
-    tests = util.battery(cen.target, seed=3)
-    src_tests = util.battery(AB)
+    tests = battery(cen.target, seed=3)
+    src_tests = battery(AB)
     e = parse_term(AB, "(ab)^w")
     img = induced_functor_on_idempotent(cen, e, tests)
     v = quotient_equal(img * img, img, tests)
@@ -238,7 +237,7 @@ def test_induced_functor_identity_law():
 def test_induced_functor_rejects_non_arrow():
     cen = centralize(higher_block_map(AB, 2))
     s, _ = syntactic_semigroup(util.load("golden_mean"))
-    tests = util.battery(cen.source, extra=[(s, dict(s.gen_of))])
+    tests = battery(cen.source, extra=[(s, dict(s.gen_of))])
     e = parse_term(AB, "(a)^w")
     f = parse_term(AB, "(b)^w")
     # e·u·f ends in b^ω, which hits the zero of the golden-mean
@@ -250,7 +249,7 @@ def test_induced_functor_rejects_non_arrow():
 
 def test_induced_functor_composition_law():
     cen = centralize(higher_block_map(AB, 2))
-    tgt_tests = util.battery(cen.target, seed=11)
+    tgt_tests = battery(cen.target, seed=11)
     e = parse_term(AB, "(a)^w")
     f = parse_term(AB, "(b)^w")
     g = parse_term(AB, "(a)^w")

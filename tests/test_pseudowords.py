@@ -12,14 +12,15 @@ from shiftcat.codes import centralize, higher_block_map, word_code
 from shiftcat.errors import TooShort
 from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
                                   canonical_equal, closure_membership,
-                                  eval_term, expand_word, first_letter,
-                                  format_term, image_E_membership,
-                                  last_letter, mirage_membership, parse_term,
+                                  drop_first, drop_last, eval_term,
+                                  expand_word, first_letter, format_term,
+                                  image_E_membership, last_letter,
+                                  mirage_membership, parse_term,
                                   quotient_equal, strip_boundary,
                                   term_block_code, term_contract, term_expand,
                                   term_factors, term_prefix_k, term_suffix_k,
                                   unfold, unfold_exponent)
-from shiftcat.semigroups import generate, syntactic_semigroup
+from shiftcat.semigroups import battery
 from shiftcat.shifts import blocks, is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
 
@@ -86,7 +87,7 @@ def test_plain_words_canonicalize_to_themselves():
 @settings(max_examples=80, deadline=None)
 @given(term_strategy())
 def test_canonical_preserves_value_in_quotients(t):
-    tests = util.battery(AB)
+    tests = battery(AB)
     c = canonical(t)
     for s, assign in tests:
         assert eval_term(t, s, assign) == eval_term(c, s, assign)
@@ -110,7 +111,7 @@ def test_unfold_plain_prefixes():
 
 
 def test_eval_term_matches_deep_unfolding():
-    tests = util.battery(AB, seed=23)
+    tests = battery(AB, seed=23)
     for text in ("(ab)^w", "(ab)^(w+1)", "a (ba)^(w-1) b", "(a)^w (b)^w",
                  "ab (ba)^(w+2) a"):
         t = t_ab(text)
@@ -121,7 +122,7 @@ def test_eval_term_matches_deep_unfolding():
 
 
 def test_eval_term_omega_is_idempotent_image():
-    tests = util.battery(AB, seed=5)
+    tests = battery(AB, seed=5)
     t = t_ab("(ab)^w")
     for s, assign in tests:
         v = eval_term(t, s, assign)
@@ -129,7 +130,7 @@ def test_eval_term_omega_is_idempotent_image():
 
 
 def test_omega_plus_one_is_not_idempotent_in_cyclic_quotients():
-    tests = util.battery(AB)
+    tests = battery(AB)
     t = t_ab("(ab)^(w+1)")
     sq = canonical(t * t)
     verdict = quotient_equal(t, sq, tests)
@@ -221,7 +222,7 @@ def test_term_block_code_semantic_continuity():
     # in every finite quotient of the target alphabet.
     cen = centralize(higher_block_map(AB, 2))
     b = cen.target
-    tests = util.battery(b, seed=31)
+    tests = battery(b, seed=31)
     for text in ("(a)^w b (a)^w", "(ab)^w", "(ab)^(w+1) (ba)^w",
                  "a (ba)^(w-1) b", "(a)^w (b)^w (a)^w"):
         t = t_ab(text)
@@ -286,17 +287,20 @@ def test_image_E_membership_matches_brute_enumeration():
 
 
 def test_strip_boundary_rebuild():
-    tests = util.battery(AB)
+    tests = battery(AB)
     for text in ("(ab)^w", "abba", "(ab)^(w+1) b", "a (ba)^w"):
         t = canonical(t_ab(text))
-        inner = strip_boundary(t)
-        rebuilt = (OmegaTerm.from_word(Word(AB, (first_letter(t),)))
-                   * inner
-                   * OmegaTerm.from_word(Word(AB, (last_letter(t),))))
-        v = quotient_equal(t, canonical(rebuilt), tests)
-        assert v.canonical_equal, text
+        first = OmegaTerm.from_word(Word(AB, (first_letter(t),)))
+        last = OmegaTerm.from_word(Word(AB, (last_letter(t),)))
+        for rebuilt in (first * strip_boundary(t) * last,
+                        first * drop_first(t), drop_last(t) * last):
+            v = quotient_equal(t, canonical(rebuilt), tests)
+            assert v.canonical_equal, text
     with pytest.raises(TooShort):
         strip_boundary(t_ab("a"))
+    for drop in (drop_first, drop_last):
+        with pytest.raises(TooShort):
+            drop(t_ab(""))
 
 
 # -- verdicts and parsing ----------------------------------------------------------
@@ -309,7 +313,7 @@ def test_quotient_equal_canonical_shortcut():
 
 
 def test_quotient_equal_distinguishes():
-    tests = util.battery(AB)
+    tests = battery(AB)
     v = quotient_equal(t_ab("(a)^w"), t_ab("(a)^(w+1)"), tests)
     assert v.kind == "DistinguishedBy"
     assert v.distinguished_by is not None
@@ -318,7 +322,7 @@ def test_quotient_equal_distinguishes():
 def test_quotient_equal_weak_equal():
     # (ab)^ω and (ba)^ω agree in every commutative quotient but are
     # different pseudowords: EqualInAll without canonical equality.
-    tests = util.battery(AB)  # cyclic quotients are commutative
+    tests = battery(AB)  # cyclic quotients are commutative
     v = quotient_equal(t_ab("(ab)^w"), t_ab("(ba)^w"), tests)
     assert v.kind == "EqualInAll"
     assert v.canonical_equal is False

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
+from shiftcat import shifts
 from shiftcat.errors import EmptyShift
 from shiftcat.shifts import (PeriodicPoint, ShiftPresentation, blocks,
                              is_block, is_irreducible, is_periodic_point,
-                             mirage_membership_k, periodic_counts, trim, zeta)
+                             mirage_membership_k, periodic_counts, subset_dfa,
+                             trim, zeta)
 from shiftcat.words import Alphabet, Word, factors_up_to
 
 CORPUS = ["golden_mean", "even", "full2", "periodic_ab", "fixed_point",
@@ -54,13 +56,17 @@ def test_even_blocks_of_length_three_exclude_aba(corpus):
 # -- irreducibility --------------------------------------------------------
 
 
-def test_irreducibility_verdicts(corpus):
+def test_irreducibility_verdicts(corpus, monkeypatch):
+    built = []
+    monkeypatch.setattr(shifts, "subset_dfa",
+                        lambda *args: built.append(args) or subset_dfa(*args))
     assert is_irreducible(corpus["golden_mean"])
     assert is_irreducible(corpus["even"])
     assert is_irreducible(corpus["full2"])
     assert is_irreducible(corpus["marker_cycle"])
     assert is_irreducible(corpus["periodic_ab"])
     assert is_irreducible(corpus["fixed_point"])
+    assert len(built) == 6  # the cross-check reuses the verdict's DFA
 
 
 def test_disjoint_union_of_two_fixed_points_is_reducible():

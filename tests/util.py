@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import json
-import random
 from pathlib import Path
 
-from shiftcat.pseudowords import OmegaTerm, Power, canonical, format_term, mirage_membership
-from shiftcat.semigroups import generate, random_transformation_semigroup
-from shiftcat.shifts import ShiftPresentation, blocks, is_periodic_point
-from shiftcat.words import Alphabet, is_primitive
+from shiftcat.shifts import ShiftPresentation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -18,54 +14,3 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def load(name: str) -> ShiftPresentation:
     with open(DATA / f"{name}.json", "r", encoding="utf-8") as fh:
         return ShiftPresentation.from_json(json.load(fh))
-
-
-def battery(alphabet: Alphabet, seed: int | None = None, extra=()):
-    """Finite-quotient tests: the given extras, cyclic Z/2 and Z/3
-    quotients (these separate ω+p from ω+q exponents, which aperiodic
-    random quotients cannot), and optionally seeded random ones."""
-    out = list(extra)
-    for m in (2, 3):
-        rot = tuple((i + 1) % m for i in range(m))
-        ident = tuple(range(m))
-        gens = [rot if i % 2 == 0 else ident for i in range(len(alphabet))]
-        s = generate(gens, alphabet)
-        out.append((s, dict(s.gen_of)))
-    if seed is not None:
-        rng = random.Random(seed)
-        added = 0
-        while added < 3:
-            s = random_transformation_semigroup(alphabet, 3, rng)
-            if s.size <= 40:
-                out.append((s, dict(s.gen_of)))
-                added += 1
-    return out
-
-
-def idempotent_terms(x: ShiftPresentation, bound: int):
-    """canonical(w^ω) for every primitive block w of x, |w| ≤ bound,
-    with w^∞ a point of x; distinct rotations stay distinct."""
-    seen = set()
-    out = []
-    for w in sorted(blocks(x, bound), key=lambda v: (len(v), v.lex_key())):
-        if not is_primitive(w) or not is_periodic_point(x, w):
-            continue
-        t = canonical(OmegaTerm(x.alphabet, (Power(w, 0),)))
-        key = format_term(t)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
-
-
-def connector(x: ShiftPresentation, e: OmegaTerm, f: OmegaTerm,
-              k: int = 2, max_len: int = 4):
-    """A middle term e·c·f lying in the k-mirage of x, or None."""
-    cands = [None] + sorted(blocks(x, max_len),
-                            key=lambda v: (len(v), v.lex_key()))
-    for c in cands:
-        mid = (canonical(e * f) if c is None
-               else canonical(e * OmegaTerm.from_word(c) * f))
-        if mirage_membership(mid, x, k):
-            return mid
-    return None
