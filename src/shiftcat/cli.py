@@ -62,8 +62,11 @@ def _load_shift(path: str) -> ShiftPresentation:
 def _load_central(path: str) -> CentralBlockMap:
     data = _load_json(path)
     if isinstance(data, dict) and "inner" in data:
-        return CentralBlockMap(block_map_from_json(data["inner"]),
-                               int(data["wing"]))
+        wing = data.get("wing")
+        if type(wing) is not int or wing < 0:
+            raise ValueError("central block map needs a non-negative "
+                             "integer 'wing'")
+        return CentralBlockMap(block_map_from_json(data["inner"]), wing)
     return centralize(block_map_from_json(data))
 
 
@@ -200,8 +203,9 @@ def cmd_lu_poset(args) -> int:
 
 
 def cmd_code(args) -> int:
-    if args.action != "centralize" and args.second is None:
-        print(f"usage error: code {args.action} needs a second path",
+    if (args.second is None) != (args.action == "centralize"):
+        need = "one path" if args.action == "centralize" else "a second path"
+        print(f"usage error: code {args.action} takes {need}",
               file=sys.stderr)
         return EXIT_USAGE
     if args.action == "centralize":

@@ -21,7 +21,7 @@ from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
                           expand_word, first_letter, format_term,
                           idempotent_terms, image_E_membership, last_letter,
                           mirage_membership, quotient_equal, strip_boundary,
-                          term_contract, term_expand, unfold, unfold_exponent)
+                          term_contract, term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
 from .shifts import ShiftPresentation, blocks, is_block, mirage_membership_k
 from .words import Alphabet, Word
@@ -111,15 +111,14 @@ def term_image_E(t: OmegaTerm, alpha: str, diamond: str = "o") -> bool:
     """Whether the term lies in the image of the expansion E.
 
     Two independent tests must agree: the locally testable conditions
-    evaluated on an unfolding deep enough to expose every junction, and
+    evaluated on an unrolling that exposes every junction, and
     the exact round trip expand(contract(t)) = t on canonical forms.
     """
     t = canonical(t)
     if t.is_plain():
         w = t.as_plain_word()
         return len(w) > 0 and image_E_membership(w, alpha, diamond)
-    local = image_E_membership(unfold(t, unfold_exponent(t, 2)),
-                               alpha, diamond)
+    local = image_E_membership(unroll(t, 2), alpha, diamond)
     c = term_contract(t, diamond)
     if isinstance(c, EmptyResult):
         roundtrip = False

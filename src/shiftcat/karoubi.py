@@ -137,9 +137,7 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
                           "H-class of the idempotent")
     pos = {u: i for i, u in enumerate(units)}
     carrier = frozenset(tuple(pos[t[x][u]] for x in units) for u in units)
-    ident = tuple(range(len(units)))
-    hint = tuple(p for p in sorted(carrier) if p != ident)[:2]
-    grp = SchutzGroup(tuple(units), carrier, len(carrier), hint)
+    grp = SchutzGroup(tuple(units), carrier, len(carrier))
     base_grp = schutzenberger(s, g.H[g.h_of[e]])
     if groups_isomorphic(grp, base_grp) == "not-isomorphic":
         raise MismatchBug("automorphism group differs from the "
@@ -427,13 +425,12 @@ def _divisibility_witness(s: FiniteSemigroup, u: int, v: int):
 
 
 def _unit_pair(s: FiniteSemigroup, u: int):
-    """Idempotents (e, f) with e·u·f = u, or None."""
+    """The first idempotents e and f with e·u = u and u·f = u (so that
+    e·u·f = u), or None."""
     t = s.table
-    for e in s.idempotents():
-        for f in s.idempotents():
-            if t[t[e][u]][f] == u:
-                return (e, f)
-    return None
+    e = next((e for e in s.idempotents() if t[e][u] == u), None)
+    f = next((f for f in s.idempotents() if t[u][f] == u), None)
+    return None if e is None or f is None else (e, f)
 
 
 def _arrow_schutzenberger(s: FiniteSemigroup, hmid, f: int) -> SchutzGroup:
@@ -462,9 +459,7 @@ def _arrow_schutzenberger(s: FiniteSemigroup, hmid, f: int) -> SchutzGroup:
                 raise MismatchBug("arrow translations are not closed")
     if len(perms) != len(h):
         raise MismatchBug("arrow translations are not simply transitive")
-    ident = tuple(range(len(h)))
-    hint = tuple(p for p in sorted(perms) if p != ident)[:2]
-    return SchutzGroup(h, frozenset(perms), len(perms), hint)
+    return SchutzGroup(h, frozenset(perms), len(perms))
 
 
 _CLASS_SAMPLE = 12

@@ -204,11 +204,6 @@ def canonical_equal(s: OmegaTerm, t: OmegaTerm) -> bool:
 # -- unfolding, prefixes, factors ------------------------------------
 
 
-def max_offset(t: OmegaTerm) -> int:
-    return max((abs(it.q) for it in t.body if isinstance(it, Power)),
-               default=0)
-
-
 def unfold(t: OmegaTerm, m: int) -> Word:
     """Replace each u^(ω+q) by u^(m+q); m must leave every exponent ≥ 1."""
     out: tuple[str, ...] = ()
@@ -222,10 +217,18 @@ def unfold(t: OmegaTerm, m: int) -> Word:
     return Word(t.alphabet, out)
 
 
-def unfold_exponent(t: OmegaTerm, k: int) -> int:
-    """m(k) = k + max|q| + 2: large enough that every factor of length
-    ≤ k of the term appears in the unfolding, and stably so."""
-    return k + max_offset(t) + 2
+def unroll(t: OmegaTerm, k: int) -> Word:
+    """Each u^(ω+q) written out k+2 times, whatever q is.
+
+    A factor of length ≤ k meets at most k letters of each power, so the
+    factors, prefix and suffix of length ≤ k are those of every deep
+    unfolding, and the word's length does not grow with q.
+    """
+    out: list[str] = []
+    for it in t.body:
+        out.extend(it.letters if isinstance(it, Word)
+                   else it.base.letters * (k + 2))
+    return Word(t.alphabet, tuple(out))
 
 
 def term_prefix_k(t: OmegaTerm, k: int) -> Word:
@@ -237,7 +240,7 @@ def term_prefix_k(t: OmegaTerm, k: int) -> Word:
         if len(w) < k:
             raise TooShort(f"plain word of length {len(w)} has no {k}-prefix")
         return prefix_k(w, k)
-    return prefix_k(unfold(t, unfold_exponent(t, k)), k)
+    return prefix_k(unroll(t, k), k)
 
 
 def term_suffix_k(t: OmegaTerm, k: int) -> Word:
@@ -248,16 +251,16 @@ def term_suffix_k(t: OmegaTerm, k: int) -> Word:
         if len(w) < k:
             raise TooShort(f"plain word of length {len(w)} has no {k}-suffix")
         return suffix_k(w, k)
-    return suffix_k(unfold(t, unfold_exponent(t, k)), k)
+    return suffix_k(unroll(t, k), k)
 
 
 def term_factors(t: OmegaTerm, k: int) -> set[Word]:
-    """All factors of length ≤ k of the term (stably, via one unfolding)."""
+    """All factors of length ≤ k of the term (stably, via one unrolling)."""
     if k < 1:
         raise ValueError("k must be positive")
     if t.is_plain():
         return factors_up_to(t.as_plain_word(), k)
-    return factors_up_to(unfold(t, unfold_exponent(t, k)), k)
+    return factors_up_to(unroll(t, k), k)
 
 
 def mirage_membership(t: OmegaTerm, x: ShiftPresentation, k: int) -> bool:

@@ -21,12 +21,12 @@ from .words import Alphabet, Word
 class FiniteSemigroup:
     """A finite semigroup with generators and witness words.
 
-    The product table is checked for associativity at construction,
-    exhaustively up to size 512 and by seeded sampling above that.
+    The product table is proved associative at construction, at every
+    size: Light's test on the generators, then every witness word
+    evaluates to its element.
     """
 
-    def __init__(self, table, generators, witnesses, alphabet: Alphabet,
-                 check: bool = True):
+    def __init__(self, table, generators, witnesses, alphabet: Alphabet):
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in table)
         self.size = len(self.table)
         self.generators: tuple[int, ...] = tuple(generators)
@@ -38,27 +38,27 @@ class FiniteSemigroup:
                                        zip(alphabet.symbols, self.generators)}
         self._green: GreenData | None = None
         self._idem: tuple[int, ...] | None = None
-        if check:
-            self._check_associativity()
-            self._check_witnesses()
+        self._check_associativity()
+        self._check_witnesses()
 
     def _check_associativity(self) -> None:
+        """Light's test: (x·g)·y = x·(g·y) for all x, y and generators g.
+
+        The elements g passing it are closed under the product, so once
+        _check_witnesses shows that the generators yield every element,
+        the whole table is associative.
+        """
         n = self.size
         t = self.table
         if any(len(r) != n for r in t):
             raise ValueError("product table must be square")
-        if n <= 512:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    if t[ta[b]] != tuple(ta[x] for x in t[b]):
-                        raise ValueError(f"associativity fails at a={a}, b={b}")
-        else:
-            rng = random.Random(0)
-            for _ in range(1_000_000):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise ValueError("associativity fails (sampled)")
+        for g in sorted(set(self.generators)):
+            tg = t[g]
+            for x in range(n):
+                tx = t[x]
+                if t[tx[g]] != tuple(tx[z] for z in tg):
+                    raise ValueError(f"associativity fails at x={x}, "
+                                     f"generator {g}")
 
     def _check_witnesses(self) -> None:
         for x in range(self.size):
@@ -108,16 +108,19 @@ class FiniteSemigroup:
         return "[ " + ",\n  ".join("[ " + r + " ]" for r in rows) + " ]\n"
 
 
-def generate(transformations, alphabet: Alphabet,
-             max_size: int = 20000) -> FiniteSemigroup:
+_MAX_SIZE = 20000
+
+
+def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
     """Close a list of total maps (one per letter) under composition.
 
     Maps act on states left to right: the element of a word u sends q to
     the state reached reading u from q, so products satisfy
     element(u)·element(v) = element(uv).  Elements are numbered by BFS
     discovery, which makes witnesses shortest and lexicographically
-    least.  Associativity is inherited from function composition but the
-    constructed table is checked anyway.
+    least.  The BFS builds the right Cayley graph; the table is filled
+    from it by x·(y'a) = (x·y')·a along each element's parent (y', a),
+    and is proved associative by FiniteSemigroup.
     """
     maps = [tuple(t) for t in transformations]
     if len(maps) != len(alphabet):
@@ -128,44 +131,48 @@ def generate(transformations, alphabet: Alphabet,
     index: dict[tuple[int, ...], int] = {}
     elems: list[tuple[int, ...]] = []
     witness: dict[int, Word] = {}
+    parent: list[tuple[int, int]] = []   # (y', letter index) with y = y'·a
     gen_ids: list[int] = []
-    for a, t in zip(alphabet.symbols, maps):
+    for i, (a, t) in enumerate(zip(alphabet.symbols, maps)):
         if t not in index:
             index[t] = len(elems)
             elems.append(t)
             witness[index[t]] = Word(alphabet, (a,))
+            parent.append((-1, i))
         gen_ids.append(index[t])
-    queue = list(range(len(elems)))
-    while queue:
-        x = queue.pop(0)
+    right: list[list[int]] = []          # right[x][i] = x·(letter i)
+    x = 0
+    while x < len(elems):
         tx = elems[x]
-        for a, g in zip(alphabet.symbols, maps):
+        row = []
+        for i, (a, g) in enumerate(zip(alphabet.symbols, maps)):
             comp = tuple(g[tx[q]] for q in range(deg))
             if comp not in index:
-                if len(elems) >= max_size:
-                    raise SizeLimit(f"closure exceeds {max_size} elements")
+                if len(elems) >= _MAX_SIZE:
+                    raise SizeLimit(f"closure exceeds {_MAX_SIZE} elements")
                 index[comp] = len(elems)
                 elems.append(comp)
                 witness[index[comp]] = Word(alphabet,
                                             witness[x].letters + (a,))
-                queue.append(index[comp])
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        tx = elems[x]
-        for y in range(n):
-            ty = elems[y]
-            table[x][y] = index[tuple(ty[tx[q]] for q in range(deg))]
+                parent.append((x, i))
+            row.append(index[comp])
+        right.append(row)
+        x += 1
+    table = []
+    for rx in right:
+        xy: list[int] = []               # xy[y] = x·y, filled in BFS order
+        for y_prev, i in parent:
+            xy.append(rx[i] if y_prev < 0 else right[xy[y_prev]][i])
+        table.append(xy)
     return FiniteSemigroup(table, gen_ids, witness, alphabet)
 
 
 def random_transformation_semigroup(alphabet: Alphabet, states: int,
-                                    rng: random.Random,
-                                    max_size: int = 20000) -> FiniteSemigroup:
+                                    rng: random.Random) -> FiniteSemigroup:
     """A seeded transformation semigroup, one random map per letter."""
     maps = [tuple(rng.randrange(states) for _ in range(states))
             for _ in alphabet.symbols]
-    return generate(maps, alphabet, max_size=max_size)
+    return generate(maps, alphabet)
 
 
 def battery(alphabet: Alphabet, seed: int | None = None, extra=()):
@@ -334,7 +341,7 @@ def green(s: FiniteSemigroup) -> GreenData:
     x R y iff each is reachable from the other by right multiplication
     with generators (that walk realizes all of xS^I), and dually for L;
     J uses both sides at once.  The finite-semigroup identity J = D is
-    asserted rather than assumed.
+    asserted rather than assumed, at every size.
     """
     if s._green is not None:
         return s._green
@@ -379,9 +386,7 @@ def green(s: FiniteSemigroup) -> GreenData:
             below.add((c, start))
 
     regular = tuple(any(t[x][x] == x for x in cl) for cl in J)
-
-    if n <= 400:
-        _assert_j_equals_d(s, J, r_of, l_of)
+    _assert_j_equals_d(s, J, r_of, l_of)
 
     data = GreenData(R, L, J, tuple(frozenset(c) for c in H_classes),
                      r_of, l_of, j_of, tuple(h_of),
@@ -444,13 +449,12 @@ class SchutzGroup:
     """The Schützenberger group of an H-class as permutations of it.
 
     Permutations are position maps over the sorted H-class; carrier is
-    the whole group, presentation_hint a small generating subset.
+    the whole group.
     """
 
     hclass: tuple[int, ...]
     carrier: frozenset[tuple[int, ...]]
     order: int
-    presentation_hint: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -502,36 +506,22 @@ def schutzenberger(s: FiniteSemigroup, hclass) -> SchutzGroup:
                 raise MismatchBug("translation actions are not closed")
     if len(perms) != len(h):
         raise MismatchBug("Schützenberger group is not simply transitive")
-    hint: list[tuple[int, ...]] = []
-    have: set[tuple[int, ...]] = {tuple(range(len(h)))}
-    for p in sorted(perms):
-        if p not in have:
-            hint.append(p)
-            frontier = list(have | {p})
-            while frontier:
-                a = frontier.pop()
-                for b in list(have) + [p]:
-                    c = SchutzGroup.compose(a, b)
-                    if c not in have:
-                        have.add(c)
-                        frontier.append(c)
-        if len(have) == len(perms):
-            break
-    return SchutzGroup(h, frozenset(perms), len(perms), tuple(hint))
+    return SchutzGroup(h, frozenset(perms), len(perms))
 
 
 def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
     """{x in K : x = e·x·f for some idempotents e, f}.
 
-    The full local-unit set must be a union of J-classes; that is
-    checked before slicing with K.
+    That holds exactly when e·x = x for some idempotent e and x·f = x
+    for some idempotent f, which costs O(n·|E|).  The full local-unit
+    set must be a union of J-classes; that is checked before slicing
+    with K.
     """
     e_list = s.idempotents()
     t = s.table
-    lu_all = set()
-    for x in range(s.size):
-        if any(t[t[e][x]][f] == x for e in e_list for f in e_list):
-            lu_all.add(x)
+    lu_all = {x for x in range(s.size)
+              if any(t[e][x] == x for e in e_list)
+              and any(t[x][f] == x for f in e_list)}
     g = green(s)
     for cl in g.J:
         inside = cl & lu_all
@@ -617,17 +607,19 @@ def _generating_set(table) -> list[int]:
     return gens
 
 
-def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup,
-                      brute_limit: int = 64) -> str:
+_GROUP_BRUTE_LIMIT = 64
+
+
+def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
     """'isomorphic', 'not-isomorphic', or 'invariant-equal'.
 
-    Brute-force isomorphism search up to brute_limit; beyond that only
-    the invariant vector (order, abelianness, element-order multiset) is
+    Brute-force isomorphism search up to order 64; above that only the
+    invariant vector (order, abelianness, element-order multiset) is
     compared and a match is reported as the weaker verdict.
     """
     if g1.order != g2.order:
         return "not-isomorphic"
-    if g1.order > brute_limit:
+    if g1.order > _GROUP_BRUTE_LIMIT:
         inv1 = (g1.order, g1.is_abelian(), g1.element_orders())
         inv2 = (g2.order, g2.is_abelian(), g2.element_orders())
         return "invariant-equal" if inv1 == inv2 else "not-isomorphic"

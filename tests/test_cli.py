@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -201,8 +202,9 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "blocks", GOLDEN)[0] == 64
     assert run(capsys, "check", "no-such-suite")[0] == 64
     assert run(capsys, "check", "word-code-identities")[0] == 64
-    for action in ("apply", "compose"):
-        code, out, err = run(capsys, "code", action, EVEN)
+    for argv in (("apply", EVEN), ("compose", EVEN),
+                 ("centralize", EVEN, GOLDEN)):
+        code, out, err = run(capsys, "code", *argv)
         assert (code, out) == (64, "")
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
@@ -214,19 +216,37 @@ def test_missing_file_exit_code(capsys):
     assert "no such file" in err
 
 
+INPUT = "<input.json>"
+UPSILON2 = block_map_to_json(centralize(higher_block_map(AB, 2)).inner)
+TERM = "(a)^w b (a)^w"
+
+
 @pytest.mark.parametrize("command, data", [
-    (["blocks", "--order", "2"], {"alphabet": ["a", "b"]}),
-    (["blocks", "--order", "2"], [{"alphabet": ["a", "b"], "kind": "sft"}]),
-    (["irreducible"], {"alphabet": ["a"], "kind": "sofic", "vertices": ["0"],
-                       "edges": [["0", "a"]]}),
-    (["code", "centralize"], util.load("even").to_json()),
+    (["blocks", "--order", "2", INPUT], {"alphabet": ["a", "b"]}),
+    (["blocks", "--order", "2", INPUT],
+     [{"alphabet": ["a", "b"], "kind": "sft"}]),
+    (["irreducible", INPUT], {"alphabet": ["a"], "kind": "sofic",
+                              "vertices": ["0"], "edges": [["0", "a"]]}),
+    (["code", "centralize", INPUT], util.load("even").to_json()),
+    (["term", "code", INPUT, TERM], {"inner": UPSILON2}),
+    (["term", "code", INPUT, TERM], {"inner": UPSILON2, "wing": "1"}),
+    (["term", "code", INPUT, TERM], {"inner": UPSILON2, "wing": -1}),
 ])
 def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, *command, str(path))
+    code, out, err = run(capsys, *(str(path) if a == INPUT else a
+                                   for a in command))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_huge_exponent_offsets_run_in_bounded_work(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "member", EVEN, "(a)^(w+99999999999)")[0] == 0
+    assert run(capsys, "classify", EVEN, "(ao)^(w+99999999999)",
+               "--letter", "a")[0] == 0
+    assert time.perf_counter() - start < 10
 
 
 def test_failure_exit_code_for_bad_term(capsys):

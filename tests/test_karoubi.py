@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import util
+from shiftcat import karoubi
 from shiftcat.codes import centralize, higher_block_map
 from shiftcat.errors import InvalidArrow, SizeLimit
 from shiftcat.karoubi import (ComparisonVerdict, KaroubiCategory,
@@ -217,6 +218,17 @@ def test_karoubi_vs_lu_on_randoms():
         v = karoubi_vs_lu_comparison(s, range(s.size))
         assert v.kind == "Iso", v.reason
         done += 1
+
+
+def test_unit_pair_is_the_first_pair_of_the_double_loop():
+    rng = random.Random(7)
+    for _ in range(8):
+        s = random_transformation_semigroup(AB, rng.randrange(2, 5), rng)
+        t, idems = s.table, s.idempotents()
+        for u in range(s.size):
+            first = next(((e, f) for e in idems for f in idems
+                          if t[t[e][u]][f] == u), None)
+            assert karoubi._unit_pair(s, u) == first
 
 
 # -- induced functors ------------------------------------------------------

@@ -19,7 +19,7 @@ from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
                                   quotient_equal, strip_boundary,
                                   term_block_code, term_contract, term_expand,
                                   term_factors, term_prefix_k, term_suffix_k,
-                                  unfold, unfold_exponent)
+                                  unfold, unroll)
 from shiftcat.semigroups import battery
 from shiftcat.shifts import blocks, is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
@@ -105,9 +105,8 @@ def test_canonical_is_idempotent_as_a_normal_form(t):
 
 def test_unfold_plain_prefixes():
     t = t_ab("(ab)^(w+1)")
-    m = unfold_exponent(t, 6)
-    u = unfold(t, m)
-    assert u.as_str() == "ab" * (m + 1)  # exponent ω+1 unfolds to m+1
+    u = unfold(t, 8)
+    assert u.as_str() == "ab" * 9  # exponent ω+1 unfolds to m+1
 
 
 def test_eval_term_matches_deep_unfolding():
@@ -157,6 +156,24 @@ def test_term_factors_match_deep_unfolding():
         deep = unfold(t, DEEP)
         for k in (1, 2, 3, 4):
             assert term_factors(t, k) == factors_up_to(deep, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_strategy(max_items=5), st.integers(-6, 6), st.integers(1, 6))
+def test_affixes_and_factors_ignore_the_exponent_offsets(t, shift, k):
+    # The reference unfolds u^(ω+q) to u^(m+q) with m past every offset.
+    t = OmegaTerm.from_items(AB, [Power(it.base, it.q + shift)
+                                  if isinstance(it, Power) else it
+                                  for it in t.body])
+    if t.is_plain():
+        return
+    max_q = max(abs(it.q) for it in t.body if isinstance(it, Power))
+    deep = unfold(t, k + max_q + 2)
+    assert term_prefix_k(t, k) == Word(AB, deep.letters[:k])
+    assert term_suffix_k(t, k) == Word(AB, deep.letters[-k:])
+    assert term_factors(t, k) == factors_up_to(deep, k)
+    assert (image_E_membership(unroll(t, 2), "a", "b")
+            == image_E_membership(unfold(t, max_q + 4), "a", "b"))
 
 
 def test_first_last_letter():

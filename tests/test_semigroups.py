@@ -3,11 +3,13 @@ relations, omega powers, Schützenberger groups, local units."""
 
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
 import oracles
 import util
+from shiftcat import semigroups
 from shiftcat.errors import MismatchBug
 from shiftcat.semigroups import (FiniteSemigroup, NotJEquivalent,
                                  conjugation_witness, generate, green,
@@ -64,6 +66,73 @@ def test_generate_left_to_right_action():
     ab = s.eval_word("ab")
     ba = s.eval_word("ba")
     assert ab != ba  # the two compositions differ as transformations
+
+
+def random_maps(seed: int, states: int = 6):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(states) for _ in range(states))
+            for _ in AB.symbols]
+
+
+@pytest.fixture(scope="module")
+def large_random():
+    """A seeded semigroup of 1222 elements, more than 512 and 400."""
+    maps = random_maps(39)
+    s = generate(maps, AB)
+    assert s.size > 1000
+    return s, maps
+
+
+def witness_maps(s: FiniteSemigroup, maps) -> list[tuple[int, ...]]:
+    """The transformation of each element, composed along its witness."""
+    out = []
+    for x in range(s.size):
+        m = tuple(range(len(maps[0])))
+        for a in s.witness(x).letters:
+            m = itemgetter(*m)(maps[s.alphabet.index(a)])
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 12, 23, 39])
+def test_table_matches_composed_witness_maps(seed):
+    maps = random_maps(seed)
+    s = generate(maps, AB)
+    elem = witness_maps(s, maps)
+    index = {m: x for x, m in enumerate(elem)}
+    assert len(index) == s.size
+    for x, mx in enumerate(elem):
+        then_y = itemgetter(*mx)     # the map of witness(x) + witness(y)
+        assert s.table[x] == tuple(index[then_y(my)] for my in elem), x
+
+
+def test_light_test_rejects_a_large_corrupted_table(large_random):
+    s, _ = large_random
+    n = s.size
+    witnesses = {x: s.witness(x) for x in range(n)}
+    table = [list(r) for r in s.table]
+    FiniteSemigroup(table, s.generators, witnesses, AB)
+    x, y = n // 2, n - 1
+    assert y not in s.generators   # witness words never read column y
+    table[x][y] = (table[x][y] + 1) % n
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteSemigroup(table, s.generators, witnesses, AB)
+
+
+def test_green_asserts_j_equals_d_above_400(large_random, monkeypatch):
+    s, _ = large_random
+    fresh = FiniteSemigroup(s.table, s.generators,
+                            {x: s.witness(x) for x in range(s.size)}, AB)
+    calls = []
+    real = semigroups._assert_j_equals_d
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(semigroups, "_assert_j_equals_d", spy)
+    green(fresh)
+    assert calls == [s.size] and s.size > 400
 
 
 def test_syntactic_sizes_frozen(corpus_semigroups):
@@ -227,8 +296,14 @@ def test_local_units_null_semigroup():
 
 
 def test_local_units_match_brute_on_corpus(corpus_semigroups):
-    for name in SYNTACTIC_SIZE:
-        s, accept = corpus_semigroups[name]
+    # Seeds 1-3 include elements with e·x = x but no f with x·f = x,
+    # and the mirror case.
+    randoms = [random_transformation_semigroup(AB, states, rng)
+               for rng in map(random.Random, range(4)) for states in (3, 4, 5)]
+    rng = random.Random(31)
+    inputs = [corpus_semigroups[name] for name in SYNTACTIC_SIZE]
+    inputs += [(s, rng.sample(range(s.size), s.size // 2)) for s in randoms]
+    for s, accept in inputs:
         for carrier in (range(s.size), accept):
             assert local_units(s, carrier) == \
                 oracles.brute_idempotent_pairs_local_units(
