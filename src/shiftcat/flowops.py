@@ -23,7 +23,7 @@ from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
                           mirage_membership, quotient_equal, strip_boundary,
                           term_contract, term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
-from .shifts import ShiftPresentation, blocks, is_block, mirage_membership_k
+from .shifts import ShiftPresentation, blocks, is_block
 from .words import Alphabet, Word
 
 TYPES = ("Letter", "ImageE", "DiamondImageE", "ImageEAlpha",
@@ -40,10 +40,13 @@ class ExpansionContext:
     target: ShiftPresentation
 
 
+# the mirage level of the expanded shift that the five types describe;
+# contraction halves it on the source side
+_LEVEL = 2
 _CHECK_BOUND = 6
 
 
-def _characterization_check(ctx: ExpansionContext, bound: int = _CHECK_BOUND):
+def _characterization_check(ctx: ExpansionContext):
     """Blocks translate both ways between source and target.
 
     Expanding any block of the source yields a block of the target, and
@@ -51,22 +54,19 @@ def _characterization_check(ctx: ExpansionContext, bound: int = _CHECK_BOUND):
     contracts to a block of the source.
     """
     b_alpha = ctx.target.alphabet
-    for n in range(1, bound + 1):
-        for u in blocks(ctx.source, n):
-            img = expand_word(u, ctx.letter, b_alpha, ctx.diamond)
-            if not is_block(ctx.target, img):
-                raise MismatchBug("expanded source block is not a target "
-                                  "block")
+    for u in blocks(ctx.source, _CHECK_BOUND):
+        img = expand_word(u, ctx.letter, b_alpha, ctx.diamond)
+        if not is_block(ctx.target, img):
+            raise MismatchBug("expanded source block is not a target block")
     a_alpha = ctx.source.alphabet
-    for n in range(1, bound + 1):
-        for w in blocks(ctx.target, n):
-            if not image_E_membership(w, ctx.letter, ctx.diamond):
-                continue
-            back = Word(a_alpha, tuple(a for a in w.letters
-                                       if a != ctx.diamond))
-            if not is_block(ctx.source, back):
-                raise MismatchBug("expanded-shaped target block does not "
-                                  "contract to a source block")
+    for w in blocks(ctx.target, _CHECK_BOUND):
+        if not image_E_membership(w, ctx.letter, ctx.diamond):
+            continue
+        back = Word(a_alpha, tuple(a for a in w.letters
+                                   if a != ctx.diamond))
+        if not is_block(ctx.source, back):
+            raise MismatchBug("expanded-shaped target block does not "
+                              "contract to a source block")
 
 
 def expand_shift(x: ShiftPresentation, alpha: str,
@@ -115,9 +115,8 @@ def term_image_E(t: OmegaTerm, alpha: str, diamond: str = "o") -> bool:
     the exact round trip expand(contract(t)) = t on canonical forms.
     """
     t = canonical(t)
-    if t.is_plain():
-        w = t.as_plain_word()
-        return len(w) > 0 and image_E_membership(w, alpha, diamond)
+    if not t.body:
+        return False
     local = image_E_membership(unroll(t, 2), alpha, diamond)
     c = term_contract(t, diamond)
     if isinstance(c, EmptyResult):
@@ -130,54 +129,35 @@ def term_image_E(t: OmegaTerm, alpha: str, diamond: str = "o") -> bool:
     return local
 
 
-def classify_type(w, ctx: ExpansionContext, k: int = 2) -> str:
-    """The unique shape of a mirage word or term of the expanded shift.
+def classify_type(w, ctx: ExpansionContext) -> str:
+    """The unique shape of a 2-mirage word or term of the expanded shift.
 
     Exactly one of: a bare marker or expanded letter; an expanded word;
     an expanded word with a leading marker; an expanded word with a
-    trailing expanded letter; or both decorations at once.
+    trailing expanded letter; or both decorations at once.  A word is
+    classified as the plain term of its letters.
     """
     alpha, dia = ctx.letter, ctx.diamond
-    if isinstance(w, OmegaTerm) and w.is_plain():
-        w = w.as_plain_word()
+    t = canonical(OmegaTerm.from_word(w) if isinstance(w, Word) else w)
+    if not t.body:
+        raise ValueError("the empty word has no type")
+    if not mirage_membership(t, ctx.target, _LEVEL):
+        raise NotInMirage2(f"a factor of length <= {_LEVEL} is not a block "
+                           "of the expanded shift")
+    fl, ll = first_letter(t), last_letter(t)
     matches: list[str] = []
-    if isinstance(w, Word):
-        if len(w) == 0:
-            raise ValueError("the empty word has no type")
-        if not mirage_membership_k(ctx.target, w, k):
-            raise NotInMirage2(f"a factor of length <= {k} is not a block "
-                               "of the expanded shift")
-        ls = w.letters
-        if len(w) == 1 and ls[0] in (alpha, dia):
-            matches.append("Letter")
-        if image_E_membership(w, alpha, dia):
-            matches.append("ImageE")
-        if len(w) >= 2 and ls[0] == dia and image_E_membership(w[1:], alpha,
-                                                               dia):
-            matches.append("DiamondImageE")
-        if len(w) >= 2 and ls[-1] == alpha and image_E_membership(
-                w[: len(w) - 1], alpha, dia):
-            matches.append("ImageEAlpha")
-        if (len(w) >= 2 and ls[0] == dia and ls[-1] == alpha
-                and (len(w) == 2 or image_E_membership(w[1: len(w) - 1],
-                                                       alpha, dia))):
+    if t.is_plain() and len(t.as_plain_word()) == 1 and fl in (alpha, dia):
+        matches.append("Letter")
+    if term_image_E(t, alpha, dia):
+        matches.append("ImageE")
+    if fl == dia and term_image_E(drop_first(t), alpha, dia):
+        matches.append("DiamondImageE")
+    if ll == alpha and term_image_E(drop_last(t), alpha, dia):
+        matches.append("ImageEAlpha")
+    if fl == dia and ll == alpha:
+        inner = strip_boundary(t)
+        if not inner.body or term_image_E(inner, alpha, dia):
             matches.append("DiamondImageEAlpha")
-    else:
-        if not mirage_membership(w, ctx.target, k):
-            raise NotInMirage2(f"a factor of length <= {k} is not a block "
-                               "of the expanded shift")
-        fl, ll = first_letter(w), last_letter(w)
-        if term_image_E(w, alpha, dia):
-            matches.append("ImageE")
-        if fl == dia and term_image_E(drop_first(w), alpha, dia):
-            matches.append("DiamondImageE")
-        if ll == alpha and term_image_E(drop_last(w), alpha, dia):
-            matches.append("ImageEAlpha")
-        if fl == dia and ll == alpha:
-            inner = strip_boundary(w)
-            if ((inner.is_plain() and len(inner.as_plain_word()) == 0)
-                    or term_image_E(inner, alpha, dia)):
-                matches.append("DiamondImageEAlpha")
     if len(matches) != 1:
         raise ClassificationFailure(f"expected exactly one type, got "
                                     f"{matches or 'none'}")
@@ -196,22 +176,22 @@ def _check_arrow(arrow, tests) -> None:
                                "idempotents in a finite quotient")
 
 
-def functor_F(arrow, ctx: ExpansionContext, tests=(), k: int = 2):
+def functor_F(arrow, ctx: ExpansionContext, tests=()):
     """Componentwise expansion of an arrow of terms over the source."""
     _check_arrow(arrow, tests)
     for comp in arrow:
-        if not mirage_membership(comp, ctx.source, k):
+        if not mirage_membership(comp, ctx.source, _LEVEL):
             raise InvalidArrow("component is not a mirage member of the "
                                "source shift")
     img = tuple(term_expand(c, ctx.letter, ctx.diamond) for c in arrow)
     for comp in img:
-        if not mirage_membership(comp, ctx.target, k):
+        if not mirage_membership(comp, ctx.target, _LEVEL):
             raise MismatchBug("expanded component left the mirage of the "
                               "expanded shift")
     return img
 
 
-def functor_G(arrow, ctx: ExpansionContext, tests=(), k: int = 1):
+def functor_G(arrow, ctx: ExpansionContext, tests=()):
     """Componentwise contraction of an arrow of terms over the target."""
     _check_arrow(arrow, tests)
     out = []
@@ -221,11 +201,11 @@ def functor_G(arrow, ctx: ExpansionContext, tests=(), k: int = 1):
             raise DiamondOnly("component contracts to the empty pseudoword")
         out.append(c)
     for comp in arrow:
-        if not mirage_membership(comp, ctx.target, 2 * k):
+        if not mirage_membership(comp, ctx.target, _LEVEL):
             raise InvalidArrow("component is not a mirage member of the "
                                "expanded shift")
     for comp in out:
-        if not mirage_membership(comp, ctx.source, k):
+        if not mirage_membership(comp, ctx.source, _LEVEL // 2):
             raise MismatchBug("contracted component left the mirage of the "
                               "source shift")
     return tuple(out)

@@ -204,6 +204,15 @@ def _covering(tests, *terms):
             if letters <= set(assign)]
 
 
+def _code_between(phi, e: OmegaTerm, u: OmegaTerm, f: OmegaTerm) -> OmegaTerm:
+    """The code of suffix_k(e)·u·prefix_k(f), k the wing of phi."""
+    k = phi.wing
+    if k:
+        u = (OmegaTerm.from_word(term_suffix_k(e, k)) * u
+             * OmegaTerm.from_word(term_prefix_k(f, k)))
+    return term_block_code(phi, u)
+
+
 def induced_functor_on_idempotent(phi, e: OmegaTerm, tests=()) -> OmegaTerm:
     """Image of an idempotent term under the code of phi.
 
@@ -211,13 +220,7 @@ def induced_functor_on_idempotent(phi, e: OmegaTerm, tests=()) -> OmegaTerm:
     suffix_k(e)·e·prefix_k(e); when e·e = e this is again idempotent,
     which is verified in the supplied (semigroup, assignment) quotients.
     """
-    kk = phi.wing
-    if kk == 0:
-        arg = e
-    else:
-        arg = (OmegaTerm.from_word(term_suffix_k(e, kk)) * e
-               * OmegaTerm.from_word(term_prefix_k(e, kk)))
-    img = term_block_code(phi, arg)
+    img = _code_between(phi, e, e, e)
     usable = _covering(tests, img)
     if usable:
         v = quotient_equal(img * img, img, usable)
@@ -242,15 +245,9 @@ def induced_functor_on_arrow(phi, arrow, tests=()):
         if v.kind == "DistinguishedBy":
             raise InvalidArrow("middle component is not fixed by the "
                                "end idempotents in a finite quotient")
-    kk = phi.wing
     img_e = induced_functor_on_idempotent(phi, e, tests)
     img_f = induced_functor_on_idempotent(phi, f, tests)
-    if kk == 0:
-        middle_arg = u
-    else:
-        middle_arg = (OmegaTerm.from_word(term_suffix_k(e, kk)) * u
-                      * OmegaTerm.from_word(term_prefix_k(f, kk)))
-    mid = term_block_code(phi, middle_arg)
+    mid = _code_between(phi, e, u, f)
     usable = _covering(tests, img_e, mid, img_f)
     if usable:
         v = quotient_equal(img_e * mid * img_f, mid, usable)

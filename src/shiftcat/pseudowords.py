@@ -19,7 +19,8 @@ from typing import Iterable, Union
 
 from .errors import TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
-from .shifts import ShiftPresentation, blocks, is_periodic_point
+from .shifts import (ShiftPresentation, blocks, is_periodic_point,
+                     mirage_membership_k)
 from .words import (Alphabet, Word, factors_up_to, is_primitive, prefix_k,
                     primitive_root, suffix_k)
 
@@ -222,7 +223,8 @@ def unroll(t: OmegaTerm, k: int) -> Word:
 
     A factor of length ≤ k meets at most k letters of each power, so the
     factors, prefix and suffix of length ≤ k are those of every deep
-    unfolding, and the word's length does not grow with q.
+    unfolding, and the word's length does not grow with q.  A plain
+    term unrolls to its own word.
     """
     out: list[str] = []
     for it in t.body:
@@ -231,42 +233,38 @@ def unroll(t: OmegaTerm, k: int) -> Word:
     return Word(t.alphabet, tuple(out))
 
 
-def term_prefix_k(t: OmegaTerm, k: int) -> Word:
-    """The length-k prefix of every sufficiently deep unfolding."""
+def _affix_source(t: OmegaTerm, k: int, affix: str) -> Word:
+    # a plain term unrolls to itself, so only it can be too short
     if k < 1:
         raise ValueError("k must be positive")
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < k:
-            raise TooShort(f"plain word of length {len(w)} has no {k}-prefix")
-        return prefix_k(w, k)
-    return prefix_k(unroll(t, k), k)
+    w = unroll(t, k)
+    if len(w) < k:
+        raise TooShort(f"plain word of length {len(w)} has no {k}-{affix}")
+    return w
+
+
+def term_prefix_k(t: OmegaTerm, k: int) -> Word:
+    """The length-k prefix of every sufficiently deep unfolding."""
+    return prefix_k(_affix_source(t, k, "prefix"), k)
 
 
 def term_suffix_k(t: OmegaTerm, k: int) -> Word:
-    if k < 1:
-        raise ValueError("k must be positive")
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < k:
-            raise TooShort(f"plain word of length {len(w)} has no {k}-suffix")
-        return suffix_k(w, k)
-    return suffix_k(unroll(t, k), k)
+    return suffix_k(_affix_source(t, k, "suffix"), k)
 
 
 def term_factors(t: OmegaTerm, k: int) -> set[Word]:
     """All factors of length ≤ k of the term (stably, via one unrolling)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if t.is_plain():
-        return factors_up_to(t.as_plain_word(), k)
     return factors_up_to(unroll(t, k), k)
 
 
 def mirage_membership(t: OmegaTerm, x: ShiftPresentation, k: int) -> bool:
-    """True iff every factor of t of length ≤ k is a block of x."""
-    allowed = blocks(x, k)
-    return all(f in allowed for f in term_factors(t, k))
+    """True iff every factor of t of length ≤ k is a block of x.
+
+    A word is the plain term of its letters; the empty term is
+    vacuously a member.
+    """
+    w = unroll(t, k)
+    return len(w) == 0 or mirage_membership_k(x, w, k)
 
 
 def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
@@ -366,7 +364,9 @@ def term_block_code(phi, t: OmegaTerm) -> OmegaTerm:
     unique continuous extension: Ψ̄(x·u^m) = Ψ̄(x·u)·Ψ̄(suffix(u)·u)^(m-1)
     for words, so the exponent drops by one and the entry word appears;
     folding the entry word into the power would change the value in
-    quotients where the period of the image base exceeds 1.
+    quotients where the period of the image base exceeds 1.  A word is
+    a plain term: the loop emits Ψ̄(w) for it, and it must be at least as
+    long as the window.
     """
     from .codes import CentralBlockMap, word_code
     if not isinstance(phi, CentralBlockMap):
@@ -374,11 +374,8 @@ def term_block_code(phi, t: OmegaTerm) -> OmegaTerm:
     n = phi.inner.window
     if t.alphabet != phi.source:
         raise ValueError("term is not over the source alphabet")
-    if t.is_plain():
-        w = t.as_plain_word()
-        if len(w) < n:
-            raise TooShort(f"plain word shorter than the window {n}")
-        return OmegaTerm.from_word(word_code(phi.inner, w))
+    if t.is_plain() and len(t.as_plain_word()) < n:
+        raise TooShort(f"plain word shorter than the window {n}")
     t = _inflate_bases(canonical(t), n - 1)
     items: list[Item] = []
     ctx = Word(t.alphabet, ())
@@ -573,14 +570,19 @@ def quotient_equal(s: OmegaTerm, t: OmegaTerm, tests) -> Verdict:
 # -- parsing and printing ----------------------------------------------
 
 
-_TOKEN = re.compile(r"\(|\)\^\(w[+-]\d+\)|\)\^w|[^()\s^]+")
+# the last alternative catches any text that starts no token
+_TOKEN = re.compile(r"\(|\)\^\(w[+-]\d+\)|\)\^w|[^()\s^]+|(?P<bad>\S+)")
 _EXP = re.compile(r"^\)\^\(w([+-]\d+)\)$")
 
 
 def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
     """Parse the surface syntax: letters juxtaposed or space-separated,
     powers as (body)^w or (body)^(w±q).  Nested powers are rejected."""
-    tokens = _TOKEN.findall(text)
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.group("bad"):
+            raise ValueError(f"unexpected text {m.group('bad')!r}")
+        tokens.append(m.group())
     items: list[Item] = []
     i = 0
 
@@ -605,14 +607,8 @@ def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
                 raise ValueError("unclosed power")
             if not letters:
                 raise ValueError("empty power base")
-            closing = tokens[j]
-            if closing == ")^w":
-                q = 0
-            else:
-                m = _EXP.match(closing)
-                if not m:
-                    raise ValueError(f"bad power suffix {closing!r}")
-                q = int(m.group(1))
+            m = _EXP.match(tokens[j])
+            q = int(m.group(1)) if m else 0
             items.append(Power(Word(alphabet, letters), q))
             i = j + 1
         elif tok.startswith(")"):

@@ -36,13 +36,11 @@ class LabeledGraph:
             if s not in vset or d not in vset:
                 raise ValueError("edge endpoint not a vertex")
         self.out: dict[Hashable, list[Edge]] = {v: [] for v in self.vertices}
-        self.inc: dict[Hashable, list[Edge]] = {v: [] for v in self.vertices}
         # (src, label) -> destinations, the step map used by every word walk
         self.step: dict[tuple[Hashable, str], list[Hashable]] = {}
         for e in self.edges:
             s, a, d = e
             self.out[s].append(e)
-            self.inc[d].append(e)
             self.step.setdefault((s, a), []).append(d)
 
     def walk(self, starts: set[Hashable], letters: Iterable[str]) -> set[Hashable]:

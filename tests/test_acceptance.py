@@ -18,7 +18,7 @@ from shiftcat.codes import (BlockMap, apply_to_presentation, block_alphabet,
                             lambda_first_letter, word_code)
 from shiftcat.flowops import (TYPES, classify_type, expand_shift,
                               naturality_rows)
-from shiftcat.karoubi import (induced_functor_on_arrow,
+from shiftcat.karoubi import (_covering, induced_functor_on_arrow,
                               induced_functor_on_idempotent,
                               karoubi_vs_lu_comparison, lu_labeled_poset,
                               poset_isomorphic)
@@ -49,16 +49,8 @@ def criterion(label):
     return deco
 
 
-def covering(tests, *terms):
-    letters = set()
-    for t in terms:
-        letters |= set(t.letters())
-    return [(s, assign) for (s, assign) in tests
-            if letters <= set(assign)]
-
-
 def equal_in_all(t1, t2, tests) -> bool:
-    usable = covering(tests, t1, t2)
+    usable = _covering(tests, t1, t2)
     assert usable
     return quotient_equal(t1, t2, usable).kind == "EqualInAll"
 

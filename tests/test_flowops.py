@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import util
 from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
@@ -14,8 +15,9 @@ from shiftcat.flowops import (TYPES, classify_type, eta, eta_inverse,
                               expand_shift, functor_F, functor_G,
                               naturality_rows, term_expand_of_contract,
                               term_image_E)
-from shiftcat.pseudowords import (canonical, canonical_equal, connector,
-                                  idempotent_terms, parse_term)
+from shiftcat.pseudowords import (OmegaTerm, Power, canonical, canonical_equal,
+                                  connector, idempotent_terms, parse_term,
+                                  unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word
@@ -164,6 +166,43 @@ def test_classification_matches_independent_decomposition():
             assert got in TYPES
             classified += 1
     assert classified == 139
+
+
+@st.composite
+def mirage2_terms(draw):
+    """Random terms in the 2-mirage of the expanded even shift.
+
+    A walk along legal pairs is cut into segments; a segment whose last
+    and first letters also form a legal pair may become a power.
+    """
+    walk = [draw(st.sampled_from("abo"))]
+    for _ in range(draw(st.integers(0, 9))):
+        walk.append(draw(st.sampled_from(
+            [c for c in "abo" if walk[-1] + c in LEGAL_PAIRS])))
+    cuts = sorted(draw(st.sets(st.integers(1, len(walk) - 1), max_size=3))
+                  if len(walk) > 1 else set())
+    items = []
+    for lo, hi in zip([0] + cuts, cuts + [len(walk)]):
+        w = Word(B, tuple(walk[lo:hi]))
+        if w.letters[-1] + w.letters[0] in LEGAL_PAIRS and draw(st.booleans()):
+            items.append(Power(w, draw(st.integers(-2, 2))))
+        else:
+            items.append(w)
+    return OmegaTerm(B, tuple(items))
+
+
+def test_term_type_equals_the_type_of_its_unrolling():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mirage2_terms())
+    def check(t):
+        typ = classify_type(t, CTX)
+        assert typ == classify_type(unroll(t, 2), CTX), t
+        seen.add(typ)
+
+    check()
+    assert seen == set(TYPES)
 
 
 def test_term_image_membership():

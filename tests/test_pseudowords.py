@@ -3,6 +3,7 @@ expansion/contraction homomorphisms."""
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,12 +251,22 @@ def test_term_block_code_semantic_continuity():
 
 
 def test_term_block_code_plain_words():
-    cen = centralize(higher_block_map(AB, 2))
-    t = t_ab("abab")
-    img = term_block_code(cen, t)
-    assert img.is_plain()
-    assert img.as_plain_word() == word_code(cen.inner,
-                                            Word.from_str(AB, "abab"))
+    # a word is the plain term of its letters: its image is the word code
+    windows = set()
+    for order in (1, 2, 3, 4):
+        cen = centralize(higher_block_map(AB, order))
+        n = cen.inner.window
+        windows.add(n)
+        for text in ("a", "b", "ab", "bba", "abab", "aabba", "babbbab"):
+            w = Word.from_str(AB, text)
+            if len(w) < n:
+                with pytest.raises(TooShort, match="shorter than the window"):
+                    term_block_code(cen, t_ab(text))
+                continue
+            img = term_block_code(cen, t_ab(text))
+            assert img.is_plain(), (n, text)
+            assert img.as_plain_word() == word_code(cen.inner, w), (n, text)
+    assert windows == {1, 3, 5}
 
 
 # -- expansion / contraction -----------------------------------------------------
@@ -355,3 +366,10 @@ def test_parse_format_roundtrip(t):
 def test_parse_rejects_unknown_symbols():
     with pytest.raises(ValueError):
         t_ab("(ac)^w")
+    # every non-space character must belong to a token
+    for text, stray in (("a)", "')'"), ("a b b a)", "')'"),
+                        ("(a)^(w+)", "')^(w+)'"), ("(a)^(w+1", "')^(w+1'"),
+                        ("a ^ b", "'^'"), ("(a))^w", "'))^w'")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unexpected text {stray}")):
+            t_ab(text)
