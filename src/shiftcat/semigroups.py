@@ -13,8 +13,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import MismatchBug, NotIdempotent, SizeLimit
-from .shifts import ShiftPresentation, subset_dfa
+from .errors import MismatchBug, NotIdempotent
+from .shifts import (ShiftPresentation, minimal_automaton,
+                     right_cayley_graph)
 from .words import Alphabet, Word
 
 
@@ -108,56 +109,25 @@ class FiniteSemigroup:
         return "[ " + ",\n  ".join("[ " + r + " ]" for r in rows) + " ]\n"
 
 
-_MAX_SIZE = 20000
-
-
 def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
     """Close a list of total maps (one per letter) under composition.
 
     Maps act on states left to right: the element of a word u sends q to
     the state reached reading u from q, so products satisfy
     element(u)·element(v) = element(uv).  Elements are numbered by BFS
-    discovery, which makes witnesses shortest and lexicographically
-    least.  The BFS builds the right Cayley graph; the table is filled
-    from it by x·(y'a) = (x·y')·a along each element's parent (y', a),
-    and is proved associative by FiniteSemigroup.
+    discovery (shifts.right_cayley_graph), which makes witnesses
+    shortest and lexicographically least.  The table is filled from the
+    right Cayley graph by x·(y'a) = (x·y')·a along each element's parent
+    (y', a), and is proved associative by FiniteSemigroup.
     """
     maps = [tuple(t) for t in transformations]
     if len(maps) != len(alphabet):
         raise ValueError("one transformation per alphabet letter")
-    deg = len(maps[0])
-    if any(len(t) != deg for t in maps):
-        raise ValueError("transformations must share one state set")
-    index: dict[tuple[int, ...], int] = {}
-    elems: list[tuple[int, ...]] = []
+    _, gen_ids, right, parent = right_cayley_graph(maps)
     witness: dict[int, Word] = {}
-    parent: list[tuple[int, int]] = []   # (y', letter index) with y = y'·a
-    gen_ids: list[int] = []
-    for i, (a, t) in enumerate(zip(alphabet.symbols, maps)):
-        if t not in index:
-            index[t] = len(elems)
-            elems.append(t)
-            witness[index[t]] = Word(alphabet, (a,))
-            parent.append((-1, i))
-        gen_ids.append(index[t])
-    right: list[list[int]] = []          # right[x][i] = x·(letter i)
-    x = 0
-    while x < len(elems):
-        tx = elems[x]
-        row = []
-        for i, (a, g) in enumerate(zip(alphabet.symbols, maps)):
-            comp = tuple(g[tx[q]] for q in range(deg))
-            if comp not in index:
-                if len(elems) >= _MAX_SIZE:
-                    raise SizeLimit(f"closure exceeds {_MAX_SIZE} elements")
-                index[comp] = len(elems)
-                elems.append(comp)
-                witness[index[comp]] = Word(alphabet,
-                                            witness[x].letters + (a,))
-                parent.append((x, i))
-            row.append(index[comp])
-        right.append(row)
-        x += 1
+    for y, (y_prev, i) in enumerate(parent):
+        prefix = () if y_prev < 0 else witness[y_prev].letters
+        witness[y] = Word(alphabet, prefix + (alphabet.symbols[i],))
     table = []
     for rx in right:
         xy: list[int] = []               # xy[y] = x·y, filled in BFS order
@@ -197,50 +167,18 @@ def battery(alphabet: Alphabet, seed: int | None = None, extra=()):
     return out
 
 
-def _minimize_dfa(n_states: int, trans: dict[tuple[int, str], int],
-                  alphabet: Alphabet, accepting: set[int]):
-    """Moore refinement; returns (class_of, class_count)."""
-    part = [0 if i in accepting else 1 for i in range(n_states)]
-    if all(p == 0 for p in part):
-        part = [0] * n_states
-    while True:
-        sigs = [(part[i], tuple(part[trans[(i, a)]] for a in alphabet.symbols))
-                for i in range(n_states)]
-        renum: dict = {}
-        new = []
-        for s in sigs:
-            if s not in renum:
-                renum[s] = len(renum)
-            new.append(renum[s])
-        if new == part:
-            return part, len(renum)
-        part = new
-
-
 def syntactic_semigroup(x: ShiftPresentation) -> tuple[FiniteSemigroup,
                                                        frozenset[int]]:
     """The transition semigroup of the minimal automaton of the block
     language, with the accepted element ids.
 
-    The automaton determinizes the trimmed presentation from the
-    all-vertices state (with empty-set sink) and is Moore-minimized, so
-    the result is canonical: u is a block iff its element is in accept.
+    The automaton (shifts.minimal_automaton) is canonical, so is the
+    result: u is a block iff its element is in accept.
     """
-    g = x.graph()
-    states, trans = subset_dfa(g, x.alphabet)
-    accepting = {i for i, s in enumerate(states) if s}
-    class_of, n_min = _minimize_dfa(len(states), trans, x.alphabet, accepting)
-    maps = []
-    for a in x.alphabet.symbols:
-        img = [0] * n_min
-        for i in range(len(states)):
-            img[class_of[i]] = class_of[trans[(i, a)]]
-        maps.append(tuple(img))
+    maps, initial, sink = minimal_automaton(x)
     s = generate(maps, x.alphabet)
-    initial = class_of[0]
-    sinks = {class_of[i] for i, st in enumerate(states) if not st}
     accept = frozenset(m for m in range(s.size)
-                       if _apply_transformation(s, m, maps, initial) not in sinks)
+                       if _apply_transformation(s, m, maps, initial) != sink)
     return s, accept
 
 

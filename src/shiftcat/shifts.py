@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable
 
-from .errors import EmptyShift, MismatchBug, NonIntegralCoefficient
+from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
+                     SizeLimit)
 from .words import Alphabet, Word, factors_up_to, least_rotation, primitive_root
 
 Edge = tuple[Hashable, str, Hashable]
@@ -350,18 +351,95 @@ def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
     states: list[frozenset] = [initial]
     index = {initial: 0}
     trans: dict[tuple[int, str], int] = {}
-    queue = [initial]
-    while queue:
-        cur = queue.pop(0)
-        i = index[cur]
+    i = 0
+    while i < len(states):
+        cur = states[i]
         for a in alphabet.symbols:
             nxt = frozenset(g.walk(set(cur), (a,)))
             if nxt not in index:
                 index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
             trans[(i, a)] = index[nxt]
+        i += 1
     return states, trans
+
+
+def minimal_automaton(x: ShiftPresentation):
+    """The minimal automaton of the block language of x.
+
+    The subset DFA of the trimmed presentation is Moore-minimized.
+    Returns (maps, initial, sink): maps[i][s] is the state reached from
+    s by letter i of the alphabet, and sink is the class of the empty
+    vertex set, or None when every word is a block.  A word is a block
+    iff it walks initial to a state other than sink.  States are
+    numbered by their first subset-DFA state, so initial is 0.
+    """
+    states, trans = subset_dfa(x.graph(), x.alphabet)
+    syms = x.alphabet.symbols
+    part = [0 if st else 1 for st in states]
+    while True:
+        sigs = [(part[i], tuple(part[trans[(i, a)]] for a in syms))
+                for i in range(len(states))]
+        renum: dict = {}
+        new = [renum.setdefault(s, len(renum)) for s in sigs]
+        if new == part:
+            break
+        part = new
+    maps = []
+    for a in syms:
+        img = [0] * len(renum)
+        for i in range(len(states)):
+            img[part[i]] = part[trans[(i, a)]]
+        maps.append(tuple(img))
+    sink = next((part[i] for i, st in enumerate(states) if not st), None)
+    return maps, part[0], sink
+
+
+_MAX_SIZE = 20000
+
+
+def right_cayley_graph(maps):
+    """Close total maps (one per letter) under composition, by BFS.
+
+    Maps act on states left to right, so the element of a word u sends
+    q to the state reached reading u from q.  Elements are numbered by
+    BFS discovery: the distinct generators in letter order, then each
+    new x·a as element x's row is built.  Returns (elems, gens, right,
+    parent): elems[x] is the map of x, gens[i] the element of letter i,
+    right[x][i] = x·(letter i), and parent[y] = (y', i) with y = y'·a_i,
+    or (-1, i) when y is the generator of letter i.  A closure of more
+    than _MAX_SIZE elements raises SizeLimit.
+    """
+    deg = len(maps[0])
+    if any(len(t) != deg for t in maps):
+        raise ValueError("transformations must share one state set")
+    index: dict[tuple[int, ...], int] = {}
+    elems: list[tuple[int, ...]] = []
+    parent: list[tuple[int, int]] = []
+    gens: list[int] = []
+    for i, t in enumerate(maps):
+        if t not in index:
+            index[t] = len(elems)
+            elems.append(t)
+            parent.append((-1, i))
+        gens.append(index[t])
+    right: list[list[int]] = []
+    x = 0
+    while x < len(elems):
+        tx = elems[x]
+        row = []
+        for i, g in enumerate(maps):
+            comp = tuple(g[tx[q]] for q in range(deg))
+            if comp not in index:
+                if len(elems) >= _MAX_SIZE:
+                    raise SizeLimit(f"closure exceeds {_MAX_SIZE} elements")
+                index[comp] = len(elems)
+                elems.append(comp)
+                parent.append((x, i))
+            row.append(index[comp])
+        right.append(row)
+        x += 1
+    return elems, gens, right, parent
 
 
 def is_irreducible(x: ShiftPresentation) -> bool:
@@ -469,26 +547,58 @@ def is_periodic_point(x: ShiftPresentation, w: Word) -> bool:
 def periodic_counts(x: ShiftPresentation, n_max: int) -> tuple[list[int], list[int]]:
     """p(n) = number of points of period dividing n; q(n) = number with
     least period exactly n (equivalently, primitive words w of length n
-    with w^∞ in x).  The Möbius relation between the two is recomputed
-    both ways; disagreement raises MismatchBug."""
+    with w^∞ in x).
+
+    Counted on the right Cayley graph of the transition semigroup T of
+    the minimal automaton, with m states.  w^∞ lies in x iff every power
+    of w is a block, iff reading w^(m+1) from the initial state avoids
+    the sink (the states at the copy boundaries repeat within m + 1
+    steps); that depends only on the element t of w.  The number N_n(t)
+    of length-n words with element t follows N_{n+1}(t·a) += N_n(t), so
+    p(n) is the sum of N_n(t) over those t, in O(|T|·|A|·(m + n)) steps.
+    No block is enumerated.  q comes from p by Möbius inversion.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    blocks(x, n_max)
+    maps, initial, sink = minimal_automaton(x)
+    elems, gens, right, _ = right_cayley_graph(maps)
+    periodic = []
+    for t in elems:
+        s = initial
+        for _ in range(len(maps[0]) + 1):
+            s = t[s]
+        periodic.append(s != sink)
+    count = [0] * len(elems)             # count[t] = N_n(t)
+    for g in gens:
+        count[g] += 1
     p: list[int] = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            nxt = [0] * len(elems)
+            for t, c in enumerate(count):
+                if c:
+                    for y in right[t]:
+                        nxt[y] += c
+            count = nxt
+        p.append(sum(c for c, ok in zip(count, periodic) if ok))
+    return p, _primitive_counts(p)
+
+
+def _primitive_counts(p: list[int]) -> list[int]:
+    """q(n) = Σ_{d|n} μ(n/d)·p(d), the points of least period n.
+
+    They fall into shift orbits of size n, so q(n) ≥ 0 and n | q(n);
+    anything else means p is wrong and raises MismatchBug.
+    """
     q: list[int] = []
-    for n in range(1, n_max + 1):
-        per = [w for w in x._blocks.get(n, set()) if is_periodic_point(x, w)]
-        p.append(len(per))
-        q.append(sum(1 for w in per if primitive_root(w)[1] == 1))
-    for n in range(1, n_max + 1):
-        total = 0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total += _mobius(n // d) * p[d - 1]
-        if total != q[n - 1]:
-            raise MismatchBug(
-                f"Möbius inversion gives q({n}) = {total}, direct count {q[n - 1]}")
-    return p, q
+    for n in range(1, len(p) + 1):
+        total = sum(_mobius(n // d) * p[d - 1]
+                    for d in range(1, n + 1) if n % d == 0)
+        if total < 0 or total % n:
+            raise MismatchBug(f"Möbius inversion gives q({n}) = {total}, "
+                              f"not a count of orbits of size {n}")
+        q.append(total)
+    return q
 
 
 def _mobius(n: int) -> int:
@@ -525,7 +635,7 @@ class ZetaSeries:
 
 
 def zeta(x: ShiftPresentation, order: int) -> ZetaSeries:
-    """exp(Σ p(n)/n · tⁿ) truncated at the given order, in exact rationals.
+    """exp(Σ p(n)/n · tⁿ) truncated at the given order, in exact integers.
 
     Uses g₀ = 1, n·gₙ = Σ_{k≤n} p(k)·g_{n−k} (differentiate g = exp f).
     Coefficients must come out nonnegative integers; anything else means
@@ -534,18 +644,14 @@ def zeta(x: ShiftPresentation, order: int) -> ZetaSeries:
     if order < 1:
         raise ValueError("order must be positive")
     p, q = periodic_counts(x, order)
-    g: list[Fraction] = [Fraction(1)]
+    g = [1]
     for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += p[k - 1] * g[n - k]
-        g.append(acc / n)
-    coeffs: list[int] = []
-    for n, c in enumerate(g):
-        if c.denominator != 1 or c < 0:
-            raise NonIntegralCoefficient(f"coefficient of t^{n} is {c}")
-        coeffs.append(int(c))
-    return ZetaSeries(order, tuple(coeffs), tuple(p), tuple(q))
+        acc = sum(p[k - 1] * g[n - k] for k in range(1, n + 1))
+        if acc < 0 or acc % n:
+            raise NonIntegralCoefficient(
+                f"coefficient of t^{n} is {Fraction(acc, n)}")
+        g.append(acc // n)
+    return ZetaSeries(order, tuple(g), tuple(p), tuple(q))
 
 
 def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:

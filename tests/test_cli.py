@@ -10,7 +10,7 @@ import time
 import pytest
 
 import util
-from shiftcat import cli
+from shiftcat import cli, shifts
 from shiftcat.codes import (block_map_to_json, centralize,
                             higher_block_map, lambda_first_letter)
 from shiftcat.errors import NonIntegralCoefficient
@@ -195,6 +195,16 @@ def test_non_integral_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "non-integral" in err
+
+
+def test_closure_over_the_size_limit_is_a_one_line_error(capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(shifts, "_MAX_SIZE", 4)  # even's closure has 7
+    for command in ("periodic", "zeta"):
+        code, out, err = run(capsys, command, EVEN, "--order", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: SizeLimit: closure exceeds 4 elements\n"
 
 
 def test_usage_exit_codes(capsys):

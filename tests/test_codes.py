@@ -10,7 +10,7 @@ from shiftcat.codes import (BlockMap, CentralBlockMap, apply_to_periodic,
                             apply_to_presentation, block_map_from_json,
                             block_map_to_json, centralize, compose,
                             higher_block_map, lambda_first_letter, word_code)
-from shiftcat.shifts import PeriodicPoint, blocks, is_block
+from shiftcat.shifts import PeriodicPoint, blocks
 from shiftcat.words import Alphabet, Word, prefix_k, suffix_k
 
 AB = Alphabet(("a", "b"))

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-import oracles
 import util
 from shiftcat import karoubi
 from shiftcat.codes import centralize, higher_block_map
 from shiftcat.errors import InvalidArrow, SizeLimit
-from shiftcat.karoubi import (ComparisonVerdict, KaroubiCategory,
-                              LabeledPoset, automorphism_group, build,
+from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
+                              automorphism_group, build,
                               induced_functor_on_arrow,
                               induced_functor_on_idempotent,
                               iso_class_census, karoubi_vs_lu_comparison,

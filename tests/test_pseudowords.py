@@ -2,7 +2,6 @@
 expansion/contraction homomorphisms."""
 
 import itertools
-import random
 import re
 
 import pytest
@@ -22,7 +21,7 @@ from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
                                   term_factors, term_prefix_k, term_suffix_k,
                                   unfold, unroll)
 from shiftcat.semigroups import battery
-from shiftcat.shifts import blocks, is_block
+from shiftcat.shifts import is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
 
 AB = Alphabet(("a", "b"))

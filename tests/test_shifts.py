@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat import shifts
-from shiftcat.errors import EmptyShift
+from shiftcat.errors import EmptyShift, MismatchBug, NonIntegralCoefficient
 from shiftcat.shifts import (PeriodicPoint, ShiftPresentation, blocks,
                              is_block, is_irreducible, is_periodic_point,
                              mirage_membership_k, periodic_counts, subset_dfa,
@@ -130,6 +131,99 @@ def test_zeta_equals_exponential_of_counts(corpus):
         z = zeta(corpus[name], 9)
         expected = oracles.zeta_from_counts(list(z.p), 9)
         assert [int(c) for c in expected] == list(z.coefficients)
+
+
+def random_sft(rng):
+    """2-3 letters, 1-3 forbidden words of length 2-4, nonempty."""
+    while True:
+        ab = Alphabet(("a", "b", "c")[:rng.choice((2, 3))])
+        forbidden = {"".join(rng.choice(ab.symbols)
+                             for _ in range(rng.randint(2, 4)))
+                     for _ in range(rng.randint(1, 3))}
+        x = ShiftPresentation.sft(ab, sorted(forbidden))
+        try:
+            x.graph()
+        except EmptyShift:
+            continue
+        return x
+
+
+def random_sofic(rng, v):
+    """V vertices over {a, b} or {a, b, c}: a cycle through every vertex
+    with random labels, so trimming keeps all V, plus 2V random edges."""
+    ab = Alphabet(("a", "b", "c")[:rng.choice((2, 3))])
+    verts = [str(i) for i in range(v)]
+    edges = [(verts[i], rng.choice(ab.symbols), verts[(i + 1) % v])
+             for i in range(v)]
+    edges += [(rng.choice(verts), rng.choice(ab.symbols), rng.choice(verts))
+              for _ in range(2 * v)]
+    return ShiftPresentation.sofic(ab, verts, edges)
+
+
+def enumerated_counts(x, n_max):
+    """p and q by walking w^(V+1) for every block w of each length."""
+    found = blocks(x, n_max)
+    p, q = [], []
+    for n in range(1, n_max + 1):
+        per = [w for w in found if len(w) == n and is_periodic_point(x, w)]
+        p.append(len(per))
+        q.append(sum(1 for w in per if oracles.word_is_primitive(w.as_str())))
+    return p, q
+
+
+def test_periodic_counts_match_enumeration_on_random_shifts():
+    rng = random.Random(2024)
+    cases = [random_sft(rng) for _ in range(10)]
+    cases += [random_sofic(rng, v) for v in range(2, 7) for _ in range(2)]
+    not_right_resolving = 0
+    for x in cases:
+        g = x.graph()
+        not_right_resolving += any(len(d) > 1 for d in g.step.values())
+        n_max = 8 if len(x.alphabet) == 2 else 7
+        assert periodic_counts(x, n_max) == enumerated_counts(x, n_max), \
+            x.to_json()
+    assert not_right_resolving >= 8
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_periodic_counts_at_order_64_closed_forms(corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("periodic_counts must not enumerate blocks")
+    monkeypatch.setattr(shifts, "blocks", refuse)
+    monkeypatch.setattr(shifts, "is_periodic_point", refuse)
+    closed = {"full2": lambda n: 2 ** n, "golden_mean": lucas,
+              "fixed_point": lambda n: 1,
+              "periodic_ab": lambda n: 2 if n % 2 == 0 else 0}
+    for name, form in closed.items():
+        x = ShiftPresentation.from_json(corpus[name].to_json())
+        p, _ = periodic_counts(x, 64)
+        assert p == [form(n) for n in range(1, 65)], name
+        assert x._blocks == {}
+        assert list(zeta(x, 64).p) == p
+
+
+def test_mobius_step_rejects_counts_that_are_not_orbits():
+    assert shifts._primitive_counts([2, 4, 8, 16]) == [2, 2, 6, 12]
+    with pytest.raises(MismatchBug, match=r"q\(2\) = 1"):
+        shifts._primitive_counts([2, 3])
+    with pytest.raises(MismatchBug, match=r"q\(2\) = -1"):
+        shifts._primitive_counts([1, 0])
+
+
+def test_zeta_rejects_non_integral_coefficients(corpus, monkeypatch):
+    for p, message in (([1, 2], "coefficient of t^2 is 3/2"),
+                       ([-1, 1], "coefficient of t^1 is -1")):
+        monkeypatch.setattr(shifts, "periodic_counts",
+                            lambda x, order, p=p: (p, p))
+        with pytest.raises(NonIntegralCoefficient) as err:
+            zeta(corpus["full2"], 2)
+        assert str(err.value) == message
 
 
 def test_empty_shift_raises():
