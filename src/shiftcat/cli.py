@@ -4,31 +4,24 @@ Loads presentations, block maps, and terms from JSON, runs the library
 computations, and emits deterministic JSON/DOT/text reports.  Exit
 codes: 0 success, 1 failed check or runtime error, 2 empty shift,
 3 non-integral zeta coefficient, 64 usage error.
+
+Each subcommand imports the library modules it runs when it is called,
+so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import __version__
-from .codes import (CentralBlockMap, apply_to_presentation, block_map_from_json,
-                    block_map_to_json, centralize, compose, higher_block_map,
-                    lambda_first_letter, word_code)
-from .errors import (EmptyShift, NonIntegralCoefficient, ShiftcatError)
-from .flowops import classify_type, expand_shift, naturality_rows
-from .karoubi import (build, iso_class_census, lu_labeled_poset,
-                      retraction_order)
-from .pseudowords import (closure_membership, eval_term, format_term,
-                          mirage_membership, parse_term, term_block_code,
-                          term_factors)
-from .semigroups import (green, random_transformation_semigroup,
-                         syntactic_semigroup)
-from .shifts import (ShiftPresentation, blocks, is_block, is_irreducible,
-                     periodic_counts, zeta)
-from .words import Alphabet, Word
+from .errors import EmptyShift, NonIntegralCoefficient, ShiftcatError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .codes import CentralBlockMap
+    from .shifts import ShiftPresentation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,16 +43,21 @@ def _load_json(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         sys.exit(EXIT_FAIL)
+    except OSError as e:
+        print(f"error: cannot read {path}: {e.strerror or e}", file=sys.stderr)
+        sys.exit(EXIT_FAIL)
     except json.JSONDecodeError as e:
         print(f"error: {path}:{e.lineno}:{e.colno}: {e.msg}", file=sys.stderr)
         sys.exit(EXIT_FAIL)
 
 
 def _load_shift(path: str) -> ShiftPresentation:
+    from .shifts import ShiftPresentation
     return ShiftPresentation.from_json(_load_json(path))
 
 
 def _load_central(path: str) -> CentralBlockMap:
+    from .codes import CentralBlockMap, block_map_from_json, centralize
     data = _load_json(path)
     if isinstance(data, dict) and "inner" in data:
         wing = data.get("wing")
@@ -71,6 +69,7 @@ def _load_central(path: str) -> CentralBlockMap:
 
 
 def _central_to_json(phi: CentralBlockMap) -> dict:
+    from .codes import block_map_to_json
     return {"schema": "shiftcat/central-block-map/v1",
             "inner": block_map_to_json(phi.inner), "wing": phi.wing}
 
@@ -90,6 +89,7 @@ def _is_term_text(text: str) -> bool:
 
 
 def _green_summary(s) -> list[dict]:
+    from .semigroups import green
     g = green(s)
     out = []
     for jid, cls in enumerate(g.J):
@@ -108,6 +108,7 @@ def _green_summary(s) -> list[dict]:
 
 
 def cmd_blocks(args) -> int:
+    from .shifts import blocks
     x = _load_shift(args.shift)
     out = [w.as_str() for w in sorted(blocks(x, args.order),
                                       key=lambda v: (len(v), v.lex_key()))]
@@ -119,8 +120,12 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_member(args) -> int:
+    if args.bound < 1:
+        raise ValueError("--bound must be positive")
     x = _load_shift(args.shift)
     if _is_term_text(args.text):
+        from .pseudowords import (closure_membership, format_term,
+                                  mirage_membership, parse_term)
         t = parse_term(x.alphabet, args.text)
         mir = {str(k): mirage_membership(t, x, k)
                for k in range(1, args.bound + 1)}
@@ -128,18 +133,21 @@ def cmd_member(args) -> int:
                       closure_membership=closure_membership(t, x),
                       mirage_membership=mir))
     else:
+        from .shifts import is_block
         w = x.word(args.text)
         _emit(_report("member", word=w.as_str(), is_block=is_block(x, w)))
     return EXIT_OK
 
 
 def cmd_irreducible(args) -> int:
+    from .shifts import is_irreducible
     x = _load_shift(args.shift)
     _emit(_report("irreducible", irreducible=is_irreducible(x)))
     return EXIT_OK
 
 
 def cmd_periodic(args) -> int:
+    from .shifts import periodic_counts
     x = _load_shift(args.shift)
     p, q = periodic_counts(x, args.order)
     _emit(_report("periodic", order=args.order, p=p, q=q))
@@ -147,6 +155,7 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from .shifts import zeta
     x = _load_shift(args.shift)
     z = zeta(x, args.order)
     _emit(_report("zeta", order=args.order, p=list(z.p), q=list(z.q),
@@ -155,6 +164,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_syntactic(args) -> int:
+    from .semigroups import syntactic_semigroup
     x = _load_shift(args.shift)
     s, accept = syntactic_semigroup(x)
     _emit(_report("syntactic", semigroup=s.to_json(),
@@ -163,6 +173,7 @@ def cmd_syntactic(args) -> int:
 
 
 def cmd_green(args) -> int:
+    from .semigroups import green, syntactic_semigroup
     x = _load_shift(args.shift)
     s, _ = syntactic_semigroup(x)
     g = green(s)
@@ -172,6 +183,9 @@ def cmd_green(args) -> int:
 
 
 def cmd_karoubi(args) -> int:
+    from .karoubi import (build, iso_class_census, lu_labeled_poset,
+                          retraction_order)
+    from .semigroups import syntactic_semigroup
     x = _load_shift(args.shift)
     s, accept = syntactic_semigroup(x)
     cat = build(s)
@@ -187,6 +201,8 @@ def cmd_karoubi(args) -> int:
 
 
 def cmd_lu_poset(args) -> int:
+    from .karoubi import lu_labeled_poset
+    from .semigroups import syntactic_semigroup
     x = _load_shift(args.shift)
     s, accept = syntactic_semigroup(x)
     k = range(s.size) if args.carrier == "all" else accept
@@ -209,13 +225,16 @@ def cmd_code(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.action == "centralize":
+        from .codes import block_map_from_json, centralize
         phi = centralize(block_map_from_json(_load_json(args.code)))
         _emit(_central_to_json(phi))
     elif args.action == "compose":
+        from .codes import compose
         phi = _load_central(args.code)
         psi = _load_central(args.second)
         _emit(_central_to_json(compose(phi, psi)))
     else:  # apply
+        from .codes import apply_to_presentation
         phi = _load_central(args.code)
         x = _load_shift(args.second)
         y = apply_to_presentation(phi, x)
@@ -224,7 +243,10 @@ def cmd_code(args) -> int:
 
 
 def cmd_term(args) -> int:
+    from .pseudowords import format_term, parse_term
     if args.action == "eval":
+        from .pseudowords import closure_membership, eval_term
+        from .semigroups import syntactic_semigroup
         x = _load_shift(args.source)
         t = parse_term(x.alphabet, args.term)
         s, accept = syntactic_semigroup(x)
@@ -233,6 +255,8 @@ def cmd_term(args) -> int:
                       in_accept=val in accept,
                       closure_membership=closure_membership(t, x)))
     elif args.action == "factors":
+        from .pseudowords import term_factors
+        from .shifts import is_block
         x = _load_shift(args.source)
         t = parse_term(x.alphabet, args.term)
         fs = sorted(term_factors(t, args.bound),
@@ -241,6 +265,7 @@ def cmd_term(args) -> int:
                       factors=[{"word": w.as_str(),
                                 "is_block": is_block(x, w)} for w in fs]))
     else:  # code
+        from .pseudowords import term_block_code
         phi = _load_central(args.source)
         t = parse_term(phi.source, args.term)
         img = term_block_code(phi, t)
@@ -250,6 +275,7 @@ def cmd_term(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .flowops import expand_shift
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     if args.format == "dot":
@@ -261,6 +287,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .flowops import classify_type, expand_shift
+    from .pseudowords import parse_term
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     b = ctx.target.alphabet
@@ -272,6 +300,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_flowcheck(args) -> int:
+    from .flowops import expand_shift, naturality_rows
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     rows = list(naturality_rows(ctx, args.bound, args.seed))
@@ -285,6 +314,8 @@ def cmd_flowcheck(args) -> int:
 
 
 def _corpus() -> dict[str, ShiftPresentation]:
+    from .shifts import ShiftPresentation
+    from .words import Alphabet, Word
     ab = Alphabet(("a", "b"))
     abcd = Alphabet(("a", "b", "c", "d"))
     return {
@@ -303,6 +334,10 @@ def _corpus() -> dict[str, ShiftPresentation]:
 
 
 def _suite_word_code_identities(seed: int) -> tuple[bool, dict]:
+    import random
+
+    from .codes import higher_block_map, lambda_first_letter, word_code
+    from .words import Alphabet, Word
     rng = random.Random(seed)
     ab = Alphabet(("a", "b"))
     checked = 0
@@ -322,6 +357,7 @@ def _suite_word_code_identities(seed: int) -> tuple[bool, dict]:
 
 
 def _suite_zeta_integrality(seed: int | None) -> tuple[bool, dict]:
+    from .shifts import zeta
     out = {}
     for name, x in _corpus().items():
         z = zeta(x, 10)
@@ -330,6 +366,12 @@ def _suite_zeta_integrality(seed: int | None) -> tuple[bool, dict]:
 
 
 def _suite_census_coherence(seed: int) -> tuple[bool, dict]:
+    import random
+
+    from .karoubi import build, iso_class_census
+    from .semigroups import (random_transformation_semigroup,
+                             syntactic_semigroup)
+    from .words import Alphabet
     rng = random.Random(seed)
     ab = Alphabet(("a", "b"))
     rows = []
@@ -349,7 +391,9 @@ def _suite_census_coherence(seed: int) -> tuple[bool, dict]:
 
 
 def _suite_mirage_preservation(seed: int | None) -> tuple[bool, dict]:
+    from .flowops import expand_shift
     from .pseudowords import expand_word
+    from .shifts import blocks, is_block
     x = _corpus()["even"]
     ctx = expand_shift(x, "a")
     b = ctx.target.alphabet
@@ -364,6 +408,7 @@ def _suite_mirage_preservation(seed: int | None) -> tuple[bool, dict]:
 
 
 def _suite_flow_naturality(seed: int | None) -> tuple[bool, dict]:
+    from .flowops import expand_shift, naturality_rows
     rows = []
     for row in naturality_rows(expand_shift(_corpus()["even"], "a"), 4, seed):
         rows.append(row)

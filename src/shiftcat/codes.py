@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .shifts import LabeledGraph, PeriodicPoint, ShiftPresentation, trim_graph
-from .words import Alphabet, Word
+from .words import Alphabet, Record, Word, _set
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(Record):
+    __slots__ = ("source", "target", "window", "table", "memory",
+                 "anticipation")
     source: Alphabet
     target: Alphabet
     window: int
@@ -27,20 +27,27 @@ class BlockMap:
     memory: int
     anticipation: int
 
-    def __post_init__(self) -> None:
-        if self.window < 1:
+    def __init__(self, source: Alphabet, target: Alphabet, window: int,
+                 table: dict, memory: int, anticipation: int) -> None:
+        if window < 1:
             raise ValueError("window must be positive")
-        if self.memory < 0 or self.anticipation < 0 \
-                or self.memory + self.anticipation + 1 != self.window:
+        if memory < 0 or anticipation < 0 \
+                or memory + anticipation + 1 != window:
             raise ValueError("memory + anticipation + 1 must equal window")
-        expected = len(self.source) ** self.window
-        if len(self.table) != expected:
+        expected = len(source) ** window
+        if len(table) != expected:
             raise ValueError("table must be total on all windows")
-        for key, val in self.table.items():
-            if len(key) != self.window or any(x not in self.source for x in key):
+        for key, val in table.items():
+            if len(key) != window or any(x not in source for x in key):
                 raise ValueError(f"bad table key {key!r}")
-            if val not in self.target:
+            if val not in target:
                 raise ValueError(f"table value {val!r} not in target alphabet")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "window", window)
+        _set(self, "table", table)
+        _set(self, "memory", memory)
+        _set(self, "anticipation", anticipation)
 
     def __call__(self, letters: tuple[str, ...] | Word) -> str:
         if isinstance(letters, Word):
@@ -48,30 +55,25 @@ class BlockMap:
         return self.table[tuple(letters)]
 
     def __hash__(self) -> int:
+        # the table is a dict, so hash its sorted items
         return hash((self.source, self.target, self.window,
                      self.memory, self.anticipation,
                      tuple(sorted(self.table.items()))))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BlockMap) and \
-            (self.source, self.target, self.window, self.memory,
-             self.anticipation, self.table) == \
-            (other.source, other.target, other.window, other.memory,
-             other.anticipation, other.table)
 
-
-@dataclass(frozen=True)
-class CentralBlockMap:
+class CentralBlockMap(Record):
     """A block map with odd window and memory = anticipation = wing."""
 
+    __slots__ = ("inner", "wing")
     inner: BlockMap
     wing: int
 
-    def __post_init__(self) -> None:
-        k = self.wing
-        if self.inner.window != 2 * k + 1 or self.inner.memory != k \
-                or self.inner.anticipation != k:
+    def __init__(self, inner: BlockMap, wing: int) -> None:
+        if inner.window != 2 * wing + 1 or inner.memory != wing \
+                or inner.anticipation != wing:
             raise ValueError("inner map is not central of this wing")
+        _set(self, "inner", inner)
+        _set(self, "wing", wing)
 
     @property
     def source(self) -> Alphabet:

@@ -12,8 +12,6 @@ makes the family η a natural isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                      MismatchBug, NotIdempotentWitness, NotInMirage2)
 from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
@@ -24,20 +22,27 @@ from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
                           term_contract, term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
 from .shifts import ShiftPresentation, blocks, is_block
-from .words import Alphabet, Word
+from .words import Alphabet, Record, Word, _set
 
 TYPES = ("Letter", "ImageE", "DiamondImageE", "ImageEAlpha",
          "DiamondImageEAlpha")
 
 
-@dataclass(frozen=True)
-class ExpansionContext:
+class ExpansionContext(Record):
     """A shift, a letter to expand, the marker, and the expanded shift."""
 
+    __slots__ = ("source", "letter", "diamond", "target")
     source: ShiftPresentation
     letter: str
     diamond: str
     target: ShiftPresentation
+
+    def __init__(self, source: ShiftPresentation, letter: str, diamond: str,
+                 target: ShiftPresentation) -> None:
+        _set(self, "source", source)
+        _set(self, "letter", letter)
+        _set(self, "diamond", diamond)
+        _set(self, "target", target)
 
 
 # the mirage level of the expanded shift that the five types describe;

@@ -16,13 +16,12 @@ MismatchBug because it can only come from an implementation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidArrow, MismatchBug, SizeLimit
 from .pseudowords import (OmegaTerm, quotient_equal, term_block_code,
                           term_prefix_k, term_suffix_k)
 from .semigroups import (FiniteSemigroup, SchutzGroup, green, groups_isomorphic,
                          local_units, schutzenberger)
+from .words import Record, _set
 
 Arrow = tuple[int, int, int]
 
@@ -260,24 +259,29 @@ def induced_functor_on_arrow(phi, arrow, tests=()):
 # -- labeled posets of J-classes ---------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledPoset:
+class LabeledPoset(Record):
     """J-class ids with a partial order and (regular, group) labels."""
 
+    __slots__ = ("elements", "order", "labels")
     elements: tuple[int, ...]
     order: frozenset[tuple[int, int]]
     labels: tuple[tuple[int, bool, SchutzGroup], ...]
 
-    def __post_init__(self):
-        for (i, j) in self.order:
-            if (j, i) in self.order and i != j:
+    def __init__(self, elements: tuple[int, ...],
+                 order: frozenset[tuple[int, int]],
+                 labels: tuple[tuple[int, bool, SchutzGroup], ...]) -> None:
+        for (i, j) in order:
+            if (j, i) in order and i != j:
                 raise ValueError("order is not antisymmetric")
-        for (i, j) in self.order:
-            for (j2, k) in self.order:
-                if j == j2 and (i, k) not in self.order:
+        for (i, j) in order:
+            for (j2, k) in order:
+                if j == j2 and (i, k) not in order:
                     raise ValueError("order is not transitive")
-        if {lbl[0] for lbl in self.labels} != set(self.elements):
+        if {lbl[0] for lbl in labels} != set(elements):
             raise ValueError("labels must cover exactly the elements")
+        _set(self, "elements", elements)
+        _set(self, "order", order)
+        _set(self, "labels", labels)
 
     def label_of(self, x: int) -> tuple[bool, SchutzGroup]:
         for (e, reg, grp) in self.labels:
@@ -323,8 +327,7 @@ def lu_labeled_poset(s: FiniteSemigroup, k) -> LabeledPoset:
     return LabeledPoset(tuple(jids), order, tuple(labels))
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(Record):
     """Outcome of a labeled-poset comparison.
 
     kind is "Iso" (witness holds a bijection), "NotIso" (reason says
@@ -332,9 +335,16 @@ class ComparisonVerdict:
     pair was compared through invariants only).
     """
 
+    __slots__ = ("kind", "witness", "reason")
     kind: str
     witness: tuple[tuple[int, int], ...] | None
     reason: str | None
+
+    def __init__(self, kind: str, witness: tuple[tuple[int, int], ...] | None,
+                 reason: str | None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
 
 
 _POSET_LIMIT = 16

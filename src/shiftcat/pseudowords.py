@@ -14,42 +14,65 @@ quotients is reported as exactly that.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Union
 
 from .errors import TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
 from .shifts import (ShiftPresentation, blocks, is_periodic_point,
                      mirage_membership_k)
-from .words import (Alphabet, Word, factors_up_to, is_primitive, prefix_k,
-                    primitive_root, suffix_k)
+from .words import (Alphabet, Record, Word, _set, factors_up_to, is_primitive,
+                    prefix_k, primitive_root, suffix_k)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Union
+
+    Item = Union[Word, "Power"]
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     """base^(ω+q); the base must be nonempty."""
 
+    __slots__ = ("base", "q")
     base: Word
     q: int
 
-    def __post_init__(self) -> None:
-        if len(self.base) == 0:
+    def __init__(self, base: Word, q: int) -> None:
+        if not base.letters:
             raise ValueError("power base must be nonempty")
+        _set(self, "base", base)
+        _set(self, "q", q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.base == other.base
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.q))
 
 
-Item = Union[Word, Power]
-
-
-@dataclass(frozen=True)
-class OmegaTerm:
+class OmegaTerm(Record):
+    __slots__ = ("alphabet", "body")
     alphabet: Alphabet
     body: tuple[Item, ...]
 
-    def __post_init__(self) -> None:
-        for it in self.body:
+    def __init__(self, alphabet: Alphabet, body: tuple[Item, ...]) -> None:
+        for it in body:
             w = it.base if isinstance(it, Power) else it
-            if w.alphabet != self.alphabet:
+            if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise ValueError("term item over a different alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "body", body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.body == other.body and \
+                (self.alphabet is other.alphabet
+                 or self.alphabet == other.alphabet)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet.symbols, self.body))
 
     @staticmethod
     def from_word(w: Word) -> "OmegaTerm":
@@ -419,9 +442,10 @@ def term_expand(t: OmegaTerm, alpha: str, diamond: str = "o") -> OmegaTerm:
     return canonical(OmegaTerm(target, tuple(items)))
 
 
-@dataclass(frozen=True)
-class EmptyResult:
+class EmptyResult(Record):
     """Contraction erased the whole term (it was ◊-only)."""
+
+    __slots__ = ()
 
 
 def term_contract(t: OmegaTerm, diamond: str = "o"):
@@ -534,8 +558,7 @@ def strip_boundary(t: OmegaTerm) -> OmegaTerm:
 # -- quotient comparison -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of comparing two terms through finite quotients.
 
     kind is "EqualInAll" or "DistinguishedBy".  canonical_equal means
@@ -543,10 +566,18 @@ class Verdict:
     finite semigroup; a bare EqualInAll is only as strong as the tests.
     """
 
+    __slots__ = ("kind", "canonical_equal", "distinguished_by", "note")
     kind: str
     canonical_equal: bool
     distinguished_by: FiniteSemigroup | None
     note: str
+
+    def __init__(self, kind: str, canonical_equal: bool,
+                 distinguished_by: FiniteSemigroup | None, note: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "canonical_equal", canonical_equal)
+        _set(self, "distinguished_by", distinguished_by)
+        _set(self, "note", note)
 
 
 def quotient_equal(s: OmegaTerm, t: OmegaTerm, tests) -> Verdict:

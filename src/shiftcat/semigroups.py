@@ -10,13 +10,15 @@ the generating morphism sends to it.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 
 from .errors import MismatchBug, NotIdempotent
 from .shifts import (ShiftPresentation, minimal_automaton,
                      right_cayley_graph)
-from .words import Alphabet, Word
+from .words import Alphabet, Record, Word, _set
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
 
 
 class FiniteSemigroup:
@@ -157,6 +159,7 @@ def battery(alphabet: Alphabet, seed: int | None = None, extra=()):
         s = generate(gens, alphabet)
         out.append((s, dict(s.gen_of)))
     if seed is not None:
+        import random
         rng = random.Random(seed)
         added = 0
         while added < 3:
@@ -188,8 +191,7 @@ def _apply_transformation(s: FiniteSemigroup, m: int, gen_maps, state: int) -> i
     return state
 
 
-@dataclass(frozen=True)
-class GreenData:
+class GreenData(Record):
     """Green's relations of a finite semigroup.
 
     Partitions are tuples of frozensets of element ids, numbered by
@@ -197,6 +199,8 @@ class GreenData:
     holds the pairs (i, j) with J_i ≤_J J_j.
     """
 
+    __slots__ = ("R", "L", "J", "H", "r_of", "l_of", "j_of", "h_of",
+                 "j_below", "regular")
     R: tuple[frozenset[int], ...]
     L: tuple[frozenset[int], ...]
     J: tuple[frozenset[int], ...]
@@ -207,6 +211,12 @@ class GreenData:
     h_of: tuple[int, ...]
     j_below: frozenset[tuple[int, int]]
     regular: tuple[bool, ...]
+
+    def __init__(self, R, L, J, H, r_of, l_of, j_of, h_of, j_below,
+                 regular) -> None:
+        for name, value in zip(self.__slots__, (R, L, J, H, r_of, l_of,
+                                                j_of, h_of, j_below, regular)):
+            _set(self, name, value)
 
     def j_leq(self, i: int, j: int) -> bool:
         return (i, j) in self.j_below
@@ -382,17 +392,23 @@ def omega_plus(s: FiniteSemigroup, x: int, q: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class SchutzGroup:
+class SchutzGroup(Record):
     """The Schützenberger group of an H-class as permutations of it.
 
     Permutations are position maps over the sorted H-class; carrier is
     the whole group.
     """
 
+    __slots__ = ("hclass", "carrier", "order")
     hclass: tuple[int, ...]
     carrier: frozenset[tuple[int, ...]]
     order: int
+
+    def __init__(self, hclass: tuple[int, ...],
+                 carrier: frozenset[tuple[int, ...]], order: int) -> None:
+        _set(self, "hclass", hclass)
+        _set(self, "carrier", carrier)
+        _set(self, "order", order)
 
     @staticmethod
     def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -468,9 +484,10 @@ def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
     return frozenset(lu_all & set(k))
 
 
-@dataclass(frozen=True)
-class NotJEquivalent:
+class NotJEquivalent(Record):
     """Returned when two idempotents lie in different J-classes."""
+
+    __slots__ = ()
 
 
 def conjugation_witness(s: FiniteSemigroup, e: int, f: int):

@@ -9,15 +9,18 @@ exactly the blocks of the subshift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable, Iterable
+import math
 
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
                      SizeLimit)
-from .words import Alphabet, Word, factors_up_to, least_rotation, primitive_root
+from .words import (Alphabet, Record, Word, _set, factors_up_to,
+                    least_rotation, primitive_root)
 
-Edge = tuple[Hashable, str, Hashable]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Hashable, Iterable
+
+    Edge = tuple[Hashable, str, Hashable]
 
 
 class LabeledGraph:
@@ -124,22 +127,24 @@ def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGra
     return LabeledGraph(verts, edges)
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(Record):
     """The point shifted `shift_phase` steps into representative^∞."""
 
+    __slots__ = ("representative", "shift_phase")
     representative: Word
     shift_phase: int
 
-    def __post_init__(self) -> None:
-        n = len(self.representative)
+    def __init__(self, representative: Word, shift_phase: int) -> None:
+        n = len(representative)
         if n == 0:
             raise ValueError("representative must be nonempty")
-        root, e = primitive_root(self.representative)
+        root, e = primitive_root(representative)
         if e != 1:
             raise ValueError("representative must be primitive")
-        if not 0 <= self.shift_phase < n:
+        if not 0 <= shift_phase < n:
             raise ValueError("shift_phase out of range")
+        _set(self, "representative", representative)
+        _set(self, "shift_phase", shift_phase)
 
     @staticmethod
     def from_word(w: Word, phase: int = 0) -> "PeriodicPoint":
@@ -305,8 +310,17 @@ def trim(x: ShiftPresentation) -> ShiftPresentation:
     return out
 
 
+# The most blocks `blocks` will hold, about 90 MiB of them.  The test
+# suite and the benchmark reach at most 8190 (full-2 up to length 12).
+_MAX_BLOCKS = 200_000
+
+
 def blocks(x: ShiftPresentation, n: int) -> set[Word]:
-    """All blocks of x of length between 1 and n."""
+    """All blocks of x of length between 1 and n.
+
+    Raises SizeLimit as soon as more than _MAX_BLOCKS of them would be
+    held.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     have = max(x._blocks) if x._blocks else 0
@@ -320,13 +334,18 @@ def blocks(x: ShiftPresentation, n: int) -> set[Word]:
         frontier = {w.letters: g.walk(set(g.vertices), w.letters)
                     for w in x._blocks[have]}
         start = have + 1
+    held = sum(len(x._blocks[m]) for m in range(1, start))
     for m in range(start, n + 1):
         nxt: dict[tuple[str, ...], set[Hashable]] = {}
         for seq, ends in frontier.items():
             for v in ends:
                 for (_, a, d) in g.out[v]:
                     nxt.setdefault(seq + (a,), set()).add(d)
+            if held + len(nxt) > _MAX_BLOCKS:
+                raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length "
+                                f"at most {n}")
         x._blocks[m] = {Word(x.alphabet, seq) for seq in nxt}
+        held += len(nxt)
         frontier = nxt
     return {w for m in range(1, n + 1) for w in x._blocks[m]}
 
@@ -616,14 +635,21 @@ def _mobius(n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
+class ZetaSeries(Record):
     """Truncated zeta series with its periodic-count companions."""
 
+    __slots__ = ("order", "coefficients", "p", "q")
     order: int
     coefficients: tuple[int, ...]
     p: tuple[int, ...]
     q: tuple[int, ...]
+
+    def __init__(self, order: int, coefficients: tuple[int, ...],
+                 p: tuple[int, ...], q: tuple[int, ...]) -> None:
+        _set(self, "order", order)
+        _set(self, "coefficients", coefficients)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def __str__(self) -> str:
         terms = ["1"]
@@ -648,8 +674,9 @@ def zeta(x: ShiftPresentation, order: int) -> ZetaSeries:
     for n in range(1, order + 1):
         acc = sum(p[k - 1] * g[n - k] for k in range(1, n + 1))
         if acc < 0 or acc % n:
-            raise NonIntegralCoefficient(
-                f"coefficient of t^{n} is {Fraction(acc, n)}")
+            d = math.gcd(acc, n)
+            value = f"{acc // d}" if d == n else f"{acc // d}/{n // d}"
+            raise NonIntegralCoefficient(f"coefficient of t^{n} is {value}")
         g.append(acc // n)
     return ZetaSeries(order, tuple(g), tuple(p), tuple(q))
 

@@ -10,20 +10,74 @@ alphabets) behave the same as single letters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+# how a Record's __init__ sets its fields
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Frozen value semantics for a small class whose fields are its
+    __slots__, in order.
+
+    Assigning or deleting a field raises AttributeError; instances are
+    equal when they are of the same class and their fields are equal,
+    and hash as the tuple of their fields (a class with an unhashable
+    field must define its own __hash__).  repr lists the fields by
+    name, and copy and pickle rebuild an instance through __init__.
+    Each subclass checks its fields in __init__ and sets them with
+    _set.  The classes on the hot path (Alphabet, Word, Power,
+    OmegaTerm) spell out __eq__ and __hash__ over their fields: the
+    generic versions cost about twice as much per call.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Alphabet(Record):
     """An ordered finite set of distinct symbols."""
 
+    __slots__ = ("symbols",)
     symbols: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        if not symbols:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        _set(self, "symbols", symbols)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
 
     def index(self, symbol: str) -> int:
         return self.symbols.index(symbol)
@@ -41,17 +95,32 @@ class Alphabet:
         return all(len(s) == 1 for s in self.symbols)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A finite, possibly empty, sequence of symbols over an alphabet."""
 
+    __slots__ = ("alphabet", "letters")
     alphabet: Alphabet
-    letters: tuple[str, ...] = ()
+    letters: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for x in self.letters:
-            if x not in self.alphabet:
+    def __init__(self, alphabet: Alphabet,
+                 letters: tuple[str, ...] = ()) -> None:
+        symbols = alphabet.symbols
+        for x in letters:
+            if x not in symbols:
                 raise ValueError(f"letter {x!r} not in alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters and \
+                (self.alphabet is other.alphabet
+                 or self.alphabet == other.alphabet)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # equal alphabets have equal symbols; hashing those saves a call
+        return hash((self.alphabet.symbols, self.letters))
 
     @staticmethod
     def from_str(alphabet: Alphabet, text: str) -> "Word":

@@ -190,7 +190,7 @@ def test_non_integral_exit_code(capsys, monkeypatch):
     def broken(x, order):
         raise NonIntegralCoefficient("synthetic")
 
-    monkeypatch.setattr(cli, "zeta", broken)
+    monkeypatch.setattr(shifts, "zeta", broken)
     code, out, err = run(capsys, "zeta", GOLDEN, "--order", "3")
     assert code == 3
     assert out == ""
@@ -249,6 +249,74 @@ def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
                                    for a in command))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# malformed inputs written to files; "<directory>" stands for a
+# directory and "<even>" for the even shift
+MALFORMED = {
+    "<not-utf8>": b"\xff\xfe{}",
+    "<truncated>": b'{"alphabet": ["a", "b"], "kind": ',
+    "<no-alphabet>": b'{"kind": "sft", "forbidden": ["bb"]}',
+    "<no-vertices>": b'{"alphabet": ["a"], "kind": "sofic", "edges": []}',
+    "<no-table>": b'{"source": ["a"], "target": ["a"], "window": 1}',
+    "<no-inner>": b'{"wing": 1}',
+}
+FULL2 = str(util.DATA / "full2.json")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["zeta", "<directory>", "--order", "3"], 1),
+    (["code", "compose", "<directory>", "<even>"], 1),
+    (["karoubi", "<not-utf8>"], 1),
+    (["term", "code", "<not-utf8>", "a"], 1),
+    (["green", "<truncated>"], 1),
+    (["periodic", "<no-alphabet>", "--order", "2"], 1),
+    (["expand", "<no-vertices>", "--letter", "a"], 1),
+    (["code", "centralize", "<no-table>"], 1),
+    (["term", "code", "<no-inner>", "a"], 1),
+    (["member", "<even>", "(ab"], 1),
+    (["term", "eval", "<even>", "(a)^x"], 1),
+    (["term", "factors", "<even>", "a )"], 1),
+    (["classify", "<even>", "(ab)^w)", "--letter", "a"], 1),
+    (["classify", "<even>", "ab", "--letter", "z"], 1),
+    (["member", "<even>", "(a)^w", "--bound", "0"], 1),
+    (["member", "<even>", "(a)^w", "--bound", "-1"], 1),
+    (["member", "<even>", "ab", "--bound", "0"], 1),
+    (["term", "factors", "<even>", "(a)^w", "--bound", "0"], 1),
+    (["flowcheck", "<even>", "--letter", "a", "--bound", "0"], 1),
+    (["blocks", "<even>", "--order", "0"], 1),
+    (["zeta", "<even>", "--order", "-2"], 1),
+    (["periodic", "<even>", "--order", "0"], 1),
+    (["blocks", "<even>", "--order", "x"], 64),
+    (["member", "<even>"], 64),
+    (["check", "flow-naturality", "--seed", "x"], 64),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_malformed_input_is_a_one_line_error(capsys, tmp_path, argv,
+                                             expected):
+    paths = {"<directory>": str(tmp_path), "<even>": EVEN}
+    for name, data in MALFORMED.items():
+        path = tmp_path / f"{name.strip('<>')}.json"
+        path.write_bytes(data)
+        paths[name] = str(path)
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (expected, "")
+    assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_unreadable_path_names_the_path_and_the_reason(capsys, tmp_path):
+    code, out, err = run(capsys, "zeta", str(tmp_path), "--order", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_blocks_over_the_size_limit_is_a_one_line_error(capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(shifts, "_MAX_BLOCKS", 100)
+    code, out, err = run(capsys, "blocks", FULL2, "--order", "40")
+    assert (code, out) == (1, "")
+    assert err == ("error: SizeLimit: more than 100 blocks of length at "
+                   "most 40\n")
 
 
 def test_huge_exponent_offsets_run_in_bounded_work(capsys):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat import shifts
-from shiftcat.errors import EmptyShift, MismatchBug, NonIntegralCoefficient
+from shiftcat.errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
+                             SizeLimit)
 from shiftcat.shifts import (PeriodicPoint, ShiftPresentation, blocks,
                              is_block, is_irreducible, is_periodic_point,
                              mirage_membership_k, periodic_counts, subset_dfa,
@@ -52,6 +53,21 @@ def test_even_blocks_of_length_three_exclude_aba(corpus):
     assert "aba" not in out
     assert out == expected == ["aaa", "aab", "abb", "baa", "bab", "bba",
                                "bbb"]
+
+
+def test_blocks_refuse_to_hold_more_than_the_limit(monkeypatch):
+    monkeypatch.setattr(shifts, "_MAX_BLOCKS", 126)
+    assert len(blocks(util.load("full2"), 6)) == 126  # 2 + 4 + ... + 64
+    monkeypatch.setattr(shifts, "_MAX_BLOCKS", 125)
+    x = util.load("full2")
+    with pytest.raises(SizeLimit, match="^more than 125 blocks of length "
+                                        "at most 6$"):
+        blocks(x, 6)
+    assert sum(map(len, x._blocks.values())) == 62  # lengths 1-5 only
+    # blocks cached by an earlier call count against the limit too
+    monkeypatch.setattr(shifts, "_MAX_BLOCKS", 100)
+    with pytest.raises(SizeLimit):
+        blocks(x, 6)
 
 
 # -- irreducibility --------------------------------------------------------
@@ -218,11 +234,14 @@ def test_mobius_step_rejects_counts_that_are_not_orbits():
 
 def test_zeta_rejects_non_integral_coefficients(corpus, monkeypatch):
     for p, message in (([1, 2], "coefficient of t^2 is 3/2"),
-                       ([-1, 1], "coefficient of t^1 is -1")):
+                       ([-1, 1], "coefficient of t^1 is -1"),
+                       ([0, 0, 0, 2], "coefficient of t^4 is 1/2"),
+                       ([0, 0, 0, -2], "coefficient of t^4 is -1/2"),
+                       ([0, -4], "coefficient of t^2 is -2")):
         monkeypatch.setattr(shifts, "periodic_counts",
                             lambda x, order, p=p: (p, p))
         with pytest.raises(NonIntegralCoefficient) as err:
-            zeta(corpus["full2"], 2)
+            zeta(corpus["full2"], len(p))
         assert str(err.value) == message
 
 
