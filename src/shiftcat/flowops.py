@@ -279,13 +279,24 @@ def verify_naturality(arrow, ctx: ExpansionContext, tests) -> Verdict:
     Both sides are composed symbolically; the verdict carries the
     classification case taken for the two end idempotents.
     """
+    return _naturality_square(arrow, ctx, tests, {}, {})
+
+
+def _naturality_square(arrow, ctx: ExpansionContext, tests, cases: dict,
+                       etas: dict) -> Verdict:
+    # cases and etas hold the type and the η arrow of each end
+    # idempotent met so far, so a run over many arrows between the same
+    # idempotents classifies each and builds its η once
     e, u, f = arrow
-    te = classify_type(e, ctx)
-    tf = classify_type(f, ctx)
+    for t in (e, f):
+        if t not in cases:
+            cases[t] = classify_type(t, ctx)
     ga = functor_G(arrow, ctx)
     fga = functor_F(ga, ctx)
-    eta_e = eta(e, ctx, tests)
-    eta_f = eta(f, ctx, tests)
+    for t in (e, f):
+        if t not in etas:
+            etas[t] = eta(t, ctx, tests)
+    eta_e, eta_f = etas[e], etas[f]
     if not canonical_equal(eta_e[2], fga[0]):
         raise MismatchBug("η_e does not land on F(G(e))")
     if not canonical_equal(fga[2], eta_f[2]):
@@ -293,7 +304,7 @@ def verify_naturality(arrow, ctx: ExpansionContext, tests) -> Verdict:
     lhs = canonical(eta_e[1] * fga[1])
     rhs = canonical(u * eta_f[1])
     v = quotient_equal(lhs, rhs, tests)
-    note = f"case dom={te}, cod={tf}; {v.note}"
+    note = f"case dom={cases[e]}, cod={cases[f]}; {v.note}"
     return Verdict(v.kind, v.canonical_equal, v.distinguished_by, note)
 
 
@@ -310,11 +321,13 @@ def naturality_rows(ctx: ExpansionContext, bound: int,
     tests = battery(ctx.target.alphabet, seed,
                     extra=[(s_tgt, dict(s_tgt.gen_of))])
     idems = idempotent_terms(ctx.target, bound)
+    cases: dict = {}
+    etas: dict = {}
     for e in idems:
         for f in idems:
             mid = connector(ctx.target, e, f)
             if mid is None:
                 continue
-            v = verify_naturality((e, mid, f), ctx, tests)
+            v = _naturality_square((e, mid, f), ctx, tests, cases, etas)
             yield {"dom": format_term(e), "cod": format_term(f),
                    "kind": v.kind, "case": v.note.split(";")[0]}

@@ -17,8 +17,8 @@ import re
 
 from .errors import TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
-from .shifts import (ShiftPresentation, blocks, is_periodic_point,
-                     mirage_membership_k)
+from .shifts import (ShiftPresentation, is_periodic_point,
+                     mirage_membership_k, ordered_blocks)
 from .words import (Alphabet, Record, Word, _set, factors_up_to, is_primitive,
                     prefix_k, primitive_root, suffix_k)
 
@@ -128,97 +128,147 @@ def _flatten(alphabet: Alphabet, items: list[Item]) -> tuple[list[Item], bool]:
     return out, changed
 
 
-def _root_reduce(items: list[Item]) -> tuple[list[Item], bool]:
-    # (z^c)^(ω+q) = z^ω z^(cq) = z^(ω+cq): ω-powers of a root and of its
-    # powers are the same idempotent in every finite semigroup
-    out: list[Item] = []
-    changed = False
-    for it in items:
-        if isinstance(it, Power):
-            root, c = primitive_root(it.base)
-            if c > 1:
-                it = Power(root, c * it.q)
-                changed = True
-        out.append(it)
-    return out, changed
+def _absorb_head(w: tuple, base: tuple, q: int) -> tuple[tuple, int]:
+    # u^(ω+q)·u^k·w' = u^(ω+q+k)·w': whole copies at the start of w
+    n, k = len(base), 0
+    while w[k * n:(k + 1) * n] == base:
+        k += 1
+    return (w[k * n:] if k else w), q + k
 
 
-def _absorb_merge(items: list[Item]) -> tuple[list[Item], bool]:
-    changed = False
-    i = 0
-    while i < len(items):
-        it = items[i]
-        if isinstance(it, Power):
-            base = it.base
-            n = len(base)
-            if i > 0 and isinstance(items[i - 1], Word):
-                w = items[i - 1]
-                copies = 0
-                while len(w) >= n and w.letters[-n:] == base.letters:
-                    w = w[: len(w) - n]
-                    copies += 1
-                if copies:
-                    items[i] = it = Power(base, it.q + copies)
-                    items[i - 1] = w
-                    changed = True
-            if i > 0 and isinstance(items[i - 1], Power) \
-                    and items[i - 1].base == base:
-                # u^(ω+p) u^(ω+q) = u^(ω+p+q) since u^ω is idempotent
-                items[i - 1: i + 1] = [Power(base, items[i - 1].q + it.q)]
-                changed = True
-                continue
-            if i + 1 < len(items) and isinstance(items[i + 1], Word):
-                w = items[i + 1]
-                copies = 0
-                while len(w) >= n and w.letters[:n] == base.letters:
-                    w = w[n:]
-                    copies += 1
-                if copies:
-                    items[i] = Power(base, it.q + copies)
-                    items[i + 1] = w
-                    changed = True
-        i += 1
-    return items, changed
-
-
-def _rotate_once(items: list[Item]) -> tuple[list[Item], bool]:
-    # w·c (y·c)^(ω+q)  →  w (c·y)^(ω+q) c : letters only ever move to the
-    # right of a power, so iteration terminates
-    for i in range(1, len(items)):
-        it = items[i]
-        if not isinstance(it, Power):
-            continue
-        prev = items[i - 1]
-        if not isinstance(prev, Word) or len(prev) == 0:
-            continue
-        c = prev.letters[-1]
-        if it.base.letters[-1] != c:
-            continue
-        alphabet = it.base.alphabet
-        new_base = Word(alphabet, (c,) + it.base.letters[:-1])
-        moved = Word(alphabet, (c,))
-        items[i - 1] = prev[: len(prev) - 1]
-        items[i] = Power(new_base, it.q)
-        items.insert(i + 1, moved)
-        return items, True
-    return items, False
+def _absorb_tail(w: tuple, base: tuple, q: int) -> tuple[tuple, int]:
+    # w'·u^k·u^(ω+q) = w'·u^(ω+q+k): whole copies at the end of w
+    n, m, k = len(base), len(w), 0
+    while m - (k + 1) * n >= 0 and w[m - (k + 1) * n:m - k * n] == base:
+        k += 1
+    return (w[:m - k * n] if k else w), q + k
 
 
 def canonical(t: OmegaTerm) -> OmegaTerm:
     """The normal form: flattened, primitive bases, whole base copies
     absorbed into exponents, same-base neighbors merged, and words
-    rotated to the right of powers."""
-    items = list(t.body)
-    for _ in range(100_000):
-        items, ch1 = _flatten(t.alphabet, items)
-        items, ch2 = _root_reduce(items)
-        items, ch3 = _absorb_merge(items)
-        if ch2 or ch3:
+    rotated to the right of powers.
+
+    The form is the one that rewriting in passes reaches when nothing
+    changes any more (tests/oracles.py keeps that procedure as the
+    reference); this replays its steps in two linear sweeps.  A pass
+    absorbs whole base copies from left to right, so of two powers
+    sharing the word between them the left one takes its copies first,
+    unless the pass has just merged it into the power before it, which
+    uses up its turn.  Only when nothing is absorbed does the leftmost
+    power whose base ends with the last letter of the word before it
+    rotate, w·c (y·c)^(ω+q) → w (c·y)^(ω+q) c, one letter per pass.
+    Letters only move right, so that power rotates to the end before
+    any power to its right starts, and everything to its left is final.
+    Here it rotates by all the letters that move before the next
+    absorption in one step, and by fewer letters than its base has in
+    all, so the work is linear in the length of the term for bases of
+    bounded length.
+    """
+    # words[i] precedes powers[i], words[-1] ends the term; a power is
+    # [primitive base, q], and late[i] marks one merged with the power
+    # before it, which takes its copies from the word after it only once
+    # the next power has taken its own
+    parts: list[list[str]] = [[]]
+    powers: list[list] = []
+    late: list[bool] = []
+    for it in t.body:
+        if isinstance(it, Word):
+            parts[-1].extend(it.letters)
             continue
-        items, ch4 = _rotate_once(items)
-        if not (ch1 or ch4):
-            return OmegaTerm(t.alphabet, tuple(items))
-    raise AssertionError("canonicalization failed to terminate")
+        # (z^c)^(ω+q) = z^ω z^(cq) = z^(ω+cq): ω-powers of a root and of
+        # its powers are the same idempotent in every finite semigroup
+        root, c = primitive_root(it.base)
+        if powers and not parts[-1] and powers[-1][0] == root.letters:
+            # u^(ω+p) u^(ω+q) = u^(ω+p+q) since u^ω is idempotent
+            powers[-1][1] += c * it.q
+            late[-1] = True
+        else:
+            powers.append([root.letters, c * it.q])
+            late.append(False)
+            parts.append([])
+    words = [tuple(w) for w in parts]
+    n = len(powers)
+    for i, w in enumerate(words):
+        left = powers[i - 1] if i else None
+        if left is not None and not late[i - 1]:
+            w, left[1] = _absorb_head(w, left[0], left[1])
+        if i < n:
+            w, powers[i][1] = _absorb_tail(w, powers[i][0], powers[i][1])
+        if left is not None and late[i - 1]:
+            w, left[1] = _absorb_head(w, left[0], left[1])
+        words[i] = w
+    # powers left adjacent by absorption merge when their bases agree
+    ws, ps = [words[0]], []
+    for p, w in zip(powers, words[1:]):
+        if ps and not ws[-1] and ps[-1][0] == p[0]:
+            ps[-1][1] += p[1]
+            ws[-1] = w
+        else:
+            ps.append(p)
+            ws.append(w)
+    # rotations, one power at a time: out_w[-1] is the word before the
+    # power, right the word after it, and after the next power
+    out_w, out_p = [ws[0]], []
+    j = 0
+    while j < len(ps):
+        base, q = ps[j]
+        nxt = j + 1
+        right = ws[nxt]
+        while out_w[-1] and out_w[-1][-1] == base[-1]:
+            # move in one step the letters at the end of the word before
+            # that match the end of the base, up to the first one whose
+            # move lets something be absorbed: the letter completing a
+            # copy of the base at the start of right, or the one making
+            # right a copy of the next base (neither word holds a whole
+            # copy of its neighbour's base, so each run is shorter)
+            left, size = out_w[-1], len(base)
+            after = ps[nxt] if nxt < len(ps) else None
+            step = 1
+            while step < min(len(left), size) \
+                    and left[-1 - step] == base[-1 - step]:
+                step += 1
+            run = 0
+            while run < min(len(right), size) and right[run] == base[run]:
+                run += 1
+            step = min(step, size - run)
+            if after is not None:
+                k = len(after[0]) - len(right)
+                if 0 < k < step and left[-k:] + right == after[0]:
+                    step = k
+            out_w[-1] = left[:-step]
+            base = left[-step:] + base[:-step]
+            right = left[-step:] + right
+            merged = not out_w[-1] and out_p and out_p[-1][0] == base
+            if merged:
+                # the merge takes this power's turn: the next one
+                # absorbs first, and the word before is not rotatable
+                out_w.pop()
+                q += out_p.pop()[1]
+                if after is not None:
+                    right, after[1] = _absorb_tail(right, after[0], after[1])
+                right, q = _absorb_head(right, base, q)
+            else:
+                right, q = _absorb_head(right, base, q)
+                if after is not None:
+                    right, after[1] = _absorb_tail(right, after[0], after[1])
+            while not right and after is not None and after[0] == base:
+                q += after[1]
+                nxt += 1
+                right = ws[nxt]
+                after = ps[nxt] if nxt < len(ps) else None
+        out_p.append((base, q))
+        out_w.append(right)
+        j = nxt
+    a = t.alphabet
+    items: list[Item] = []
+    for w, (base, q) in zip(out_w, out_p):
+        if w:
+            items.append(Word(a, w))
+        items.append(Power(Word(a, base), q))
+    if out_w[-1]:
+        items.append(Word(a, out_w[-1]))
+    return OmegaTerm(a, tuple(items))
 
 
 def canonical_equal(s: OmegaTerm, t: OmegaTerm) -> bool:
@@ -295,7 +345,7 @@ def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
     with w^∞ a point of x; distinct rotations stay distinct."""
     seen = set()
     out = []
-    for w in sorted(blocks(x, bound), key=lambda v: (len(v), v.lex_key())):
+    for w in ordered_blocks(x, bound):
         if not is_primitive(w) or not is_periodic_point(x, w):
             continue
         t = canonical(OmegaTerm(x.alphabet, (Power(w, 0),)))
@@ -310,8 +360,7 @@ def connector(x: ShiftPresentation, e: OmegaTerm,
               f: OmegaTerm) -> OmegaTerm | None:
     """The first middle term e·f, then e·c·f over the blocks c of x with
     |c| ≤ 4 by length, that lies in the 2-mirage of x; None if none does."""
-    cands = sorted(blocks(x, 4), key=lambda v: (len(v), v.lex_key()))
-    for c in [None] + cands:
+    for c in [None] + ordered_blocks(x, 4):
         mid = (canonical(e * f) if c is None
                else canonical(e * OmegaTerm.from_word(c) * f))
         if mirage_membership(mid, x, 2):

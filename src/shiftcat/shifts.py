@@ -13,8 +13,8 @@ import math
 
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
                      SizeLimit)
-from .words import (Alphabet, Record, Word, _set, factors_up_to,
-                    least_rotation, primitive_root)
+from .words import (Alphabet, Record, Word, _set, least_rotation,
+                    primitive_root)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -187,6 +187,10 @@ class ShiftPresentation:
             self._raw = None
         self._graph: LabeledGraph | None = None
         self._blocks: dict[int, set[Word]] = {}
+        # built from _blocks[n] when first asked for: the blocks of
+        # length n in alphabet order, and their letter tuples
+        self._ordered: dict[int, list[Word]] = {}
+        self._block_letters: dict[int, set[tuple[str, ...]]] = {}
 
     # -- constructors -------------------------------------------------
 
@@ -323,9 +327,30 @@ def blocks(x: ShiftPresentation, n: int) -> set[Word]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _fill_blocks(x, n)
+    return {w for m in range(1, n + 1) for w in x._blocks[m]}
+
+
+def ordered_blocks(x: ShiftPresentation, n: int) -> list[Word]:
+    """The blocks of x of length between 1 and n, by length and then in
+    alphabet order; each length is sorted once per presentation."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    _fill_blocks(x, n)
+    out: list[Word] = []
+    for m in range(1, n + 1):
+        level = x._ordered.get(m)
+        if level is None:
+            level = x._ordered[m] = sorted(x._blocks[m], key=Word.lex_key)
+        out.extend(level)
+    return out
+
+
+def _fill_blocks(x: ShiftPresentation, n: int) -> None:
+    # extend the cache x._blocks to every length up to n
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
-        return {w for m in range(1, n + 1) for w in x._blocks[m]}
+        return
     g = x.graph()
     if have == 0:
         frontier: dict[tuple[str, ...], set[Hashable]] = {(): set(g.vertices)}
@@ -347,7 +372,6 @@ def blocks(x: ShiftPresentation, n: int) -> set[Word]:
         x._blocks[m] = {Word(x.alphabet, seq) for seq in nxt}
         held += len(nxt)
         frontier = nxt
-    return {w for m in range(1, n + 1) for w in x._blocks[m]}
 
 
 def is_block(x: ShiftPresentation, w: Word) -> bool:
@@ -682,11 +706,23 @@ def zeta(x: ShiftPresentation, order: int) -> ZetaSeries:
 
 
 def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
-    """True iff every factor of w of length ≤ k is a block of x."""
+    """True iff every factor of w of length ≤ k is a block of x.
+
+    Blocks are factor-closed, so it is enough that each window of w of
+    length min(k, |w|) is one; the windows are looked up as letter
+    tuples.  A word over another alphabet has no block among its
+    factors.
+    """
     if len(w) == 0:
         raise ValueError("w must be nonempty")
     if k < 1:
         raise ValueError("k must be positive")
+    if w.alphabet != x.alphabet:
+        return False
     kk = min(k, len(w))
-    allowed = blocks(x, kk)
-    return all(f in allowed for f in factors_up_to(w, kk))
+    level = x._block_letters.get(kk)
+    if level is None:
+        _fill_blocks(x, kk)
+        level = x._block_letters[kk] = {v.letters for v in x._blocks[kk]}
+    ls = w.letters
+    return all(ls[i:i + kk] in level for i in range(len(ls) - kk + 1))

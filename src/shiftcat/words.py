@@ -210,12 +210,10 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     n = len(w)
     if n == 0:
         raise ValueError("the empty word has no primitive root")
+    letters = w.letters
     for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        cand = Word(w.alphabet, w.letters[:d])
-        if cand.letters * (n // d) == w.letters:
-            return cand, n // d
+        if n % d == 0 and letters[:d] * (n // d) == letters:
+            return (w if d == n else Word(w.alphabet, letters[:d])), n // d
     raise AssertionError("unreachable: w is always a power of itself")
 
 

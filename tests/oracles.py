@@ -238,6 +238,117 @@ class GreenOracle:
         return x in self.two_ideal[y]
 
 
+# -- ω-term normal form by rewriting to a fixpoint -------------------------
+# A term is a list of items: a word is a tuple of letters, a power
+# u^(ω+q) is the pair (u, q) with u a nonempty tuple of letters.  The
+# rules are applied in passes until none fires: flatten, reduce each
+# base to its primitive root, absorb whole base copies and merge equal
+# bases left to right, and only when nothing else changes, move one
+# letter of the word before the leftmost power that allows it to the
+# right of that power.  Each pass is linear and the rotations move one
+# letter at a time, so this is quadratic; it is the reference the
+# library's linear `canonical` must match item for item.
+
+
+def _is_power(item) -> bool:
+    return len(item) == 2 and isinstance(item[1], int)
+
+
+def _fixpoint_flatten(items):
+    out, changed = [], False
+    for it in items:
+        if not _is_power(it):
+            if not it:
+                changed = True
+                continue
+            if out and not _is_power(out[-1]):
+                out[-1] = out[-1] + it
+                changed = True
+                continue
+        out.append(it)
+    return out, changed
+
+
+def _fixpoint_root(base):
+    n = len(base)
+    for d in range(1, n + 1):
+        if n % d == 0 and base[:d] * (n // d) == base:
+            return base[:d], n // d
+
+
+def _fixpoint_root_reduce(items):
+    out, changed = [], False
+    for it in items:
+        if _is_power(it):
+            root, c = _fixpoint_root(it[0])
+            if c > 1:
+                it = (root, c * it[1])
+                changed = True
+        out.append(it)
+    return out, changed
+
+
+def _fixpoint_absorb_merge(items):
+    changed = False
+    i = 0
+    while i < len(items):
+        it = items[i]
+        if _is_power(it):
+            base, n = it[0], len(it[0])
+            if i > 0 and not _is_power(items[i - 1]):
+                w, copies = items[i - 1], 0
+                while len(w) >= n and w[len(w) - n:] == base:
+                    w, copies = w[:len(w) - n], copies + 1
+                if copies:
+                    items[i] = it = (base, it[1] + copies)
+                    items[i - 1] = w
+                    changed = True
+            if i > 0 and _is_power(items[i - 1]) and items[i - 1][0] == base:
+                items[i - 1:i + 1] = [(base, items[i - 1][1] + it[1])]
+                changed = True
+                continue
+            if i + 1 < len(items) and not _is_power(items[i + 1]):
+                w, copies = items[i + 1], 0
+                while len(w) >= n and w[:n] == base:
+                    w, copies = w[n:], copies + 1
+                if copies:
+                    items[i] = (base, it[1] + copies)
+                    items[i + 1] = w
+                    changed = True
+        i += 1
+    return items, changed
+
+
+def _fixpoint_rotate_once(items):
+    # w·c (y·c)^(ω+q) → w (c·y)^(ω+q) c
+    for i in range(1, len(items)):
+        it, prev = items[i], items[i - 1]
+        if not _is_power(it) or _is_power(prev) or not prev:
+            continue
+        c = prev[-1]
+        if it[0][-1] != c:
+            continue
+        items[i - 1] = prev[:-1]
+        items[i] = ((c,) + it[0][:-1], it[1])
+        items.insert(i + 1, (c,))
+        return items, True
+    return items, False
+
+
+def fixpoint_canonical(items):
+    """The normal form of a term given as a list of word and power items."""
+    items = list(items)
+    while True:
+        items, ch1 = _fixpoint_flatten(items)
+        items, ch2 = _fixpoint_root_reduce(items)
+        items, ch3 = _fixpoint_absorb_merge(items)
+        if ch2 or ch3:
+            continue
+        items, ch4 = _fixpoint_rotate_once(items)
+        if not (ch1 or ch4):
+            return items
+
+
 def brute_idempotent_pairs_local_units(table, carrier):
     """{x in carrier : x = e·x·f for some idempotents e, f}."""
     n = len(table)

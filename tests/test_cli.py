@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -324,6 +325,22 @@ def test_huge_exponent_offsets_run_in_bounded_work(capsys):
     assert run(capsys, "member", EVEN, "(a)^(w+99999999999)")[0] == 0
     assert run(capsys, "classify", EVEN, "(ao)^(w+99999999999)",
                "--letter", "a")[0] == 0
+    assert time.perf_counter() - start < 10
+
+
+def test_term_code_on_a_long_term_runs_in_linear_work(capsys, tmp_path):
+    central = tmp_path / "central.json"
+    cen = centralize(higher_block_map(AB, 2))
+    central.write_text(json.dumps(
+        {"inner": block_map_to_json(cen.inner), "wing": cen.wing}))
+    rng = random.Random(3)
+    parts = []
+    for i in range(20000):
+        letters = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+        parts.append(f"({letters})^(w{rng.randint(-2, 2):+d})" if i % 2
+                     else letters)
+    start = time.perf_counter()
+    assert run(capsys, "term", "code", str(central), " ".join(parts))[0] == 0
     assert time.perf_counter() - start < 10
 
 

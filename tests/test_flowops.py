@@ -3,21 +3,23 @@ flow functors with their natural isomorphism."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import util
+from shiftcat import flowops
 from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                              NotIdempotentWitness, NotInMirage2)
 from shiftcat.flowops import (TYPES, classify_type, eta, eta_inverse,
                               expand_shift, functor_F, functor_G,
                               naturality_rows, term_expand_of_contract,
-                              term_image_E)
+                              term_image_E, verify_naturality)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical, canonical_equal,
-                                  connector, idempotent_terms, parse_term,
-                                  unroll)
+                                  connector, format_term, idempotent_terms,
+                                  parse_term, unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word
@@ -330,3 +332,33 @@ def test_naturality_on_mixed_idempotent_pairs():
     cases = {row["case"] for row in rows}
     assert "case dom=ImageE, cod=DiamondImageEAlpha" in cases
     assert "case dom=DiamondImageEAlpha, cod=DiamondImageEAlpha" in cases
+
+
+def test_naturality_rows_classify_each_idempotent_once(monkeypatch):
+    # one classification for the case label and one inside η, per
+    # idempotent, however many arrows it ends
+    calls = Counter()
+    classify = flowops.classify_type
+
+    def spy(w, ctx):
+        calls[w] += 1
+        return classify(w, ctx)
+
+    monkeypatch.setattr(flowops, "classify_type", spy)
+    rows = list(naturality_rows(CTX, 5))
+    monkeypatch.undo()
+    idems = idempotent_terms(CTX.target, 5)
+    assert len(idems) == 7 and set(calls) == set(idems)
+    assert max(calls.values()) <= 2
+    s_tgt, _ = syntactic_semigroup(CTX.target)
+    tests = battery(B, None, extra=[(s_tgt, dict(s_tgt.gen_of))])
+    expected = []
+    for e in idems:
+        for f in idems:
+            mid = connector(CTX.target, e, f)
+            if mid is None:
+                continue
+            v = verify_naturality((e, mid, f), CTX, tests)
+            expected.append({"dom": format_term(e), "cod": format_term(f),
+                             "kind": v.kind, "case": v.note.split(";")[0]})
+    assert len(rows) == 49 and rows == expected

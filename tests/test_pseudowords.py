@@ -2,11 +2,13 @@
 expansion/contraction homomorphisms."""
 
 import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import util
 from shiftcat.codes import centralize, higher_block_map, word_code
 from shiftcat.errors import TooShort
@@ -25,6 +27,7 @@ from shiftcat.shifts import is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 ABO = Alphabet(("a", "b", "o"))
 ABCD = Alphabet(("a", "b", "c", "d"))
 
@@ -98,6 +101,87 @@ def test_canonical_preserves_value_in_quotients(t):
 def test_canonical_is_idempotent_as_a_normal_form(t):
     c = canonical(t)
     assert canonical(c) == c
+
+
+# -- canonical against the fixpoint oracle ------------------------------------
+
+
+def as_items(t):
+    """The term as the oracle's plain (letters) / (base, q) tuples."""
+    return [(it.base.letters, it.q) if isinstance(it, Power) else it.letters
+            for it in t.body]
+
+
+def assert_matches_fixpoint(t):
+    assert as_items(canonical(t)) == oracles.fixpoint_canonical(as_items(t))
+
+
+# bases from a small pool, so equal and conjugate bases meet often;
+# repeated ones are not primitive
+BASES = ("a", "b", "c", "ab", "ba", "aab", "abb", "bab", "abc", "cab")
+
+
+@st.composite
+def pooled_terms(draw):
+    alphabet = draw(st.sampled_from((Alphabet(("a",)), AB, ABC)))
+    bases = [b for b in BASES if set(b) <= set(alphabet.symbols)]
+    letters = "".join(alphabet.symbols)
+    word = st.text(alphabet=letters, max_size=5).map(
+        lambda s: Word.from_str(alphabet, s))
+    power = st.builds(
+        lambda b, c, q: Power(Word.from_str(alphabet, b * c), q),
+        st.sampled_from(bases), st.integers(1, 3), st.integers(-3, 3))
+    items = draw(st.lists(st.one_of(word, power), max_size=12))
+    return OmegaTerm.from_items(alphabet, items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pooled_terms())
+def test_canonical_matches_the_fixpoint_oracle(t):
+    assert_matches_fixpoint(t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(50, 300))
+def test_canonical_matches_the_fixpoint_oracle_on_long_terms(seed, size):
+    # the shape of the benchmark's random terms: short words alternating
+    # with powers u^(ω+q), |u| <= 3 and |q| <= 2
+    rng = random.Random(seed)
+    items = []
+    for i in range(size):
+        w = Word(AB, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
+        items.append(Power(w, rng.randint(-2, 2)) if i % 2 else w)
+    assert_matches_fixpoint(OmegaTerm.from_items(AB, items))
+
+
+@pytest.mark.parametrize("text,form", [
+    # the left power takes its copies of the word between first ...
+    ("(ab)^w abb (b)^w", "(a b)^(w+1) (b)^(w+1)"),
+    # ... unless it was just merged, when the right power goes first
+    ("(ab)^w (ab)^w abb (b)^w", "(a b)^w a (b)^(w+2)"),
+    # ... and so it does when a rotation merges the power into the one
+    # before it
+    ("(ab)^w a (ba)^w bb (abb)^w", "(a b)^w (a b b)^(w+1)"),
+    # absorption runs before any rotation
+    ("b (ab)^w a (a)^w", "(b a)^w b (a)^(w+1)"),
+    # a rotated letter completes a copy of the next power's base
+    ("b (ab)^w ba (bba)^w", "(b a)^w (b b a)^(w+1)"),
+    # a rotated letter empties the word between two equal bases
+    ("b (ab)^w a (ba)^w", "(b a)^(w+1)"),
+    # ... and the letters after it go past the merged power
+    ("bc (abc)^w ab (cab)^w", "(b c a)^(w+1) b"),
+    # rotations that end in absorption on either side
+    ("b (ab)^w a", "(b a)^(w+1)"),
+    ("ab a (ba)^w", "(a b)^(w+1) a"),
+    ("(ba)^w b (ab)^(w-1)", "(b a)^(w-1) b"),
+    ("abab (ab)^(w+2) ab", "(a b)^(w+5)"),
+    ("(abab)^(w-1) a", "(a b)^(w-2) a"),
+    ("", "ε"),
+])
+def test_canonical_frozen_forms(text, form):
+    t = parse_term(ABC, text)
+    assert format_term(canonical(t)) == form
+    assert_matches_fixpoint(t)
 
 
 # -- unfolding and evaluation -------------------------------------------------

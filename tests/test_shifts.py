@@ -270,6 +270,35 @@ def test_word_mirage_equals_factor_legality(corpus):
                 assert mirage_membership_k(x, u, k) == expected, (text, k)
 
 
+def test_word_mirage_equals_factor_sets_on_random_shifts():
+    # windows of length min(k, |w|) against the definition: every factor
+    # of length at most k is a block; k runs below and above |w|
+    rng = random.Random(41)
+    for v in (2, 3, 4, 5, 6, 2, 3, 4, 5, 6):
+        x = random_sofic(rng, v)
+        g = x.graph()
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                letters = [rng.choice(x.alphabet.symbols) for _ in range(n)]
+            else:  # a walk, so that most of its factors are blocks
+                letters, at = [], rng.choice(list(g.vertices))
+                for _ in range(n):
+                    _, a, at = rng.choice(g.out[at])
+                    letters.append(a)
+                if rng.random() < 0.5:
+                    letters[rng.randrange(n)] = rng.choice(x.alphabet.symbols)
+            u = x.word(letters)
+            for k in range(1, n + 3):
+                expected = all(is_block(x, f) for f in factors_up_to(u, k))
+                assert mirage_membership_k(x, u, k) == expected, \
+                    (x.to_json(), letters, k)
+        with pytest.raises(ValueError, match="nonempty"):
+            mirage_membership_k(x, x.word(()), 2)
+        with pytest.raises(ValueError, match="positive"):
+            mirage_membership_k(x, u, 0)
+
+
 # -- periodic points, trim, serialization ----------------------------------
 
 
