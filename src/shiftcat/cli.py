@@ -84,6 +84,12 @@ def _report(schema: str, **fields) -> dict:
     return out
 
 
+def _term_text(arg: str) -> str:
+    """The term argument, or standard input when it is "-": Linux caps
+    one argv argument at 128 KiB, shorter than a long term."""
+    return sys.stdin.buffer.read().decode("utf-8") if arg == "-" else arg
+
+
 def _is_term_text(text: str) -> bool:
     return any(c in text for c in "()^")
 
@@ -248,7 +254,7 @@ def cmd_term(args) -> int:
         from .pseudowords import closure_membership, eval_term
         from .semigroups import syntactic_semigroup
         x = _load_shift(args.source)
-        t = parse_term(x.alphabet, args.term)
+        t = parse_term(x.alphabet, _term_text(args.term))
         s, accept = syntactic_semigroup(x)
         val = eval_term(t, s, dict(s.gen_of))
         _emit(_report("term-eval", term=format_term(t), value=val,
@@ -258,7 +264,7 @@ def cmd_term(args) -> int:
         from .pseudowords import term_factors
         from .shifts import is_block
         x = _load_shift(args.source)
-        t = parse_term(x.alphabet, args.term)
+        t = parse_term(x.alphabet, _term_text(args.term))
         fs = sorted(term_factors(t, args.bound),
                     key=lambda w: (len(w), w.lex_key()))
         _emit(_report("term-factors", term=format_term(t), bound=args.bound,
@@ -267,7 +273,7 @@ def cmd_term(args) -> int:
     else:  # code
         from .pseudowords import term_block_code
         phi = _load_central(args.source)
-        t = parse_term(phi.source, args.term)
+        t = parse_term(phi.source, _term_text(args.term))
         img = term_block_code(phi, t)
         _emit(_report("term-code", term=format_term(t),
                       image=format_term(img)))
@@ -499,7 +505,7 @@ def _build_parser() -> _Parser:
     sp = add("term", cmd_term, help="ω-term operations")
     sp.add_argument("action", choices=["eval", "factors", "code"])
     sp.add_argument("source")
-    sp.add_argument("term")
+    sp.add_argument("term", help='ω-term, or "-" to read it from stdin')
     sp.add_argument("--bound", type=int, default=4)
 
     sp = add("expand", cmd_expand, help="symbol expansion of a shift")

@@ -9,19 +9,29 @@ the functor induced by a central block code to idempotents and arrows,
 and compares the J-class poset of arrows against the labeled poset of
 J-classes meeting a set of local units.
 
-Every structural fact that admits two independent computations is
-computed both ways and cross-checked; a disagreement raises
-MismatchBug because it can only come from an implementation error.
+No hom-set is enumerated outside KaroubiCategory.arrows.  Every claim
+about the envelope is certified by arrows read off the base semigroup
+and checked by a few table lookups: factors e = l·f·r of a two-sided
+ideal, found by a breadth-first search of the two-sided Cayley graph
+(semigroups.ideal_factors), give retractions, and the inverse pairs of
+a D-class (semigroups.inverse_pair) give isomorphisms.  The certified
+relations are compared with Green's relations, which come from the
+strongly connected components of the Cayley graphs instead; a
+disagreement raises MismatchBug because it can only come from an
+implementation error.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidArrow, MismatchBug, SizeLimit
-from .pseudowords import (OmegaTerm, quotient_equal, term_block_code,
-                          term_prefix_k, term_suffix_k)
-from .semigroups import (FiniteSemigroup, SchutzGroup, green, groups_isomorphic,
-                         local_units, schutzenberger)
+from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
+                         green, groups_isomorphic, ideal_factors,
+                         inverse_pair, local_units, schutzenberger)
 from .words import Record, _set
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .pseudowords import OmegaTerm
 
 Arrow = tuple[int, int, int]
 
@@ -87,15 +97,29 @@ def build(s: FiniteSemigroup) -> KaroubiCategory:
     return KaroubiCategory(s)
 
 
+def _j_classes(k: KaroubiCategory) -> dict[int, list[int]]:
+    """The objects grouped by J-class, in object order."""
+    g = green(k.base)
+    classes: dict[int, list[int]] = {}
+    for e in k.objects:
+        classes.setdefault(g.j_of[e], []).append(e)
+    return classes
+
+
 def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
     """Pairs (e, f) such that e is a retract of f.
 
     e is a retract of f when some arrows x: e -> f and y: f -> e
-    compose to the identity of e.  This relation is computed both by
-    explicit witness search and through the J-order of the base, and
-    the two must agree: a retraction x·y = e forces e ≤_J f, and
-    conversely e = s·f·t yields the witnesses x = e·s·f, y = f·t·e
-    with x·y = e.
+    compose to the identity of e, which happens exactly when e ≤_J f.
+    The pairs are returned from the J-order of the base and certified
+    one by one.  One breadth-first search per J-class of objects, from
+    its least object f₀, writes every e in S¹f₀S¹ as e = l·f₀·r; then
+    x₀ = e·l·f₀ and y₀ = f₀·r·e give x₀·y₀ = e.  Another object f of
+    the class takes the inverse pair a·a' = f₀, a'·a = f of the D-class
+    and the arrows x = x₀·a, y = a'·y₀.  Each retraction is checked by
+    lookups (certify_retraction), and the certified pairs must be
+    exactly the J-order pairs: the search reaches no e outside the
+    ideal, so this also refutes every missing pair.
     """
     s = k.base
     t = s.table
@@ -103,12 +127,23 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
     via_j = frozenset((e, f) for e in k.objects for f in k.objects
                       if g.j_leq(g.j_of[e], g.j_of[f]))
     found: set[tuple[int, int]] = set()
-    for e in k.objects:
-        for f in k.objects:
-            hom_ef = k.hom(e, f)
-            hom_fe = k.hom(f, e)
-            if any(t[x][y] == e for (_, x, _) in hom_ef
-                   for (_, y, _) in hom_fe):
+    for members in _j_classes(k).values():
+        f0 = members[0]
+        factors = ideal_factors(s, f0)
+        below = []
+        for e in k.objects:
+            lr = factors.get(e)
+            if lr is None:
+                continue
+            l, r = lr
+            x0 = t[e][f0] if l is None else t[t[e][l]][f0]
+            y0 = t[f0][e] if r is None else t[t[f0][r]][e]
+            below.append((e, x0, y0))
+        for f in members:
+            a, a_inv = (f0, f0) if f == f0 else inverse_pair(s, f0, f)
+            t_inv = t[a_inv]
+            for e, x0, y0 in below:
+                certify_retraction(t, e, f, t[x0][a], t_inv[y0])
                 found.add((e, f))
     if frozenset(found) != via_j:
         raise MismatchBug("retraction order disagrees with the J-order "
@@ -119,21 +154,23 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
 def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
     """Group of invertible arrows e -> e.
 
-    The units of the local monoid e·S·e are exactly the H-class of e;
-    the group is assembled from right translations on the unit set and
-    cross-checked against the Schützenberger group of that H-class.
+    The units of the local monoid e·S·e are exactly the H-class of e:
+    u·v = e = v·u puts u in R_e and in L_e.  Each u in H_e is verified
+    to be an arrow e -> e with an inverse in H_e; the group is
+    assembled from right translations on the units and cross-checked
+    against the Schützenberger group of that H-class.
     """
     if e not in k.objects:
         raise ValueError("not an object")
     s = k.base
     t = s.table
-    loc = [m for (_, m, _) in k.hom(e, e)]
-    units = sorted(u for u in loc
-                   if any(t[u][v] == e and t[v][u] == e for v in loc))
     g = green(s)
-    if set(units) != set(g.H[g.h_of[e]]):
-        raise MismatchBug("units of the local monoid differ from the "
-                          "H-class of the idempotent")
+    units = sorted(g.H[g.h_of[e]])
+    for u in units:
+        if (t[t[e][u]][e] != u
+                or not any(t[u][v] == e and t[v][u] == e for v in units)):
+            raise MismatchBug("the H-class of the idempotent holds a "
+                              "non-unit of the local monoid")
     pos = {u: i for i, u in enumerate(units)}
     carrier = frozenset(tuple(pos[t[x][u]] for x in units) for u in units)
     grp = SchutzGroup(tuple(units), carrier, len(carrier))
@@ -144,46 +181,24 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
     return grp
 
 
-def _objects_isomorphic(k: KaroubiCategory, e: int, f: int) -> bool:
-    t = k.base.table
-    return any(t[x][y] == e and t[y][x] == f
-               for (_, x, _) in k.hom(e, f) for (_, y, _) in k.hom(f, e))
-
-
 def iso_class_census(k: KaroubiCategory) -> dict[int, int]:
     """Map class-size n to the number of objects in size-n classes.
 
-    Object isomorphism (mutually inverse arrows) is computed by brute
-    force and must coincide with J-equivalence of the idempotents in
-    the base; the resulting classes are tabulated by size.
+    Isomorphic objects are J-equivalent: e = x·y and f = y·x give
+    e = x·f·y and f = y·e·x.  Conversely every object f is certified
+    isomorphic to the least object e of its J-class by the inverse pair
+    a·a' = e, a'·a = f of the D-class, which makes (e, a, f) and
+    (f, a', e) mutually inverse arrows (semigroups.inverse_pair checks
+    it by lookups).  So the classes are the J-classes of idempotents;
+    they are tabulated by size.
     """
-    g = green(k.base)
-    objs = k.objects
-    classes: list[list[int]] = []
-    assigned: dict[int, int] = {}
-    for e in objs:
-        placed = False
-        for ci, cls in enumerate(classes):
-            if _objects_isomorphic(k, e, cls[0]):
-                cls.append(e)
-                assigned[e] = ci
-                placed = True
-                break
-        if not placed:
-            assigned[e] = len(classes)
-            classes.append([e])
-    for e in objs:
-        for f in objs:
-            same = assigned[e] == assigned[f]
-            if same != (g.j_of[e] == g.j_of[f]):
-                raise MismatchBug("object isomorphism disagrees with "
-                                  "J-equivalence of idempotents")
+    s = k.base
     census: dict[int, int] = {}
-    for cls in classes:
-        n = len(cls)
+    for members in _j_classes(k).values():
+        for f in members[1:]:
+            inverse_pair(s, members[0], f)
+        n = len(members)
         census[n] = census.get(n, 0) + n
-    if sum(census.values()) != len(objs):
-        raise MismatchBug("census does not account for every object")
     return census
 
 
@@ -205,6 +220,8 @@ def _covering(tests, *terms):
 
 def _code_between(phi, e: OmegaTerm, u: OmegaTerm, f: OmegaTerm) -> OmegaTerm:
     """The code of suffix_k(e)·u·prefix_k(f), k the wing of phi."""
+    from .pseudowords import (OmegaTerm, term_block_code, term_prefix_k,
+                              term_suffix_k)
     k = phi.wing
     if k:
         u = (OmegaTerm.from_word(term_suffix_k(e, k)) * u
@@ -219,6 +236,7 @@ def induced_functor_on_idempotent(phi, e: OmegaTerm, tests=()) -> OmegaTerm:
     suffix_k(e)·e·prefix_k(e); when e·e = e this is again idempotent,
     which is verified in the supplied (semigroup, assignment) quotients.
     """
+    from .pseudowords import quotient_equal
     img = _code_between(phi, e, e, e)
     usable = _covering(tests, img)
     if usable:
@@ -237,6 +255,7 @@ def induced_functor_on_arrow(phi, arrow, tests=()):
     length-k suffix of e and prefix of f, which makes the image an
     arrow between the images of e and f.
     """
+    from .pseudowords import quotient_equal
     e, u, f = arrow
     usable = _covering(tests, e, u, f)
     if usable:
@@ -412,25 +431,6 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
 # -- arrow J-poset versus local-unit poset -----------------------------
 
 
-def _mul1(s: FiniteSemigroup, a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return s.product(a, b)
-
-
-def _divisibility_witness(s: FiniteSemigroup, u: int, v: int):
-    """(x, y) over S with adjoined identity such that u = x·v·y, or None."""
-    opts: list[int | None] = [None] + list(range(s.size))
-    for x in opts:
-        left = _mul1(s, x, v)
-        for y in opts:
-            if _mul1(s, left, y) == u:
-                return (x, y)
-    return None
-
-
 def _unit_pair(s: FiniteSemigroup, u: int):
     """The first idempotents e and f with e·u = u and u·f = u (so that
     e·u·f = u), or None."""
@@ -440,26 +440,33 @@ def _unit_pair(s: FiniteSemigroup, u: int):
     return None if e is None or f is None else (e, f)
 
 
-def _arrow_schutzenberger(s: FiniteSemigroup, hmid, f: int) -> SchutzGroup:
-    """Right translations of an arrow H-class by arrows f -> f.
+def _arrow_schutzenberger(s: FiniteSemigroup, g, u: int, f: int) -> SchutzGroup:
+    """Right translations of the H-class of an arrow middle u by arrows
+    f -> f, where u·f = u.
 
-    hmid holds the middle components; composing on the right with
-    (f, y, f) multiplies middles by y, so the translations come from
-    f·S·f together with the identity action.
+    Composing on the right with (f, y, f) multiplies middles by y.  Each
+    v ≠ u in H_u lies in u·S (v R u), say v = u·z, and y = f·z·f sends
+    u to v (y = f for v = u); the translations by these y must permute
+    H_u and form a group of order |H_u|.
     """
-    h = tuple(sorted(hmid))
-    pos = {x: i for i, x in enumerate(h)}
-    hset = set(h)
     t = s.table
-    perms = {tuple(range(len(h)))}
-    loc = sorted({t[t[f][y]][f] for y in range(s.size)})
-    for y in loc:
+    h = tuple(sorted(g.H[g.h_of[u]]))
+    pos = {x: i for i, x in enumerate(h)}
+    z_of: dict[int, int] = {}
+    for z, v in enumerate(t[u]):
+        z_of.setdefault(v, z)
+    perms = set()
+    for v in h:
+        if v != u and v not in z_of:
+            raise MismatchBug("H-class element outside u·S")
+        y = f if v == u else t[t[f][z_of[v]]][f]
         imgs = [t[x][y] for x in h]
-        if all(v in hset for v in imgs):
-            p = tuple(pos[v] for v in imgs)
-            if len(set(p)) != len(h):
-                raise MismatchBug("arrow translation is not a permutation")
-            perms.add(p)
+        if t[u][y] != v or any(w not in pos for w in imgs):
+            raise MismatchBug("arrow translation leaves the H-class")
+        p = tuple(pos[w] for w in imgs)
+        if len(set(p)) != len(h):
+            raise MismatchBug("arrow translation is not a permutation")
+        perms.add(p)
     for a in perms:
         for b in perms:
             if SchutzGroup.compose(a, b) not in perms:
@@ -469,9 +476,6 @@ def _arrow_schutzenberger(s: FiniteSemigroup, hmid, f: int) -> SchutzGroup:
     return SchutzGroup(h, frozenset(perms), len(perms))
 
 
-_CLASS_SAMPLE = 12
-
-
 def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
     """Compare the arrow J-poset of the envelope with the poset of
     J-classes meeting the local units inside k.
@@ -479,11 +483,17 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
     Arrows of the envelope whose middle components lie in k are grouped
     by the J-class of their middles; mapping each group to that J-class
     must give a bijection onto the classes meeting the local units that
-    preserves the order and the (regular, group) labels.  Order and
-    equivalence claims on the arrow side are certified by explicit
-    composition witnesses: from u = x·v·y with e·u·f = u and g·v·h = v
-    the arrows (e, e·x·g, g) and (h, y·f, f) compose with (g, v, h) to
-    (e, u, f).  Any failed certificate raises MismatchBug.
+    preserves the order and the (regular, group) labels.
+
+    Order and equivalence claims on the arrow side are certified by
+    composition witnesses: from u = l·v·r (semigroups.ideal_factors,
+    a search of the two-sided Cayley graph from v) with e·u·f = u and
+    g·v·h = v, the arrows (e, e·l·g, g) and (h, r·f, f) compose with
+    (g, v, h) to (e, u, f).  Every arrow of every class is certified
+    equivalent to its class representative both ways.  A pair of
+    classes the base order does not relate is refuted by the search
+    itself: u lies outside S¹vS¹, so no composite reaches (e, u, f).
+    Any failed certificate raises MismatchBug.
     """
     t = s.table
     g = green(s)
@@ -500,54 +510,48 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
         if pair is None:
             raise MismatchBug("local unit has no unit pair")
         reps[jid] = (pair[0], u, pair[1])
+    ideals = {jid: ideal_factors(s, reps[jid][1])
+              for jid in base_poset.elements}
 
-    def certify_leq(a: Arrow, b: Arrow) -> None:
+    def certify_leq(a: Arrow, b: Arrow, factors) -> None:
+        """a ≤ b, given the ideal factors of the middle of b."""
         (e, u, f), (gg, v, h) = a, b
-        w = _divisibility_witness(s, u, v)
-        if w is None:
+        lr = factors.get(u)
+        if lr is None:
             raise MismatchBug("middles are not J-comparable despite the "
                               "base order")
-        x = t[t[e][w[0]]][gg] if w[0] is not None else t[e][gg]
-        y = t[t[h][w[1]]][f] if w[1] is not None else t[h][f]
+        l, r = lr
+        x = t[e][gg] if l is None else t[t[e][l]][gg]
+        y = t[h][f] if r is None else t[t[h][r]][f]
         if t[t[x][v]][y] != u:
             raise MismatchBug("composition certificate failed")
 
-    cat = build(s)
     for i in base_poset.elements:
         for j in base_poset.elements:
             if i == j:
                 continue
             if g.j_leq(i, j):
-                certify_leq(reps[i], reps[j])
-            else:
-                (e, u, f), (gg, v, h) = reps[i], reps[j]
-                for (_, x, _) in cat.hom(e, gg):
-                    for (_, y, _) in cat.hom(h, f):
-                        if t[t[x][v]][y] == u:
-                            raise MismatchBug("arrow order exceeds the "
-                                              "base order")
+                certify_leq(reps[i], reps[j], ideals[j])
+            elif reps[i][1] in ideals[j]:
+                raise MismatchBug("arrow order exceeds the base order")
 
+    idems = s.idempotents()
     for jid in base_poset.elements:
-        sample: list[Arrow] = []
-        jcls = g.J[jid]
-        for e in cat.objects:
-            for f in cat.objects:
-                for (_, u, _) in cat.hom(e, f):
-                    if u in jcls and u in kset:
-                        sample.append((e, u, f))
-        sample.sort()
-        if len(sample) > _CLASS_SAMPLE:
-            step = len(sample) // _CLASS_SAMPLE
-            sample = sample[::step][:_CLASS_SAMPLE]
-        for arr in sample:
-            certify_leq(arr, reps[jid])
-            certify_leq(reps[jid], arr)
+        rep = reps[jid]
+        for u in sorted(g.J[jid] & kset):
+            factors = ideal_factors(s, u)
+            lefts = [e for e in idems if t[e][u] == u]
+            rights = [f for f in idems if t[u][f] == u]
+            for e in lefts:
+                for f in rights:
+                    certify_leq((e, u, f), rep, ideals[jid])
+                    certify_leq(rep, (e, u, f), factors)
 
     invariant_only = False
     witness = []
     for jid in base_poset.elements:
         reg_base, grp_base = base_poset.label_of(jid)
-        reg_arrow = any(g.j_of[w] == jid for w in s.idempotents())
+        reg_arrow = any(g.j_of[w] == jid for w in idems)
         if reg_arrow != reg_base:
             raise MismatchBug("regularity labels disagree")
         e, u, f = reps[jid]
@@ -555,7 +559,7 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
         for v in hmid:
             if t[t[e][v]][f] != v:
                 raise MismatchBug("H-class middle escapes the hom-set")
-        grp_arrow = _arrow_schutzenberger(s, hmid, f)
+        grp_arrow = _arrow_schutzenberger(s, g, u, f)
         cmp = groups_isomorphic(grp_arrow, grp_base)
         if cmp == "not-isomorphic":
             raise MismatchBug("group labels disagree")

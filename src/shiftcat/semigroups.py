@@ -2,9 +2,9 @@
 
 Generation from transformations, syntactic semigroups of block
 languages, Green's relations, omega powers, Schützenberger groups,
-local units, and conjugation of idempotents.  Elements are table
-indices; each carries a witness word over the declared alphabet that
-the generating morphism sends to it.
+local units, factors of two-sided ideals, and inverse pairs of
+idempotents.  Elements are table indices; each carries a witness word
+over the declared alphabet that the generating morphism sends to it.
 """
 
 from __future__ import annotations
@@ -484,6 +484,66 @@ def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
     return frozenset(lu_all & set(k))
 
 
+def ideal_factors(s: FiniteSemigroup,
+                  f: int) -> dict[int, tuple[int | None, int | None]]:
+    """For every y in S¹fS¹ a pair (l, r) over S¹ with y = l·f·r.
+
+    Breadth-first search from f along x ↦ x·a and x ↦ a·x over the
+    generators a, carrying the factors along; None stands for the
+    adjoined identity.  Costs O(|S|·|A|).
+    """
+    t = s.table
+    gens = sorted(set(s.generators))
+    factors: dict[int, tuple[int | None, int | None]] = {f: (None, None)}
+    queue = [f]
+    for x in queue:
+        l, r = factors[x]
+        tx = t[x]
+        for a in gens:
+            y = tx[a]
+            if y not in factors:
+                factors[y] = (l, a if r is None else t[r][a])
+                queue.append(y)
+            y = t[a][x]
+            if y not in factors:
+                factors[y] = (a if l is None else t[a][l], r)
+                queue.append(y)
+    return factors
+
+
+def certify_retraction(table, e: int, f: int, x: int, y: int) -> None:
+    """Check that x ∈ e·S·f and y ∈ f·S·e compose to x·y = e.
+
+    Read in the Karoubi envelope, x: e -> f and y: f -> e are arrows
+    exhibiting e as a retract of f.  Raises MismatchBug otherwise.
+    """
+    if (table[table[e][x]][f] != x or table[table[f][y]][e] != y
+            or table[x][y] != e):
+        raise MismatchBug(f"retraction certificate ({x}, {y}) of {e} "
+                          f"through {f} fails")
+
+
+def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
+    """a, a' with a·a' = e and a'·a = f, for D-related idempotents e, f.
+
+    a is the least element of R_e ∩ L_f and a' its inverse in R_f ∩ L_e
+    (Miller–Clifford); the pair is verified both ways as a retraction,
+    so (e, a, f) and (f, a', e) are mutually inverse arrows.
+    """
+    g = green(s)
+    t = s.table
+    a = min((x for x in g.R[g.r_of[e]] if g.l_of[x] == g.l_of[f]),
+            default=None)
+    a_inv = None if a is None else next(
+        (y for y in g.R[g.r_of[f]] if g.l_of[y] == g.l_of[e] and t[a][y] == e),
+        None)
+    if a is None or a_inv is None:
+        raise MismatchBug("D-related idempotents admit no inverse pair")
+    certify_retraction(t, e, f, a, a_inv)
+    certify_retraction(t, f, e, a_inv, a)
+    return a, a_inv
+
+
 class NotJEquivalent(Record):
     """Returned when two idempotents lie in different J-classes."""
 
@@ -493,8 +553,8 @@ class NotJEquivalent(Record):
 def conjugation_witness(s: FiniteSemigroup, e: int, f: int):
     """x, y with e = xy and f = yx, for J-equivalent idempotents.
 
-    Such a pair always exists in a finite semigroup, so exhaustive
-    search failing after a positive J-check is a bug.
+    In a finite semigroup J = D, so the pair is the inverse pair of the
+    D-class (inverse_pair); for e = f it is (e, e).
     """
     if not s.is_idempotent(e):
         raise NotIdempotent(f"element {e} is not idempotent")
@@ -505,12 +565,7 @@ def conjugation_witness(s: FiniteSemigroup, e: int, f: int):
         return NotJEquivalent()
     if e == f:
         return e, f
-    t = s.table
-    for x in range(s.size):
-        for y in range(s.size):
-            if t[x][y] == e and t[y][x] == f:
-                return x, y
-    raise MismatchBug("J-equivalent idempotents admit no conjugating pair")
+    return inverse_pair(s, e, f)
 
 
 # -- abstract group comparison ---------------------------------------

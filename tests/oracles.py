@@ -362,6 +362,132 @@ def brute_idempotent_pairs_local_units(table, carrier):
     return out
 
 
+# -- Karoubi envelope by hom-sets -----------------------------------------
+# The arrows e -> f of the envelope are the triples (e, s, f) with
+# s = e·s·f, so hom(e, f) has the middles e·S·f.  These oracles
+# enumerate hom-sets outright and search them exhaustively; the library
+# certifies the same facts from ideal factors and inverse pairs.
+
+
+def idempotents(table):
+    return [x for x in range(len(table)) if table[x][x] == x]
+
+
+def hom_middles(table, e, f):
+    """The middles of the arrows e -> f: the set e·S·f."""
+    return {table[table[e][s]][f] for s in range(len(table))}
+
+
+def hom_sets(table):
+    """(e, f) -> the sorted middles of hom(e, f), for all idempotents."""
+    idems = idempotents(table)
+    return {(e, f): sorted(hom_middles(table, e, f))
+            for e in idems for f in idems}
+
+
+def brute_retraction_order(table):
+    """Pairs (e, f) of idempotents with x·y = e for some arrows
+    x: e -> f and y: f -> e."""
+    idems = idempotents(table)
+    hom = hom_sets(table)
+    return {(e, f) for e in idems for f in idems
+            if any(table[x][y] == e for x in hom[e, f] for y in hom[f, e])}
+
+
+def brute_objects_isomorphic(table, e, f, hom):
+    return any(table[x][y] == e and table[y][x] == f
+               for x in hom[e, f] for y in hom[f, e])
+
+
+def brute_iso_census(table):
+    """Class size n -> number of objects in isomorphism classes of size
+    n, the classes found by searching hom-sets for inverse arrows."""
+    idems = idempotents(table)
+    hom = hom_sets(table)
+    classes: list[list[int]] = []
+    for e in idems:
+        home = next((c for c in classes
+                     if brute_objects_isomorphic(table, e, c[0], hom)), None)
+        if home is None:
+            classes.append([e])
+        else:
+            home.append(e)
+    census: dict[int, int] = {}
+    for c in classes:
+        census[len(c)] = census.get(len(c), 0) + len(c)
+    return census
+
+
+def brute_automorphisms(table, e):
+    """The invertible middles of hom(e, e): u with u·v = e = v·u."""
+    loc = hom_middles(table, e, e)
+    return sorted(u for u in loc
+                  if any(table[u][v] == e and table[v][u] == e for v in loc))
+
+
+def brute_conjugating_pair(table, e, f):
+    """The first (x, y) with x·y = e and y·x = f, or None."""
+    n = len(table)
+    return next(((x, y) for x in range(n) for y in range(n)
+                 if table[x][y] == e and table[y][x] == f), None)
+
+
+def _stabilizing_perms(table, hclass, translations):
+    h = sorted(hclass)
+    pos = {x: i for i, x in enumerate(h)}
+    perms = {tuple(range(len(h)))}
+    for y in translations:
+        imgs = [table[x][y] for x in h]
+        if all(v in pos for v in imgs):
+            perms.add(tuple(pos[v] for v in imgs))
+    return perms
+
+
+def brute_karoubi_vs_lu(table, carrier):
+    """"Iso" or "NotIso": do the arrows with middles in the carrier,
+    grouped by the J-class of their middle, form a poset matching the
+    J-classes of local units in the carrier?
+
+    For every pair of classes, a representative arrow (e, u, f) lies
+    below (g, v, h) when some x in hom(e, g) and y in hom(h, f) give
+    x·v·y = u; this must agree with u ∈ S¹vS¹.  Every arrow of a class
+    must lie below and above its representative the same way.  The
+    group labels compare the order of the right translations of H_u by
+    hom(f, f) with that by all of S.
+    """
+    green = GreenOracle(table)
+    n = len(table)
+    idems = idempotents(table)
+    units = brute_idempotent_pairs_local_units(table, carrier)
+    classes = green.classes_within(units, green.j_related)
+    hom = hom_sets(table)
+
+    def below(a, b):
+        (e, u, f), (g, v, h) = a, b
+        return any(table[table[x][v]][y] == u
+                   for x in hom[e, g] for y in hom[h, f])
+
+    def arrows(cls):
+        return [(e, u, f) for u in sorted(cls) for e in idems for f in idems
+                if table[table[e][u]][f] == u]
+
+    reps = [arrows(c)[0] for c in classes]
+    for a in reps:
+        for b in reps:
+            if below(a, b) != green.j_leq(a[1], b[1]):
+                return "NotIso"
+    for cls, rep in zip(classes, reps):
+        if not all(below(a, rep) and below(rep, a) for a in arrows(cls)):
+            return "NotIso"
+        e, u, f = rep
+        hclass = {x for x in range(n) if green.h_related(u, x)}
+        arrow_side = _stabilizing_perms(table, hclass, hom[f, f])
+        base_side = _stabilizing_perms(table, hclass, range(n))
+        if len(arrow_side) != len(base_side):
+            return "NotIso"
+    return "Iso"
+
+
 # -- frozen corpus answers ------------------------------------------------
 # Derived from the rules above (brute_periodic_counts / series) and kept
 # as literals so a regression in the oracle itself is also caught.

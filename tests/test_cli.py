@@ -4,8 +4,12 @@ determinism, and the named check suites."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +19,7 @@ from shiftcat import cli, shifts
 from shiftcat.codes import (block_map_to_json, centralize,
                             higher_block_map, lambda_first_letter)
 from shiftcat.errors import NonIntegralCoefficient
+from shiftcat.pseudowords import format_term, parse_term, term_block_code
 from shiftcat.shifts import ShiftPresentation, periodic_counts
 from shiftcat.words import Alphabet
 
@@ -342,6 +347,40 @@ def test_term_code_on_a_long_term_runs_in_linear_work(capsys, tmp_path):
     start = time.perf_counter()
     assert run(capsys, "term", "code", str(central), " ".join(parts))[0] == 0
     assert time.perf_counter() - start < 10
+
+
+def test_term_code_reads_a_term_too_long_for_argv_from_stdin(tmp_path):
+    central = tmp_path / "central.json"
+    cen = centralize(higher_block_map(AB, 2))
+    central.write_text(json.dumps(
+        {"inner": block_map_to_json(cen.inner), "wing": cen.wing}))
+    rng = random.Random(5)
+    parts = []
+    for i in range(22000):
+        letters = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+        parts.append(f"({letters})^(w{rng.randint(-2, 2):+d})" if i % 2
+                     else letters)
+    text = " ".join(parts) + "\n"
+    assert len(text.encode()) > 140_000       # over Linux's 128 KiB argv cap
+    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "shiftcat.cli", "term",
+                           "code", str(central), "-"], input=text.encode(),
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    term = parse_term(cen.source, text)
+    assert report["term"] == format_term(term)
+    assert report["image"] == format_term(term_block_code(cen, term))
+
+
+def test_a_term_on_stdin_that_is_not_utf8_is_a_one_line_error(
+        capsys, monkeypatch, tmp_path):
+    central = tmp_path / "central.json"
+    central.write_text(json.dumps(block_map_to_json(higher_block_map(AB, 2))))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\xff")))
+    code, out, err = run(capsys, "term", "code", str(central), "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_failure_exit_code_for_bad_term(capsys):

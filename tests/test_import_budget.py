@@ -55,6 +55,14 @@ def test_zeta_loads_only_shifts_and_words():
 
 
 @pytest.mark.parametrize("argv", [["karoubi", EVEN],
+                                  ["lu-poset", EVEN, "--carrier", "all"]],
+                         ids=lambda argv: argv[0])
+def test_karoubi_and_lu_poset_load_no_term_module(argv):
+    assert shiftcat_modules(modules_after(argv)) == {
+        "cli", "errors", "karoubi", "semigroups", "shifts", "words"}
+
+
+@pytest.mark.parametrize("argv", [["karoubi", EVEN],
                                   ["flowcheck", EVEN, "--letter", "a"]],
                          ids=lambda argv: argv[0])
 def test_subcommands_without_a_seed_load_no_heavy_module(argv):

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+import oracles
 import util
 from shiftcat import karoubi
 from shiftcat.codes import centralize, higher_block_map
-from shiftcat.errors import InvalidArrow, SizeLimit
-from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
-                              automorphism_group, build,
+from shiftcat.errors import InvalidArrow, MismatchBug, SizeLimit
+from shiftcat.karoubi import (ComparisonVerdict, KaroubiCategory,
+                              LabeledPoset, automorphism_group, build,
                               induced_functor_on_arrow,
                               induced_functor_on_idempotent,
                               iso_class_census, karoubi_vs_lu_comparison,
@@ -17,8 +18,11 @@ from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
                               retraction_order)
 from shiftcat.pseudowords import (canonical, canonical_equal, parse_term,
                                   quotient_equal)
-from shiftcat.semigroups import (FiniteSemigroup, battery, generate, green,
-                                 local_units, random_transformation_semigroup,
+from shiftcat.semigroups import (FiniteSemigroup, GreenData, NotJEquivalent,
+                                 battery, certify_retraction,
+                                 conjugation_witness, generate, green,
+                                 ideal_factors, inverse_pair, local_units,
+                                 random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup)
 from shiftcat.words import Alphabet, Word
 
@@ -228,6 +232,116 @@ def test_unit_pair_is_the_first_pair_of_the_double_loop():
             first = next(((e, f) for e in idems for f in idems
                           if t[t[e][u]][f] == u), None)
             assert karoubi._unit_pair(s, u) == first
+
+
+# -- certificates against hom-set oracles -------------------------------
+
+CORPUS = ("golden_mean", "even", "full2", "periodic_ab", "fixed_point",
+          "marker_cycle")
+RANDOM = [f"{seed}/{states}" for seed in range(30) for states in (3, 4, 5)]
+
+
+def case_semigroup(case: str) -> FiniteSemigroup:
+    """A corpus syntactic semigroup, or "seed/states" for a seeded random
+    transformation semigroup over {a, b}."""
+    if case in CORPUS:
+        return syntactic_semigroup(util.load(case))[0]
+    seed, states = map(int, case.split("/"))
+    return random_transformation_semigroup(AB, states, random.Random(seed))
+
+
+# seeded randoms of at most 200 elements (the largest has 141)
+CASES = [*CORPUS, *(c for c in RANDOM if case_semigroup(c).size <= 200)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_karoubi_layer_matches_hom_set_oracles(case):
+    s = case_semigroup(case)
+    t = s.table
+    cat = build(s)
+    assert retraction_order(cat) == oracles.brute_retraction_order(t)
+    assert iso_class_census(cat) == oracles.brute_iso_census(t)
+    for e in cat.objects:
+        for f in cat.objects:
+            out = conjugation_witness(s, e, f)
+            if oracles.brute_conjugating_pair(t, e, f) is None:
+                assert isinstance(out, NotJEquivalent)
+            else:
+                x, y = out
+                assert (t[x][y], t[y][x]) == (e, f)
+    half = random.Random(case).sample(range(s.size), s.size // 2)
+    for carrier in (range(s.size), half):
+        assert (karoubi_vs_lu_comparison(s, carrier).kind
+                == oracles.brute_karoubi_vs_lu(t, carrier))
+
+
+def test_ideal_factors_reach_exactly_the_ideal():
+    s = case_semigroup("27/5")
+    oracle = oracles.GreenOracle(s.table)
+    for v in range(0, s.size, 7):
+        factors = ideal_factors(s, v)
+        assert set(factors) == oracle.two_ideal[v]
+        for u, (l, r) in factors.items():
+            lv = v if l is None else s.product(l, v)
+            assert (lv if r is None else s.product(lv, r)) == u
+
+
+@pytest.mark.parametrize("case", ["even", "27/5"])   # 27/5 has 141 elements
+def test_karoubi_layer_needs_no_hom_set(monkeypatch, case):
+    s = case_semigroup(case)
+    t = s.table
+
+    def refuse(self, e, f):
+        raise AssertionError("hom-set materialised")
+
+    monkeypatch.setattr(KaroubiCategory, "hom", refuse)
+    cat = build(s)
+    assert retraction_order(cat) == oracles.brute_retraction_order(t)
+    assert iso_class_census(cat) == oracles.brute_iso_census(t)
+    for e in cat.objects:
+        aut = automorphism_group(cat, e)
+        assert list(aut.hclass) == oracles.brute_automorphisms(t, e)
+        assert aut.order == len(aut.hclass)
+    assert (karoubi_vs_lu_comparison(s, range(s.size)).kind
+            == oracles.brute_karoubi_vs_lu(t, range(s.size)))
+
+
+def test_a_corrupted_certificate_raises(even_sg):
+    s, _ = even_sg
+    t = s.table
+    g = green(s)
+    e, f = next((e, f) for e in s.idempotents() for f in s.idempotents()
+                if g.j_of[e] != g.j_of[f] and g.j_leq(g.j_of[e], g.j_of[f]))
+    l, r = ideal_factors(s, f)[e]
+    x = s.product(e if l is None else s.product(e, l), f)
+    y = s.product(f if r is None else s.product(f, r), e)
+    certify_retraction(t, e, f, x, y)
+    bad = [list(row) for row in t]
+    bad[x][y] = next(z for z in range(s.size) if z != e)
+    with pytest.raises(MismatchBug):
+        certify_retraction(bad, e, f, x, y)
+    # the inverse pair of a D-class, with one of its products flipped
+    e, f = next((e, f) for e in s.idempotents() for f in s.idempotents()
+                if e != f and g.j_of[e] == g.j_of[f])
+    a, a_inv = inverse_pair(s, e, f)
+    bad = [list(row) for row in t]
+    bad[a_inv][a] = e
+    with pytest.raises(MismatchBug):
+        certify_retraction(bad, f, e, a_inv, a)
+
+
+def test_retraction_order_refutes_a_wrong_j_order(monkeypatch, even_sg):
+    s, _ = even_sg
+    g = green(s)
+    dropped = max((g.j_of[e], g.j_of[f]) for e in s.idempotents()
+                  for f in s.idempotents()
+                  if g.j_of[e] != g.j_of[f]
+                  and g.j_leq(g.j_of[e], g.j_of[f]))
+    wrong = GreenData(*(getattr(g, name) for name in GreenData.__slots__[:-2]),
+                      g.j_below - {dropped}, g.regular)
+    monkeypatch.setattr(s, "_green", wrong)
+    with pytest.raises(MismatchBug):
+        retraction_order(build(s))
 
 
 # -- induced functors ------------------------------------------------------
