@@ -114,10 +114,9 @@ def _green_summary(s) -> list[dict]:
 
 
 def cmd_blocks(args) -> int:
-    from .shifts import blocks
+    from .shifts import ordered_blocks
     x = _load_shift(args.shift)
-    out = [w.as_str() for w in sorted(blocks(x, args.order),
-                                      key=lambda v: (len(v), v.lex_key()))]
+    out = [w.as_str() for w in ordered_blocks(x, args.order)]
     if args.format == "text":
         print("\n".join(out))
     else:
@@ -539,6 +538,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the flush at exit cannot raise again
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_FAIL
     except EmptyShift as e:
         print(f"error: empty shift: {e}", file=sys.stderr)
         return EXIT_EMPTY

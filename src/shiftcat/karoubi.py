@@ -26,7 +26,8 @@ from __future__ import annotations
 from .errors import InvalidArrow, MismatchBug, SizeLimit
 from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
                          green, groups_isomorphic, ideal_factors,
-                         inverse_pair, local_units, schutzenberger)
+                         inverse_pair, local_units, schutzenberger,
+                         translation_group)
 from .words import Record, _set
 
 TYPE_CHECKING = False
@@ -157,8 +158,9 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
     The units of the local monoid e·S·e are exactly the H-class of e:
     u·v = e = v·u puts u in R_e and in L_e.  Each u in H_e is verified
     to be an arrow e -> e with an inverse in H_e; the group is
-    assembled from right translations on the units and cross-checked
-    against the Schützenberger group of that H-class.
+    assembled from right translations by the units and must equal the
+    Schützenberger group of that H-class, permutation for permutation:
+    if H_e·y ⊆ H_e then e·y is in H_e and x·y = x·(e·y) on H_e.
     """
     if e not in k.objects:
         raise ValueError("not an object")
@@ -171,11 +173,8 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
                 or not any(t[u][v] == e and t[v][u] == e for v in units)):
             raise MismatchBug("the H-class of the idempotent holds a "
                               "non-unit of the local monoid")
-    pos = {u: i for i, u in enumerate(units)}
-    carrier = frozenset(tuple(pos[t[x][u]] for x in units) for u in units)
-    grp = SchutzGroup(tuple(units), carrier, len(carrier))
-    base_grp = schutzenberger(s, g.H[g.h_of[e]])
-    if groups_isomorphic(grp, base_grp) == "not-isomorphic":
+    grp = translation_group(s, tuple(units), units)
+    if grp != schutzenberger(s, units):
         raise MismatchBug("automorphism group differs from the "
                           "Schützenberger group of the H-class")
     return grp
@@ -446,34 +445,23 @@ def _arrow_schutzenberger(s: FiniteSemigroup, g, u: int, f: int) -> SchutzGroup:
 
     Composing on the right with (f, y, f) multiplies middles by y.  Each
     v ≠ u in H_u lies in u·S (v R u), say v = u·z, and y = f·z·f sends
-    u to v (y = f for v = u); the translations by these y must permute
-    H_u and form a group of order |H_u|.
+    u to v (y = f for v = u); the translations by these y must form a
+    group of order |H_u| (semigroups.translation_group).
     """
     t = s.table
     h = tuple(sorted(g.H[g.h_of[u]]))
-    pos = {x: i for i, x in enumerate(h)}
     z_of: dict[int, int] = {}
     for z, v in enumerate(t[u]):
         z_of.setdefault(v, z)
-    perms = set()
+    translators = []
     for v in h:
         if v != u and v not in z_of:
             raise MismatchBug("H-class element outside u·S")
         y = f if v == u else t[t[f][z_of[v]]][f]
-        imgs = [t[x][y] for x in h]
-        if t[u][y] != v or any(w not in pos for w in imgs):
-            raise MismatchBug("arrow translation leaves the H-class")
-        p = tuple(pos[w] for w in imgs)
-        if len(set(p)) != len(h):
-            raise MismatchBug("arrow translation is not a permutation")
-        perms.add(p)
-    for a in perms:
-        for b in perms:
-            if SchutzGroup.compose(a, b) not in perms:
-                raise MismatchBug("arrow translations are not closed")
-    if len(perms) != len(h):
-        raise MismatchBug("arrow translations are not simply transitive")
-    return SchutzGroup(h, frozenset(perms), len(perms))
+        if t[u][y] != v:
+            raise MismatchBug("arrow translation misses its H-class mate")
+        translators.append(y)
+    return translation_group(s, h, translators)
 
 
 def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:

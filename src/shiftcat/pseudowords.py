@@ -112,20 +112,17 @@ class OmegaTerm(Record):
 # -- canonical form ---------------------------------------------------
 
 
-def _flatten(alphabet: Alphabet, items: list[Item]) -> tuple[list[Item], bool]:
+def _flatten(items: list[Item]) -> list[Item]:
     out: list[Item] = []
-    changed = False
     for it in items:
         if isinstance(it, Word):
             if len(it) == 0:
-                changed = True
                 continue
             if out and isinstance(out[-1], Word):
                 out[-1] = out[-1] * it
-                changed = True
                 continue
         out.append(it)
-    return out, changed
+    return out
 
 
 def _absorb_head(w: tuple, base: tuple, q: int) -> tuple[tuple, int]:
@@ -600,7 +597,7 @@ def strip_boundary(t: OmegaTerm) -> OmegaTerm:
     t = canonical(t)
     if t.is_plain() and len(t.as_plain_word()) < 2:
         raise TooShort("need at least two letters to strip")
-    items, _ = _flatten(t.alphabet, _drop_first_item(list(t.body)))
+    items = _flatten(_drop_first_item(list(t.body)))
     return canonical(OmegaTerm(t.alphabet, tuple(_drop_last_item(items))))
 
 
@@ -696,7 +693,7 @@ def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
         else:
             items.append(Word(alphabet, to_letters(tok)))
             i += 1
-    items, _ = _flatten(alphabet, items)
+    items = _flatten(items)
     return OmegaTerm(alphabet, tuple(items))
 
 

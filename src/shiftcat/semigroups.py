@@ -14,7 +14,7 @@ import itertools
 from .errors import MismatchBug, NotIdempotent
 from .shifts import (ShiftPresentation, minimal_automaton,
                      right_cayley_graph)
-from .words import Alphabet, Record, Word, _set
+from .words import Alphabet, Record, Word, _set, word_to_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -100,9 +100,7 @@ class FiniteSemigroup:
                 "alphabet": list(self.alphabet.symbols),
                 "generators": list(self.generators),
                 "table": [list(r) for r in self.table],
-                "witnesses": {str(x): "".join(self._witness[x].letters)
-                              if self.alphabet.is_single_char()
-                              else list(self._witness[x].letters)
+                "witnesses": {str(x): word_to_json(self._witness[x])
                               for x in range(self.size)}}
 
     def to_gap(self) -> str:
@@ -419,16 +417,7 @@ class SchutzGroup(Record):
         return sorted(self.carrier)
 
     def element_orders(self) -> list[int]:
-        ident = tuple(range(len(self.hclass)))
-        out = []
-        for p in self.elements():
-            k = 1
-            cur = p
-            while cur != ident:
-                cur = SchutzGroup.compose(cur, p)
-                k += 1
-            out.append(k)
-        return sorted(out)
+        return sorted(_perm_order(p) for p in self.carrier)
 
     def is_abelian(self) -> bool:
         els = self.elements()
@@ -436,31 +425,55 @@ class SchutzGroup(Record):
                    for p in els for q in els)
 
 
-def schutzenberger(s: FiniteSemigroup, hclass) -> SchutzGroup:
-    """Right translations stabilizing the H-class, up to equal action.
+def _perm_order(p: tuple[int, ...]) -> int:
+    """The order of the permutation p."""
+    ident = tuple(range(len(p)))
+    k, cur = 1, p
+    while cur != ident:
+        cur = SchutzGroup.compose(cur, p)
+        k += 1
+    return k
 
-    The identity action (translation by the adjoined identity) is always
-    included.  The result must be a permutation group acting simply
-    transitively on H; anything else is an implementation bug.
+
+def translation_group(s: FiniteSemigroup, h: tuple[int, ...],
+                      translators) -> SchutzGroup:
+    """The right translations x ↦ x·y of the sorted H-class h by the
+    translators y, as permutations of h, with the identity added.
+
+    Each translation must permute h, and together they must be closed
+    under composition and number exactly |h|, as the Schützenberger
+    group of an H-class does (it acts simply transitively); anything
+    else is an implementation bug and raises MismatchBug.
     """
-    h = tuple(sorted(hclass))
+    t = s.table
     pos = {x: i for i, x in enumerate(h)}
-    hset = set(h)
     perms: set[tuple[int, ...]] = {tuple(range(len(h)))}
-    for y in range(s.size):
-        imgs = [s.table[x][y] for x in h]
-        if all(v in hset for v in imgs):
-            perms.add(tuple(pos[v] for v in imgs))
-    for p in perms:
+    for y in translators:
+        p = tuple(pos.get(t[x][y], -1) for x in h)
+        if -1 in p:
+            raise MismatchBug("translation leaves the H-class")
         if len(set(p)) != len(h):
-            raise MismatchBug("stabilizing translation is not a permutation")
+            raise MismatchBug("translation is not a permutation")
+        perms.add(p)
     for p in perms:
         for q in perms:
             if SchutzGroup.compose(p, q) not in perms:
-                raise MismatchBug("translation actions are not closed")
+                raise MismatchBug("translations are not closed")
     if len(perms) != len(h):
-        raise MismatchBug("Schützenberger group is not simply transitive")
+        raise MismatchBug("translation group is not simply transitive")
     return SchutzGroup(h, frozenset(perms), len(perms))
+
+
+def schutzenberger(s: FiniteSemigroup, hclass) -> SchutzGroup:
+    """Right translations stabilizing the H-class, up to equal action.
+
+    Every y in S with H·y ⊆ H is a translator (translation_group).
+    """
+    h = tuple(sorted(hclass))
+    hset = set(h)
+    t = s.table
+    return translation_group(s, h, (y for y in range(s.size)
+                                    if all(t[x][y] in hset for x in h)))
 
 
 def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
@@ -571,49 +584,25 @@ def conjugation_witness(s: FiniteSemigroup, e: int, f: int):
 # -- abstract group comparison ---------------------------------------
 
 
-def _perm_group_table(g: SchutzGroup):
-    els = g.elements()
-    idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[SchutzGroup.compose(p, q)] for q in els] for p in els]
-    return els, table
-
-
-def _table_element_orders(table) -> list[int]:
-    n = len(table)
-    ident = next(i for i in range(n)
-                 if all(table[i][j] == j for j in range(n)))
-    orders = []
-    for x in range(n):
-        k = 1
-        cur = x
-        while cur != ident:
-            cur = table[cur][x]
-            k += 1
-        orders.append(k)
-    return orders
-
-
-def _generating_set(table) -> list[int]:
-    n = len(table)
-    ident = next(i for i in range(n)
-                 if all(table[i][j] == j for j in range(n)))
-    gens: list[int] = []
-    closed = {ident}
-    for x in range(n):
-        if x in closed:
+def _generators(g: SchutzGroup) -> list[tuple[int, ...]]:
+    """The elements of g, in sorted order, that the ones before them do
+    not generate."""
+    reached = {tuple(range(len(g.hclass)))}
+    gens: list[tuple[int, ...]] = []
+    for p in g.elements():
+        if len(reached) == g.order:
+            break
+        if p in reached:
             continue
-        gens.append(x)
-        frontier = list(closed | {x})
-        closed.add(x)
+        gens.append(p)
+        frontier = list(reached)
         while frontier:
             a = frontier.pop()
-            for b in list(closed):
-                for c in (table[a][b], table[b][a]):
-                    if c not in closed:
-                        closed.add(c)
-                        frontier.append(c)
-        if len(closed) == n:
-            break
+            for q in gens:
+                b = SchutzGroup.compose(a, q)
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
     return gens
 
 
@@ -623,8 +612,8 @@ _GROUP_BRUTE_LIMIT = 64
 def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
     """'isomorphic', 'not-isomorphic', or 'invariant-equal'.
 
-    Brute-force isomorphism search up to order 64; above that only the
-    invariant vector (order, abelianness, element-order multiset) is
+    An isomorphism search on the permutations up to order 64
+    (_isomorphism_exists); above that only the invariant vector (order, abelianness, element-order multiset) is
     compared and a match is reported as the weaker verdict.
     """
     if g1.order != g2.order:
@@ -633,42 +622,44 @@ def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
         inv1 = (g1.order, g1.is_abelian(), g1.element_orders())
         inv2 = (g2.order, g2.is_abelian(), g2.element_orders())
         return "invariant-equal" if inv1 == inv2 else "not-isomorphic"
-    _, t1 = _perm_group_table(g1)
-    _, t2 = _perm_group_table(g2)
-    return "isomorphic" if _tables_isomorphic(t1, t2) else "not-isomorphic"
+    return "isomorphic" if _isomorphism_exists(g1, g2) else "not-isomorphic"
 
 
-def _tables_isomorphic(t1, t2) -> bool:
-    n = len(t1)
-    o1 = _table_element_orders(t1)
-    o2 = _table_element_orders(t2)
-    if sorted(o1) != sorted(o2):
+def _isomorphism_exists(g1: SchutzGroup, g2: SchutzGroup) -> bool:
+    """Search the images of a generating set of g1 among the elements of
+    g2 of equal order.
+
+    Each try extends the map along the generator edges a ↦ a·g from the
+    identity and is accepted when it respects every edge and is a
+    bijection.  Such a bijection is a homomorphism, by induction on the
+    length of a product of generators (the argument of Light's test in
+    FiniteSemigroup._check_associativity), so no product table is built.
+    """
+    compose = SchutzGroup.compose
+    o1 = {p: _perm_order(p) for p in g1.carrier}
+    o2 = {p: _perm_order(p) for p in g2.carrier}
+    if sorted(o1.values()) != sorted(o2.values()):
         return False
-    gens = _generating_set(t1)
-    if not gens:
-        return True
-    ident1 = next(i for i in range(n) if all(t1[i][j] == j for j in range(n)))
-    ident2 = next(i for i in range(n) if all(t2[i][j] == j for j in range(n)))
-    cands = [[y for y in range(n) if o2[y] == o1[g]] for g in gens]
+    gens = _generators(g1)
+    els2 = g2.elements()
+    cands = [[q for q in els2 if o2[q] == o1[p]] for p in gens]
+    ident1 = tuple(range(len(g1.hclass)))
+    ident2 = tuple(range(len(g2.hclass)))
     for images in itertools.product(*cands):
         phi = {ident1: ident2}
         frontier = [ident1]
         ok = True
         while frontier and ok:
             a = frontier.pop()
-            for g, img in zip(gens, images):
-                b = t1[a][g]
-                fb = t2[phi[a]][img]
-                if b in phi:
-                    if phi[b] != fb:
-                        ok = False
-                        break
-                else:
+            for p, img in zip(gens, images):
+                b = compose(a, p)
+                fb = compose(phi[a], img)
+                if b not in phi:
                     phi[b] = fb
                     frontier.append(b)
-        if not ok or len(phi) != n or len(set(phi.values())) != n:
-            continue
-        if all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
-               for a in range(n) for b in range(n)):
+                elif phi[b] != fb:
+                    ok = False
+                    break
+        if ok and len(phi) == g1.order == len(set(phi.values())):
             return True
     return False

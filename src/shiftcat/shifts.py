@@ -14,7 +14,7 @@ import math
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
                      SizeLimit)
 from .words import (Alphabet, Record, Word, _set, least_rotation,
-                    primitive_root)
+                    primitive_root, word_from_json, word_to_json)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -186,11 +186,8 @@ class ShiftPresentation:
         else:
             self._raw = None
         self._graph: LabeledGraph | None = None
-        self._blocks: dict[int, set[Word]] = {}
-        # built from _blocks[n] when first asked for: the blocks of
-        # length n in alphabet order, and their letter tuples
-        self._ordered: dict[int, list[Word]] = {}
-        self._block_letters: dict[int, set[tuple[str, ...]]] = {}
+        # the blocks of each length, letters -> Word, in alphabet order
+        self._blocks: dict[int, dict[tuple[str, ...], Word]] = {}
 
     # -- constructors -------------------------------------------------
 
@@ -250,8 +247,7 @@ class ShiftPresentation:
             kind = data["kind"]
             if kind == "sft":
                 forb = [w if isinstance(w, Word) else
-                        (Word.from_str(alphabet, w) if isinstance(w, str)
-                         else Word(alphabet, tuple(w)))
+                        word_from_json(alphabet, w)
                         for w in data.get("forbidden", [])]
                 return ShiftPresentation(alphabet, "sft", forbidden=forb)
             if kind == "sofic":
@@ -271,10 +267,8 @@ class ShiftPresentation:
 
     def to_json(self) -> dict:
         if self.kind == "sft":
-            forb = ["".join(w.letters) if self.alphabet.is_single_char()
-                    else list(w.letters) for w in self.forbidden]
             return {"alphabet": list(self.alphabet.symbols), "kind": "sft",
-                    "forbidden": forb}
+                    "forbidden": [word_to_json(w) for w in self.forbidden]}
         g = self._raw
         return {"alphabet": list(self.alphabet.symbols), "kind": "sofic",
                 "vertices": [str(v) for v in g.vertices],
@@ -328,26 +322,21 @@ def blocks(x: ShiftPresentation, n: int) -> set[Word]:
     if n < 1:
         raise ValueError("n must be positive")
     _fill_blocks(x, n)
-    return {w for m in range(1, n + 1) for w in x._blocks[m]}
+    return {w for m in range(1, n + 1) for w in x._blocks[m].values()}
 
 
 def ordered_blocks(x: ShiftPresentation, n: int) -> list[Word]:
     """The blocks of x of length between 1 and n, by length and then in
-    alphabet order; each length is sorted once per presentation."""
+    alphabet order."""
     if n < 1:
         raise ValueError("n must be positive")
     _fill_blocks(x, n)
-    out: list[Word] = []
-    for m in range(1, n + 1):
-        level = x._ordered.get(m)
-        if level is None:
-            level = x._ordered[m] = sorted(x._blocks[m], key=Word.lex_key)
-        out.extend(level)
-    return out
+    return [w for m in range(1, n + 1) for w in x._blocks[m].values()]
 
 
 def _fill_blocks(x: ShiftPresentation, n: int) -> None:
-    # extend the cache x._blocks to every length up to n
+    # extend the cache x._blocks to every length up to n; a level in
+    # alphabet order extended letter by letter in alphabet order stays so
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
         return
@@ -356,20 +345,24 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
         frontier: dict[tuple[str, ...], set[Hashable]] = {(): set(g.vertices)}
         start = 1
     else:
-        frontier = {w.letters: g.walk(set(g.vertices), w.letters)
-                    for w in x._blocks[have]}
+        frontier = {seq: g.walk(set(g.vertices), seq)
+                    for seq in x._blocks[have]}
         start = have + 1
     held = sum(len(x._blocks[m]) for m in range(1, start))
+    rank = {a: i for i, a in enumerate(x.alphabet.symbols)}
     for m in range(start, n + 1):
         nxt: dict[tuple[str, ...], set[Hashable]] = {}
         for seq, ends in frontier.items():
+            ext: dict[str, set[Hashable]] = {}
             for v in ends:
                 for (_, a, d) in g.out[v]:
-                    nxt.setdefault(seq + (a,), set()).add(d)
+                    ext.setdefault(a, set()).add(d)
+            for a in sorted(ext, key=rank.__getitem__):
+                nxt[seq + (a,)] = ext[a]
             if held + len(nxt) > _MAX_BLOCKS:
                 raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length "
                                 f"at most {n}")
-        x._blocks[m] = {Word(x.alphabet, seq) for seq in nxt}
+        x._blocks[m] = {seq: Word(x.alphabet, seq) for seq in nxt}
         held += len(nxt)
         frontier = nxt
 
@@ -562,7 +555,7 @@ def _crosscheck_irreducible(x: ShiftPresentation, verdict: bool,
     """
     g = x.graph()
     index = {s: i for i, s in enumerate(states)}
-    short = sorted(blocks(x, min(4, len(g.vertices) + 2)), key=Word.lex_key)
+    short = ordered_blocks(x, min(4, len(g.vertices) + 2))
     for u in short:
         t0 = index[frozenset(g.walk(set(g.vertices), u.letters))]
         seen = _reach(states, trans, x.alphabet.symbols, t0)
@@ -720,9 +713,7 @@ def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
     if w.alphabet != x.alphabet:
         return False
     kk = min(k, len(w))
-    level = x._block_letters.get(kk)
-    if level is None:
-        _fill_blocks(x, kk)
-        level = x._block_letters[kk] = {v.letters for v in x._blocks[kk]}
+    _fill_blocks(x, kk)
+    level = x._blocks[kk]
     ls = w.letters
     return all(ls[i:i + kk] in level for i in range(len(ls) - kk + 1))

@@ -488,6 +488,95 @@ def brute_karoubi_vs_lu(table, carrier):
     return "Iso"
 
 
+# -- groups by Cayley table -----------------------------------------------
+# The library compares permutation groups without a product table.  This
+# reference builds both n×n tables, searches generator images of equal
+# order along generator edges, and checks every product of a candidate.
+
+
+def perm_group_table(carrier):
+    """The product table of a group of permutations (tuples p with
+    p·q = (q[p[0]], q[p[1]], ...)) over its sorted elements."""
+    els = sorted(carrier)
+    idx = {p: i for i, p in enumerate(els)}
+    return [[idx[tuple(q[i] for i in p)] for q in els] for p in els]
+
+
+def _table_identity(table):
+    n = len(table)
+    return next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
+
+
+def _table_element_orders(table):
+    ident = _table_identity(table)
+    orders = []
+    for x in range(len(table)):
+        k, cur = 1, x
+        while cur != ident:
+            cur = table[cur][x]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def _table_generating_set(table):
+    n = len(table)
+    gens = []
+    closed = {_table_identity(table)}
+    for x in range(n):
+        if x in closed:
+            continue
+        gens.append(x)
+        frontier = list(closed | {x})
+        closed.add(x)
+        while frontier:
+            a = frontier.pop()
+            for b in list(closed):
+                for c in (table[a][b], table[b][a]):
+                    if c not in closed:
+                        closed.add(c)
+                        frontier.append(c)
+        if len(closed) == n:
+            break
+    return gens
+
+
+def table_groups_isomorphic(t1, t2):
+    """True iff the groups with product tables t1 and t2 are isomorphic."""
+    n = len(t1)
+    if len(t2) != n:
+        return False
+    o1 = _table_element_orders(t1)
+    o2 = _table_element_orders(t2)
+    if sorted(o1) != sorted(o2):
+        return False
+    gens = _table_generating_set(t1)
+    ident1, ident2 = _table_identity(t1), _table_identity(t2)
+    cands = [[y for y in range(n) if o2[y] == o1[g]] for g in gens]
+    for images in itertools.product(*cands):
+        phi = {ident1: ident2}
+        frontier = [ident1]
+        ok = True
+        while frontier and ok:
+            a = frontier.pop()
+            for g, img in zip(gens, images):
+                b = t1[a][g]
+                fb = t2[phi[a]][img]
+                if b in phi:
+                    if phi[b] != fb:
+                        ok = False
+                        break
+                else:
+                    phi[b] = fb
+                    frontier.append(b)
+        if not ok or len(phi) != n or len(set(phi.values())) != n:
+            continue
+        if all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
+               for a in range(n) for b in range(n)):
+            return True
+    return False
+
+
 # -- frozen corpus answers ------------------------------------------------
 # Derived from the rules above (brute_periodic_counts / series) and kept
 # as literals so a regression in the oracle itself is also caught.

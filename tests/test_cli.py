@@ -373,6 +373,25 @@ def test_term_code_reads_a_term_too_long_for_argv_from_stdin(tmp_path):
     assert report["image"] == format_term(term_block_code(cen, term))
 
 
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_is_a_one_line_error(fmt):
+    # about 0.5 MB of blocks, more than a pipe holds, so the write that
+    # finds the pipe closed happens inside the subcommand
+    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
+    with subprocess.Popen([sys.executable, "-m", "shiftcat.cli", "blocks",
+                           str(util.DATA / "full2.json"), "--order", "14",
+                           "--format", fmt],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_a_term_on_stdin_that_is_not_utf8_is_a_one_line_error(
         capsys, monkeypatch, tmp_path):
     central = tmp_path / "central.json"

@@ -261,7 +261,9 @@ def test_karoubi_layer_matches_hom_set_oracles(case):
     cat = build(s)
     assert retraction_order(cat) == oracles.brute_retraction_order(t)
     assert iso_class_census(cat) == oracles.brute_iso_census(t)
+    g = green(s)
     for e in cat.objects:
+        assert automorphism_group(cat, e) == schutzenberger(s, g.H[g.h_of[e]])
         for f in cat.objects:
             out = conjugation_witness(s, e, f)
             if oracles.brute_conjugating_pair(t, e, f) is None:

@@ -16,7 +16,9 @@ from shiftcat.semigroups import (FiniteSemigroup, NotJEquivalent,
                                  groups_isomorphic, index_and_period,
                                  local_units, omega_plus, omega_power,
                                  random_transformation_semigroup,
-                                 schutzenberger, syntactic_semigroup)
+                                 schutzenberger, syntactic_semigroup,
+                                 translation_group)
+from shiftcat.shifts import right_cayley_graph
 from shiftcat.words import Alphabet, Word
 
 AB = Alphabet(("a", "b"))
@@ -285,6 +287,116 @@ def test_groups_isomorphic_large_falls_back_to_invariants():
     z65 = schutzenberger(cyclic(65), frozenset(range(65)))
     z65b = schutzenberger(cyclic(65), frozenset(range(65)))
     assert groups_isomorphic(z65, z65b) == "invariant-equal"
+
+
+
+def random_group_h_class_groups() -> list:
+    """The Schützenberger groups of the group H-classes of seeded random
+    transformation semigroups on 2-5 states, over three letters each a
+    random permutation or a random map, one group per distinct carrier;
+    semigroups above 300 elements are skipped."""
+    abc = Alphabet(("a", "b", "c"))
+    groups = {}
+    for seed in range(80):
+        rng = random.Random(seed)
+        states = 2 + seed % 4
+        maps = []
+        for _ in abc:
+            if rng.random() < 0.5:
+                perm = list(range(states))
+                rng.shuffle(perm)
+                maps.append(tuple(perm))
+            else:
+                maps.append(tuple(rng.randrange(states)
+                                  for _ in range(states)))
+        if len(right_cayley_graph(maps)[3]) > 300:
+            continue
+        s = generate(maps, abc)
+        for h in green(s).H:
+            if any(s.is_idempotent(x) for x in h):
+                grp = schutzenberger(s, h)
+                groups.setdefault(grp.carrier, grp)
+    return list(groups.values())
+
+
+def test_groups_isomorphic_matches_the_table_search():
+    groups = random_group_h_class_groups()
+    orders = {grp.order for grp in groups}
+    assert {6, 24, 60} <= orders and max(orders) > 64
+    tables = {grp.carrier: oracles.perm_group_table(grp.carrier)
+              for grp in groups}
+    for g1 in groups:
+        for g2 in groups:
+            iso = oracles.table_groups_isomorphic(tables[g1.carrier],
+                                                  tables[g2.carrier])
+            if not iso:
+                expected = "not-isomorphic"
+            elif g1.order > 64:
+                expected = "invariant-equal"
+            else:
+                expected = "isomorphic"
+            assert groups_isomorphic(g1, g2) == expected, (g1, g2)
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _permutation_group(gens):
+    """The group a list of permutations generates, as the Schützenberger
+    group of its only H-class."""
+    s = generate(gens, Alphabet(tuple("abc"[:len(gens)])))
+    assert green(s).H == (frozenset(range(s.size)),)
+    return schutzenberger(s, range(s.size))
+
+
+def test_groups_isomorphic_tells_apart_equal_element_orders():
+    # Z4×Z4 and Z2×Q8 both have one element of order 1, three of order
+    # 2 and twelve of order 4; only the search can tell them apart.
+    z4z4 = _permutation_group([(1, 2, 3, 0, 4, 5, 6, 7),
+                               (0, 1, 2, 3, 5, 6, 7, 4)])
+    units = [tuple(sign if i == k else 0 for i in range(4))
+             for k in range(4) for sign in (1, -1)]
+    i, j = units[2], units[4]
+    z2q8 = _permutation_group(
+        [tuple(units.index(_quaternion_product(x, y)) for x in units)
+         + (8, 9) for y in (i, j)] + [tuple(range(8)) + (9, 8)])
+    assert z4z4.order == z2q8.order == 16
+    assert z4z4.element_orders() == z2q8.element_orders()
+    assert not oracles.table_groups_isomorphic(
+        oracles.perm_group_table(z4z4.carrier),
+        oracles.perm_group_table(z2q8.carrier))
+    assert groups_isomorphic(z4z4, z2q8) == "not-isomorphic"
+    assert groups_isomorphic(z2q8, z4z4) == "not-isomorphic"
+    assert groups_isomorphic(z4z4, z4z4) == "isomorphic"
+    assert groups_isomorphic(z2q8, z2q8) == "isomorphic"
+
+
+def test_translation_group_rejects_what_is_not_a_group():
+    z4 = cyclic(4)
+    a = z4.eval_word("a")
+    with pytest.raises(MismatchBug, match="leaves"):
+        translation_group(z4, (0, 1), [a])
+    with pytest.raises(MismatchBug, match="simply transitive"):
+        translation_group(z4, tuple(range(4)), [z4.eval_word("aa")])
+    s3 = generate([(1, 0, 2), (1, 2, 0)], AB)
+    transpositions = [x for x in range(s3.size)
+                      if not s3.is_idempotent(x) and s3.is_idempotent(
+                          s3.product(x, x))]
+    with pytest.raises(MismatchBug, match="not closed"):
+        translation_group(s3, tuple(range(6)), transpositions[:2])
+    right_zero = FiniteSemigroup([[0, 1], [0, 1]], [0, 1],
+                                 {0: Word(AB, ("a",)), 1: Word(AB, ("b",))},
+                                 AB)
+    with pytest.raises(MismatchBug, match="not a permutation"):
+        translation_group(right_zero, (0, 1), [0])
+    assert translation_group(z4, tuple(range(4)), range(4)) == \
+        schutzenberger(z4, range(4))
 
 
 # -- local units -------------------------------------------------------------
