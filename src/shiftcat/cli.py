@@ -5,15 +5,17 @@ computations, and emits deterministic JSON/DOT/text reports.  Exit
 codes: 0 success, 1 failed check or runtime error, 2 empty shift,
 3 non-integral zeta coefficient, 64 usage error.
 
-Each subcommand imports the library modules it runs when it is called,
-so a process loads only those.
+Arguments are read against one table, `_COMMANDS`, which also gives
+the --help text.  Each subcommand imports the library modules it runs
+when it is called, so a process loads only those.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import EmptyShift, NonIntegralCoefficient, ShiftcatError
@@ -28,12 +30,6 @@ EXIT_FAIL = 1
 EXIT_EMPTY = 2
 EXIT_NONINTEGRAL = 3
 EXIT_USAGE = 64
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(f"usage error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
 
 
 def _load_json(path: str):
@@ -85,9 +81,12 @@ def _report(schema: str, **fields) -> dict:
 
 
 def _term_text(arg: str) -> str:
-    """The term argument, or standard input when it is "-": Linux caps
-    one argv argument at 128 KiB, shorter than a long term."""
-    return sys.stdin.buffer.read().decode("utf-8") if arg == "-" else arg
+    """The term or word argument, or standard input less its surrounding
+    whitespace when it is "-": Linux caps one argv argument at 128 KiB,
+    shorter than a long term."""
+    if arg != "-":
+        return arg
+    return sys.stdin.buffer.read().decode("utf-8").strip()
 
 
 def _is_term_text(text: str) -> bool:
@@ -128,10 +127,11 @@ def cmd_member(args) -> int:
     if args.bound < 1:
         raise ValueError("--bound must be positive")
     x = _load_shift(args.shift)
-    if _is_term_text(args.text):
+    text = _term_text(args.text)
+    if _is_term_text(text):
         from .pseudowords import (closure_membership, format_term,
                                   mirage_membership, parse_term)
-        t = parse_term(x.alphabet, args.text)
+        t = parse_term(x.alphabet, text)
         mir = {str(k): mirage_membership(t, x, k)
                for k in range(1, args.bound + 1)}
         _emit(_report("member", term=format_term(t),
@@ -139,7 +139,7 @@ def cmd_member(args) -> int:
                       mirage_membership=mir))
     else:
         from .shifts import is_block
-        w = x.word(args.text)
+        w = x.word(text)
         _emit(_report("member", word=w.as_str(), is_block=is_block(x, w)))
     return EXIT_OK
 
@@ -296,10 +296,10 @@ def cmd_classify(args) -> int:
     from .pseudowords import parse_term
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
-    b = ctx.target.alphabet
-    w = (parse_term(b, args.text) if _is_term_text(args.text)
-         else ctx.target.word(args.text))
-    _emit(_report("classify", input=args.text,
+    text = _term_text(args.text)
+    w = (parse_term(ctx.target.alphabet, text) if _is_term_text(text)
+         else ctx.target.word(text))
+    _emit(_report("classify", input=text,
                   type=classify_type(w, ctx)))
     return EXIT_OK
 
@@ -448,94 +448,224 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+# -- the command table ---------------------------------------------------
+# Each subcommand: (handler, help line, positionals, options).  A
+# positional or option maps its name to (kind, default): kind is str,
+# int or a tuple of choices, and the default is _REQUIRED for an
+# argument that must be given.  Only the last positional may be
+# optional.  The handler reads each argument as the attribute of its
+# name without dashes.
+
+_REQUIRED = object()
+_SHIFT = {"shift": (str, _REQUIRED)}
+_TEXT = {"text": (str, _REQUIRED)}
+_ORDER = {"--order": (int, _REQUIRED)}
+_LETTER = {"--letter": (str, _REQUIRED), "--diamond": (str, "o")}
+
+_COMMANDS = {
+    "blocks": (cmd_blocks, "blocks of a shift up to a length", _SHIFT,
+               {**_ORDER, "--format": (("json", "text"), "json")}),
+    "member": (cmd_member, 'block or closure membership ("-": text on stdin)',
+               {**_SHIFT, **_TEXT}, {"--bound": (int, 4)}),
+    "irreducible": (cmd_irreducible, "irreducibility test", _SHIFT, {}),
+    "periodic": (cmd_periodic, "periodic point counts", _SHIFT, _ORDER),
+    "zeta": (cmd_zeta, "zeta series coefficients", _SHIFT, _ORDER),
+    "syntactic": (cmd_syntactic, "syntactic semigroup", _SHIFT, {}),
+    "green": (cmd_green, "Green's relations summary", _SHIFT, {}),
+    "karoubi": (cmd_karoubi, "Karoubi envelope report", _SHIFT, {}),
+    "lu-poset": (cmd_lu_poset, "labeled local-unit poset", _SHIFT,
+                 {"--carrier": (("accept", "all"), "accept"),
+                  "--format": (("json", "dot"), "json")}),
+    "code": (cmd_code, "block-code operations",
+             {"action": (("apply", "compose", "centralize"), _REQUIRED),
+              "code": (str, _REQUIRED), "second": (str, None)}, {}),
+    "term": (cmd_term, 'ω-term operations ("-": term on stdin)',
+             {"action": (("eval", "factors", "code"), _REQUIRED),
+              "source": (str, _REQUIRED), "term": (str, _REQUIRED)},
+             {"--bound": (int, 4)}),
+    "expand": (cmd_expand, "symbol expansion of a shift", _SHIFT,
+               {**_LETTER, "--format": (("json", "dot"), "json")}),
+    "classify": (cmd_classify, 'five-type classification ("-": text on '
+                 'stdin)', {**_SHIFT, **_TEXT}, _LETTER),
+    "flowcheck": (cmd_flowcheck, "naturality verification", _SHIFT,
+                  {**_LETTER, "--bound": (int, 4), "--seed": (int, None)}),
+    "check": (cmd_check, "run a named invariant suite",
+              {"suite": (str, _REQUIRED)}, {"--seed": (int, None)}),
+}
+
 # -- argument parsing ----------------------------------------------------
+# argparse's reading of the table, without building a parser per command:
+# options may come before, between or after positionals, as "--opt v" or
+# "--opt=v" or by a unique prefix; "--" ends the options.
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="shiftcat", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    pass
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(func=fn)
-        return sp
 
-    sp = add("blocks", cmd_blocks, help="blocks of a shift up to a length")
-    sp.add_argument("shift")
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--format", choices=["json", "text"], default="json")
+_HELP = ("-h", "--help")
 
-    sp = add("member", cmd_member, help="block or closure membership")
-    sp.add_argument("shift")
-    sp.add_argument("text")
-    sp.add_argument("--bound", type=int, default=4)
 
-    sp = add("irreducible", cmd_irreducible, help="irreducibility test")
-    sp.add_argument("shift")
+def _option(tok: str, names) -> tuple[str | None, str | None] | None:
+    """None when tok is a positional ("-", "-1" and text with a space
+    are), else (the option it names or None if unknown, its "=" value)."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok in names:
+        return tok, None
+    if tok[1] != "-":                    # "-hx" and "-h=x" name -h
+        if tok[:2] in names:
+            return tok[:2], tok[2:].removeprefix("=")
+    else:
+        name, eq, value = tok.partition("=")
+        found = ([name] if name in names
+                 else [n for n in names if n.startswith(name)])
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {tok} could match "
+                              f"{', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    negative = re.match(r"^-\d+$|^-\d*\.\d+$", tok)
+    return None if negative or " " in tok else (None, None)
 
-    sp = add("periodic", cmd_periodic, help="periodic point counts")
-    sp.add_argument("shift")
-    sp.add_argument("--order", type=int, required=True)
 
-    sp = add("zeta", cmd_zeta, help="zeta series coefficients")
-    sp.add_argument("shift")
-    sp.add_argument("--order", type=int, required=True)
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid int value: "
+                              f"{text!r}") from None
+    if kind is not str and text not in kind:
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} "
+                          f"(choose from {', '.join(map(repr, kind))})")
+    return text
 
-    sp = add("syntactic", cmd_syntactic, help="syntactic semigroup")
-    sp.add_argument("shift")
 
-    sp = add("green", cmd_green, help="Green's relations summary")
-    sp.add_argument("shift")
+def _flag(name: str, value: str | None, text: str) -> SimpleNamespace:
+    """-h, --help and --version: they take no value and print text."""
+    if value is not None:
+        shown = "/".join(_HELP) if name in _HELP else name
+        raise _UsageError(f"argument {shown}: ignored explicit argument "
+                          f"{value!r}")
+    return SimpleNamespace(func=_print_text, text=text)
 
-    sp = add("karoubi", cmd_karoubi, help="Karoubi envelope report")
-    sp.add_argument("shift")
 
-    sp = add("lu-poset", cmd_lu_poset, help="labeled local-unit poset")
-    sp.add_argument("shift")
-    sp.add_argument("--carrier", choices=["accept", "all"], default="accept")
-    sp.add_argument("--format", choices=["json", "dot"], default="json")
+def _parse(argv: list[str]) -> SimpleNamespace:
+    extras: list[str] = []
+    for i, tok in enumerate(argv):
+        opt = None if tok == "--" else _option(tok, (*_HELP, "--version"))
+        if opt is None:
+            break
+        if opt[0] is not None:
+            return _flag(*opt, _help() if opt[0] in _HELP else __version__)
+        extras.append(tok)
+    else:
+        raise _UsageError("the following arguments are required: command")
+    command = _value("command", tuple(_COMMANDS), tok)
+    func, _, positionals, options = _COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func)
+    for name, (_, default) in (positionals | options).items():
+        setattr(args, name.lstrip("-"),
+                None if default is _REQUIRED else default)
+    names = (*_HELP, *options)
+    pending = list(positionals.items())
+    given = set()
+    run: list[str] = []
 
-    sp = add("code", cmd_code, help="block-code operations")
-    sp.add_argument("action", choices=["apply", "compose", "centralize"])
-    sp.add_argument("code")
-    sp.add_argument("second", nargs="?")
+    def take() -> None:
+        # a run of positionals fills the pending ones in order; as in
+        # argparse, the optional last one is settled by the run that
+        # fills every one before it, and what is left over is unknown
+        while pending:
+            name, (kind, default) = pending[0]
+            if not run and default is _REQUIRED:
+                break
+            del pending[0]
+            if run:
+                setattr(args, name, _value(name, kind, run.pop(0)))
+        extras.extend(run)
+        run.clear()
 
-    sp = add("term", cmd_term, help="ω-term operations")
-    sp.add_argument("action", choices=["eval", "factors", "code"])
-    sp.add_argument("source")
-    sp.add_argument("term", help='ω-term, or "-" to read it from stdin')
-    sp.add_argument("--bound", type=int, default=4)
+    tokens = iter(argv[i + 1:])
+    for tok in tokens:
+        if tok == "--":                  # the rest is positional
+            run.extend(tokens)
+            break
+        opt = _option(tok, names)
+        if opt is None:
+            run.append(tok)
+            continue
+        take()
+        name, value = opt
+        if name in _HELP:
+            return _flag(name, value, _help(command))
+        if name is None:
+            extras.append(tok)
+            continue
+        if value is None:
+            value = next(tokens, "--")
+            if value == "--" or _option(value, names) is not None:
+                raise _UsageError(f"argument {name}: expected one argument")
+        setattr(args, name.lstrip("-"), _value(name, options[name][0], value))
+        given.add(name)
+    take()
+    missing = [name for name, (_, default) in pending if default is _REQUIRED]
+    missing += [name for name, (_, default) in options.items()
+                if default is _REQUIRED and name not in given]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          f"{', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
-    sp = add("expand", cmd_expand, help="symbol expansion of a shift")
-    sp.add_argument("shift")
-    sp.add_argument("--letter", required=True)
-    sp.add_argument("--diamond", default="o")
-    sp.add_argument("--format", choices=["json", "dot"], default="json")
 
-    sp = add("classify", cmd_classify, help="five-type classification")
-    sp.add_argument("shift")
-    sp.add_argument("text")
-    sp.add_argument("--letter", required=True)
-    sp.add_argument("--diamond", default="o")
+def _metavar(name: str, kind) -> str:
+    if kind is str or kind is int:
+        return name.lstrip("-").upper() if name[0] == "-" else name
+    return "{" + ",".join(kind) + "}"
 
-    sp = add("flowcheck", cmd_flowcheck, help="naturality verification")
-    sp.add_argument("shift")
-    sp.add_argument("--letter", required=True)
-    sp.add_argument("--diamond", default="o")
-    sp.add_argument("--bound", type=int, default=4)
-    sp.add_argument("--seed", type=int)
 
-    sp = add("check", cmd_check, help="run a named invariant suite")
-    sp.add_argument("suite")
-    sp.add_argument("--seed", type=int)
+def _help(command: str | None = None) -> str:
+    """The --help text, generated from the command table."""
+    if command is None:
+        width = max(map(len, _COMMANDS)) + 2
+        return "\n".join([
+            "usage: shiftcat [-h] [--version] <command> ...", "",
+            *(__doc__ or "").split("\n\n")[1:2], "", "commands:",
+            *(f"  {name:{width}}{entry[1]}"
+              for name, entry in _COMMANDS.items()), "",
+            "options:", "  -h, --help  show this help and exit",
+            "  --version   show the version and exit", "",
+            "`shiftcat <command> --help` lists the arguments of a command."])
+    _, about, positionals, options = _COMMANDS[command]
+    usage, rows = [f"usage: shiftcat {command} [-h]"], []
+    for name, (kind, default) in (positionals | options).items():
+        shown = _metavar(name, kind)
+        if name[0] == "-":
+            shown = f"{name} {shown}"
+        usage.append(shown if default is _REQUIRED else f"[{shown}]")
+        rows.append((shown, "required" if default is _REQUIRED else
+                     "" if default is None else f"default: {default}"))
+    width = max(len(shown) for shown, _ in rows) + 2
+    return "\n".join([" ".join(usage), "", about, "", "arguments:",
+                      *(f"  {shown:{width}}{note}".rstrip()
+                        for shown, note in rows),
+                      f"  {'-h, --help':{width}}show this help and exit"])
 
-    return p
+
+def _print_text(args) -> int:
+    print(args.text)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -316,8 +316,8 @@ _MAX_BLOCKS = 200_000
 def blocks(x: ShiftPresentation, n: int) -> set[Word]:
     """All blocks of x of length between 1 and n.
 
-    Raises SizeLimit as soon as more than _MAX_BLOCKS of them would be
-    held.
+    Raises SizeLimit, before enumerating any, when there are more than
+    _MAX_BLOCKS of them.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -340,6 +340,9 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
         return
+    if _more_blocks_than(x, n, _MAX_BLOCKS):
+        raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length at "
+                        f"most {n}")
     g = x.graph()
     if have == 0:
         frontier: dict[tuple[str, ...], set[Hashable]] = {(): set(g.vertices)}
@@ -348,7 +351,6 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
         frontier = {seq: g.walk(set(g.vertices), seq)
                     for seq in x._blocks[have]}
         start = have + 1
-    held = sum(len(x._blocks[m]) for m in range(1, start))
     rank = {a: i for i, a in enumerate(x.alphabet.symbols)}
     for m in range(start, n + 1):
         nxt: dict[tuple[str, ...], set[Hashable]] = {}
@@ -359,12 +361,46 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
                     ext.setdefault(a, set()).add(d)
             for a in sorted(ext, key=rank.__getitem__):
                 nxt[seq + (a,)] = ext[a]
-            if held + len(nxt) > _MAX_BLOCKS:
-                raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length "
-                                f"at most {n}")
         x._blocks[m] = {seq: Word(x.alphabet, seq) for seq in nxt}
-        held += len(nxt)
         frontier = nxt
+
+
+def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
+    """Whether x has more than cap blocks of length at most n, counted
+    without enumerating them.  Every block labels a path of the trimmed
+    graph, so the paths of length at most n bound the blocks, in
+    O(|E|·n); only when they exceed cap are the blocks counted exactly,
+    as the words of length m that walk the minimal automaton from its
+    initial state to a state other than the sink."""
+    g = x.graph()
+    paths = dict.fromkeys(g.vertices, 1)     # paths of length m ending at v
+    total = 0
+    for _ in range(n):
+        nxt = dict.fromkeys(g.vertices, 0)
+        for s, _, d in g.edges:
+            nxt[d] += paths[s]
+        paths = nxt
+        total += sum(paths.values())
+        if total > cap:
+            break
+    else:
+        return False
+    maps, initial, sink = minimal_automaton(x)
+    words = [0] * len(maps[0])               # words of length m reaching s
+    words[initial] = 1
+    total = 0
+    for _ in range(n):
+        nxt = [0] * len(words)
+        for t in maps:
+            for s, c in enumerate(words):
+                nxt[t[s]] += c
+        if sink is not None:
+            nxt[sink] = 0
+        words = nxt
+        total += sum(words)
+        if total > cap:
+            return True
+    return False
 
 
 def is_block(x: ShiftPresentation, w: Word) -> bool:

@@ -8,7 +8,9 @@ independent derivations against each other.
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import sys
 from fractions import Fraction
 
 import sympy
@@ -575,6 +577,83 @@ def table_groups_isomorphic(t1, t2):
                for a in range(n) for b in range(n)):
             return True
     return False
+
+
+# -- the command line as argparse reads it ----------------------------------
+# The argparse form of the shiftcat command table: `vars()` of its parse
+# is what the table-driven parser in shiftcat.cli must set, less `func`.
+
+
+class _UsageParser(argparse.ArgumentParser):
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(64)
+
+
+def argparse_parser(version: str) -> argparse.ArgumentParser:
+    p = _UsageParser(prog="shiftcat")
+    p.add_argument("--version", action="version", version=version)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("blocks")
+    sp.add_argument("shift")
+    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--format", choices=["json", "text"], default="json")
+
+    sp = sub.add_parser("member")
+    sp.add_argument("shift")
+    sp.add_argument("text")
+    sp.add_argument("--bound", type=int, default=4)
+
+    sub.add_parser("irreducible").add_argument("shift")
+
+    for name in ("periodic", "zeta"):
+        sp = sub.add_parser(name)
+        sp.add_argument("shift")
+        sp.add_argument("--order", type=int, required=True)
+
+    for name in ("syntactic", "green", "karoubi"):
+        sub.add_parser(name).add_argument("shift")
+
+    sp = sub.add_parser("lu-poset")
+    sp.add_argument("shift")
+    sp.add_argument("--carrier", choices=["accept", "all"], default="accept")
+    sp.add_argument("--format", choices=["json", "dot"], default="json")
+
+    sp = sub.add_parser("code")
+    sp.add_argument("action", choices=["apply", "compose", "centralize"])
+    sp.add_argument("code")
+    sp.add_argument("second", nargs="?")
+
+    sp = sub.add_parser("term")
+    sp.add_argument("action", choices=["eval", "factors", "code"])
+    sp.add_argument("source")
+    sp.add_argument("term")
+    sp.add_argument("--bound", type=int, default=4)
+
+    sp = sub.add_parser("expand")
+    sp.add_argument("shift")
+    sp.add_argument("--letter", required=True)
+    sp.add_argument("--diamond", default="o")
+    sp.add_argument("--format", choices=["json", "dot"], default="json")
+
+    sp = sub.add_parser("classify")
+    sp.add_argument("shift")
+    sp.add_argument("text")
+    sp.add_argument("--letter", required=True)
+    sp.add_argument("--diamond", default="o")
+
+    sp = sub.add_parser("flowcheck")
+    sp.add_argument("shift")
+    sp.add_argument("--letter", required=True)
+    sp.add_argument("--diamond", default="o")
+    sp.add_argument("--bound", type=int, default=4)
+    sp.add_argument("--seed", type=int)
+
+    sp = sub.add_parser("check")
+    sp.add_argument("suite")
+    sp.add_argument("--seed", type=int)
+    return p
 
 
 # -- frozen corpus answers ------------------------------------------------

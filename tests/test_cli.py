@@ -14,12 +14,16 @@ import time
 
 import pytest
 
+import oracles
 import util
-from shiftcat import cli, shifts
+from shiftcat import __version__, cli, shifts
 from shiftcat.codes import (block_map_to_json, centralize,
                             higher_block_map, lambda_first_letter)
 from shiftcat.errors import NonIntegralCoefficient
-from shiftcat.pseudowords import format_term, parse_term, term_block_code
+from shiftcat.flowops import classify_type, expand_shift
+from shiftcat.pseudowords import (closure_membership, format_term,
+                                  mirage_membership, parse_term,
+                                  term_block_code)
 from shiftcat.shifts import ShiftPresentation, periodic_counts
 from shiftcat.words import Alphabet
 
@@ -270,7 +274,7 @@ MALFORMED = {
 FULL2 = str(util.DATA / "full2.json")
 
 
-@pytest.mark.parametrize("argv, expected", [
+MALFORMED_ARGVS = [
     (["zeta", "<directory>", "--order", "3"], 1),
     (["code", "compose", "<directory>", "<even>"], 1),
     (["karoubi", "<not-utf8>"], 1),
@@ -296,7 +300,12 @@ FULL2 = str(util.DATA / "full2.json")
     (["blocks", "<even>", "--order", "x"], 64),
     (["member", "<even>"], 64),
     (["check", "flow-naturality", "--seed", "x"], 64),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+]
+
+
+@pytest.mark.parametrize("argv, expected", MALFORMED_ARGVS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else str(v))
 def test_malformed_input_is_a_one_line_error(capsys, tmp_path, argv,
                                              expected):
     paths = {"<directory>": str(tmp_path), "<even>": EVEN}
@@ -362,15 +371,58 @@ def test_term_code_reads_a_term_too_long_for_argv_from_stdin(tmp_path):
                      else letters)
     text = " ".join(parts) + "\n"
     assert len(text.encode()) > 140_000       # over Linux's 128 KiB argv cap
-    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-m", "shiftcat.cli", "term",
-                           "code", str(central), "-"], input=text.encode(),
-                          capture_output=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = pipe(["term", "code", str(central), "-"], text)
     term = parse_term(cen.source, text)
     assert report["term"] == format_term(term)
     assert report["image"] == format_term(term_block_code(cen, term))
+
+
+def pipe(argv, text):
+    """The JSON report of a fresh `shiftcat` process with text on stdin."""
+    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "shiftcat.cli", *argv],
+                          input=text.encode(), capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_member_and_classify_read_a_term_too_long_for_argv_from_stdin():
+    rng = random.Random(8)
+    parts = []
+    for i in range(22000):
+        letters = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+        parts.append(f"({letters})^(w{rng.randint(-2, 2):+d})" if i % 2
+                     else letters)
+    text = " ".join(parts) + "\n"
+    assert len(text.encode()) > 140_000
+    x = util.load("even")
+    term = parse_term(x.alphabet, text)
+    report = pipe(["member", EVEN, "-"], text)
+    assert report["term"] == format_term(term)
+    assert report["closure_membership"] == closure_membership(term, x)
+    assert report["mirage_membership"] == {
+        str(k): mirage_membership(term, x, k) for k in range(1, 5)}
+
+    # units that start after an a of the expansion and end in one, so
+    # that every factor of length 2 is a block of the expanded shift
+    units = ["(o b b a)^w", "o b b a", "(o a)^w", "o a",
+             "(o b b b b a)^(w+1)", "o b b b b a"]
+    text = " ".join(rng.choice(units) for _ in range(14000)) + "\n"
+    assert len(text.encode()) > 140_000
+    ctx = expand_shift(x, "a")
+    report = pipe(["classify", EVEN, "-", "--letter", "a"], text)
+    assert report["input"] == text.strip()
+    assert report["type"] == classify_type(
+        parse_term(ctx.target.alphabet, text), ctx)
+
+
+def test_member_reads_a_word_from_stdin(capsys, monkeypatch):
+    for word, is_block in (("abba", True), ("aba", False)):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(f"{word}\n".encode())))
+        report = run_json(capsys, "member", EVEN, "-")
+        assert (report["word"], report["is_block"]) == (word, is_block)
 
 
 
@@ -398,6 +450,17 @@ def test_a_term_on_stdin_that_is_not_utf8_is_a_one_line_error(
     central.write_text(json.dumps(block_map_to_json(higher_block_map(AB, 2))))
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\xff")))
     code, out, err = run(capsys, "term", "code", str(central), "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["member", EVEN, "-"],
+                                  ["classify", EVEN, "-", "--letter", "a"]],
+                         ids=lambda argv: argv[0])
+def test_a_text_on_stdin_that_is_not_utf8_is_a_one_line_error(
+        capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\xff")))
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -458,6 +521,92 @@ def test_reports_match_golden_digests(capsys, tmp_path, case):
     code, out, _ = run(capsys, *argv)
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
+# -- the command table against argparse --------------------------------
+
+PARSE_EDGES = [
+    ["blocks", "--ord", "3", "x.json"],
+    ["blocks", "--order=2", "--format=text", "x.json"],
+    ["flowcheck", "x.json", "--l", "a", "--b=2", "--s", "7", "--d=q"],
+    ["lu-poset", "x.json", "--c", "all", "--f=dot"],
+    ["expand", "--letter", "a", "--format", "dot", "x.json"],
+    ["blocks", "x.json", "--order", "2", "--order", "3"],
+    ["term", "code", "m.json", "-", "--bound", "2"],
+    ["member", "x.json", "-", "--bound=-1"],
+    ["member", "x.json", "(a)^w", "--bound", "-1"],
+    ["zeta", "-", "--order", "-2"],
+    ["expand", "x.json", "--letter", "-1", "--diamond="],
+    ["member", "x.json", "- a"],
+    ["code", "apply", "c.json", "x.json"],
+    ["code", "centralize", "c.json"],
+    ["blocks", "--order", "2", "--", "-x.json"],
+    ["zeta", "x.json", "--order", "3", "--bogus"],
+    ["--bogus", "zeta", "x.json", "--order", "3"],
+    ["code", "apply", "c.json", "--bogus", "x.json"],
+    ["irreducible", "a.json", "b.json", "--bogus"],
+    ["member", "x.json", "-ab"],
+    ["zeta", "x.json"],
+    ["classify", "x.json", "ab"],
+    ["blocks"],
+    [],
+    ["bogus"],
+    ["--", "zeta", "x.json"],
+    ["code", "bogus", "c.json"],
+    ["lu-poset", "x.json", "--carrier", "none"],
+    ["blocks", "x.json", "--order", "two"],
+    ["check", "census-coherence", "--seed", "1.5"],
+    ["zeta", "x.json", "--order"],
+    ["zeta", "x.json", "--order", "--", "3"],
+    ["expand", "x.json", "--letter", "--format", "dot"],
+    ["--help=x"],
+    ["zeta", "x.json", "--order", "3", "-hx"],
+]
+
+
+def _argvs_to_compare():
+    return ([case["argv"] for case in _golden_reports()]
+            + [argv for argv, _ in MALFORMED_ARGVS] + PARSE_EDGES)
+
+
+@pytest.mark.parametrize("argv", _argvs_to_compare(), ids=" ".join)
+def test_the_command_table_parses_as_argparse_did(capsys, argv):
+    try:
+        expected = vars(oracles.argparse_parser(__version__).parse_args(argv))
+    except SystemExit as ex:
+        expected = (ex.code, capsys.readouterr().err)
+    try:
+        got = vars(cli._parse(argv))
+    except cli._UsageError:
+        code, out, err = run(capsys, *argv)
+        assert out == ""
+        got = (code, err)
+    else:
+        func = got.pop("func")
+        assert func is getattr(cli, "cmd_" + got["command"].replace("-", "_"))
+    assert got == expected
+
+
+def test_help_lists_every_command_and_option(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert run(capsys, "-h")[1] == out
+    commands = (oracles.argparse_parser(__version__)
+                ._subparsers._group_actions[0].choices)
+    assert list(commands) == list(cli._COMMANDS)
+    for name, parser in commands.items():
+        assert f"\n  {name} " in out
+        code, text, err = run(capsys, name, "--help")
+        assert (code, err) == (0, "")
+        assert text.startswith(f"usage: shiftcat {name} [-h] ")
+        assert run(capsys, name, "-h")[1] == text
+        for option in parser._option_string_actions:
+            assert f" {option}" in text, (name, option)
+
+
+def test_version(capsys):
+    assert run(capsys, "--version") == (0, f"{__version__}\n", "")
+    assert run(capsys, "--vers", "zeta") == (0, f"{__version__}\n", "")
 
 
 # -- check suites ---------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 EVEN = str(ROOT / "tests" / "data" / "even.json")
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "typing", "random"}
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "typing", "random",
+         "argparse", "gettext", "locale"}
 
 PROBE = """
 import io, sys

@@ -63,11 +63,53 @@ def test_blocks_refuse_to_hold_more_than_the_limit(monkeypatch):
     with pytest.raises(SizeLimit, match="^more than 125 blocks of length "
                                         "at most 6$"):
         blocks(x, 6)
-    assert sum(map(len, x._blocks.values())) == 62  # lengths 1-5 only
+    assert x._blocks == {}            # counted, not enumerated
     # blocks cached by an earlier call count against the limit too
     monkeypatch.setattr(shifts, "_MAX_BLOCKS", 100)
+    assert len(blocks(x, 5)) == 62
     with pytest.raises(SizeLimit):
         blocks(x, 6)
+    assert sorted(x._blocks) == [1, 2, 3, 4, 5]
+
+
+def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
+    # the count must refuse at total - 1 and pass at total, where total
+    # is what an unbounded enumeration holds; random sofic graphs have
+    # words labeling several paths, so the path bound is not exact
+    rng = random.Random(77)
+    cases = [util.load(name) for name in CORPUS]
+    cases += [random_sofic(rng, v) for v in (2, 3, 4, 5, 6) for _ in range(3)]
+    for x in cases:
+        for n in (1, 2, 5, 7):
+            monkeypatch.undo()
+            total = len(blocks(ShiftPresentation.from_json(x.to_json()), n))
+            monkeypatch.setattr(shifts, "_MAX_BLOCKS", total - 1)
+            y = ShiftPresentation.from_json(x.to_json())
+            with pytest.raises(SizeLimit):
+                blocks(y, n)
+            assert y._blocks == {}
+            monkeypatch.setattr(shifts, "_MAX_BLOCKS", total)
+            assert len(blocks(y, n)) == total
+
+
+def test_blocks_under_the_path_bound_build_no_automaton(monkeypatch):
+    def unused(x):
+        raise AssertionError("minimal_automaton called")
+
+    monkeypatch.setattr(shifts, "minimal_automaton", unused)
+    assert len(blocks(util.load("full2"), 12)) == 8190
+    assert len(blocks(util.load("even"), 12)) > 0
+
+
+def test_many_paths_per_word_are_not_refused():
+    # 20 vertices joined by a-edges both ways: 20·20^n paths of length n
+    # but one block a^n, far below the limit
+    a = Alphabet(("a",))
+    verts = [str(i) for i in range(20)]
+    x = ShiftPresentation.sofic(a, verts,
+                                [(u, "a", v) for u in verts for v in verts])
+    assert [w.as_str() for w in shifts.ordered_blocks(x, 200)] == [
+        "a" * m for m in range(1, 201)]
 
 
 # -- irreducibility --------------------------------------------------------
