@@ -1,5 +1,4 @@
-"""Block maps, word block codes, and their action on presentations and
-periodic points.
+"""Block maps, word block codes, and their action on presentations.
 
 A block map is a total table A^N -> B together with a split of the
 window into memory m and anticipation n (m + n + 1 = N); the induced
@@ -13,7 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .shifts import LabeledGraph, PeriodicPoint, ShiftPresentation, trim_graph
+from .errors import SizeLimit
+from .shifts import LabeledGraph, ShiftPresentation, trim_graph
 from .words import Alphabet, Record, Word, _set
 
 
@@ -83,8 +83,23 @@ class CentralBlockMap(Record):
     def target(self) -> Alphabet:
         return self.inner.target
 
-    def word(self, u: Word) -> Word:
-        return word_code(self.inner, u)
+
+# The most windows `centralize` and `compose` will tabulate: up to
+# about 30 MiB of table and 0.6 s of work.  The test suite reaches at
+# most 512 (a composite of wing 4 over two letters), the benchmark 128.
+_MAX_TABLE = 1 << 16
+
+
+def _central_windows(alphabet: Alphabet, wing: int):
+    """Every window of a central table of this wing, in lex order.
+
+    Raises SizeLimit, before building any, when there are more than
+    _MAX_TABLE of them.
+    """
+    window = 2 * wing + 1
+    if len(alphabet) ** window > _MAX_TABLE:
+        raise SizeLimit(f"more than {_MAX_TABLE} windows of length {window}")
+    return itertools.product(alphabet.symbols, repeat=window)
 
 
 def centralize(phi: BlockMap) -> CentralBlockMap:
@@ -99,7 +114,7 @@ def centralize(phi: BlockMap) -> CentralBlockMap:
         return CentralBlockMap(phi, k)
     lo = k - phi.memory  # position of the old window inside the new one
     table = {}
-    for win in itertools.product(phi.source.symbols, repeat=2 * k + 1):
+    for win in _central_windows(phi.source, k):
         table[win] = phi.table[win[lo:lo + phi.window]]
     inner = BlockMap(phi.source, phi.target, 2 * k + 1, table, k, k)
     return CentralBlockMap(inner, k)
@@ -172,7 +187,7 @@ def compose(phi: CentralBlockMap, psi: CentralBlockMap) -> CentralBlockMap:
     k, l = phi.wing, psi.wing
     wing = k + l
     table = {}
-    for win in itertools.product(phi.source.symbols, repeat=2 * wing + 1):
+    for win in _central_windows(phi.source, wing):
         mid = word_code(phi.inner, Word(phi.source, win))
         table[win] = psi.inner.table[mid.letters]
     inner = BlockMap(phi.source, psi.target, 2 * wing + 1, table, wing, wing)
@@ -214,22 +229,6 @@ def apply_to_presentation(phi: CentralBlockMap,
         sorted(names.values(), key=int),
         sorted(((names[s], a, names[d]) for s, a, d in out.edges),
                key=lambda e: (int(e[0]), e[1], int(e[2]))))
-
-
-def apply_to_periodic(phi: CentralBlockMap, pt: PeriodicPoint) -> PeriodicPoint:
-    """The image of a periodic point, with primitive normalized representative."""
-    rep = pt.representative
-    if rep.alphabet != phi.source:
-        raise ValueError("point is not over the source alphabet")
-    n = len(rep)
-    k = phi.wing
-
-    def coord(i: int) -> str:
-        return rep.letters[(i + pt.shift_phase) % n]
-
-    image = tuple(phi.inner.table[tuple(coord(i + d) for d in range(-k, k + 1))]
-                  for i in range(n))
-    return PeriodicPoint.from_word(Word(phi.target, image), 0).normalized()
 
 
 def block_map_to_json(phi: BlockMap) -> dict:

@@ -29,10 +29,6 @@ class UnassignedLetter(ShiftcatError):
     """Term evaluation met a letter with no assigned semigroup element."""
 
 
-class NotIdempotent(ShiftcatError):
-    """An element required to be idempotent is not."""
-
-
 class InvalidArrow(ShiftcatError):
     """A triple (e, u, f) failed the arrow condition e*u*f = u in some quotient."""
 

@@ -252,19 +252,6 @@ def eta(e: OmegaTerm, ctx: ExpansionContext, tests=()):
     return (e, canonical(e * dia), cod)
 
 
-def eta_inverse(e: OmegaTerm, ctx: ExpansionContext, tests=()):
-    """The inverse arrow (F(G(e)), e'·α·e, e) of η at e."""
-    typ = classify_type(e, ctx)
-    if typ == "ImageE":
-        return (e, e, e)
-    if typ != "DiamondImageEAlpha":
-        raise ClassificationFailure(f"an idempotent cannot have type {typ}")
-    arrow = eta(e, ctx, tests)
-    e1 = strip_boundary(e)
-    alp = _letter_term(ctx, ctx.letter)
-    return (arrow[2], canonical(e1 * alp * e), e)
-
-
 def term_expand_of_contract(t: OmegaTerm, ctx: ExpansionContext) -> OmegaTerm:
     """E(C(t)); DiamondOnly if the contraction is empty."""
     c = term_contract(t, ctx.diamond)

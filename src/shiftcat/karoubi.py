@@ -9,16 +9,16 @@ the functor induced by a central block code to idempotents and arrows,
 and compares the J-class poset of arrows against the labeled poset of
 J-classes meeting a set of local units.
 
-No hom-set is enumerated outside KaroubiCategory.arrows.  Every claim
-about the envelope is certified by arrows read off the base semigroup
-and checked by a few table lookups: factors e = l·f·r of a two-sided
-ideal, found by a breadth-first search of the two-sided Cayley graph
-(semigroups.ideal_factors), give retractions, and the inverse pairs of
-a D-class (semigroups.inverse_pair) give isomorphisms.  The certified
-relations are compared with Green's relations, which come from the
-strongly connected components of the Cayley graphs instead; a
-disagreement raises MismatchBug because it can only come from an
-implementation error.
+No hom-set is enumerated; `tests/oracles.py` keeps the search.  Every
+claim about the envelope is certified by arrows read off the base
+semigroup and checked by a few table lookups: factors e = l·f·r of a
+two-sided ideal, found by a breadth-first search of the two-sided
+Cayley graph (semigroups.ideal_factors), give retractions, and the
+inverse pairs of a D-class (semigroups.inverse_pair) give
+isomorphisms.  The certified relations are compared with Green's
+relations, which come from the strongly connected components of the
+Cayley graphs instead; a disagreement raises MismatchBug because it
+can only come from an implementation error.
 """
 
 from __future__ import annotations
@@ -36,61 +36,18 @@ if TYPE_CHECKING:
 
 Arrow = tuple[int, int, int]
 
-_MATERIALIZE_LIMIT = 200
-
 
 class KaroubiCategory:
     """Category of idempotents of a finite semigroup.
 
-    Hom-sets are computed lazily; the full arrow set is only
-    materialized for bases of size <= 200 because the number of arrows
-    can grow like |E|²·|S|.
+    No hom-set is enumerated; `tests/oracles.py` keeps the search.  The
+    objects are the idempotents of the base, and every fact about the
+    arrows is certified from the base by the functions below.
     """
 
     def __init__(self, base: FiniteSemigroup):
         self.base = base
         self.objects: tuple[int, ...] = base.idempotents()
-        self._hom: dict[tuple[int, int], tuple[Arrow, ...]] = {}
-
-    def hom(self, e: int, f: int) -> tuple[Arrow, ...]:
-        """All arrows e -> f, i.e. (e, s, f) with s = e·s·f."""
-        key = (e, f)
-        cached = self._hom.get(key)
-        if cached is not None:
-            return cached
-        t = self.base.table
-        middles = sorted({t[t[e][s]][f] for s in range(self.base.size)})
-        out = tuple((e, s, f) for s in middles)
-        self._hom[key] = out
-        return out
-
-    def arrows(self) -> tuple[Arrow, ...]:
-        """Every arrow of the category (small bases only)."""
-        if self.base.size > _MATERIALIZE_LIMIT:
-            raise SizeLimit("full arrow materialization is limited to "
-                            f"bases of size {_MATERIALIZE_LIMIT}")
-        out: list[Arrow] = []
-        for e in self.objects:
-            for f in self.objects:
-                out.extend(self.hom(e, f))
-        return tuple(out)
-
-    def identity(self, e: int) -> Arrow:
-        if e not in self.objects:
-            raise ValueError("not an object")
-        return (e, e, e)
-
-    def compose(self, a: Arrow, b: Arrow) -> Arrow:
-        """Composite of a: e -> f and b: f -> g, read left to right."""
-        if a[2] != b[0]:
-            raise ValueError("arrows are not composable")
-        return (a[0], self.base.product(a[1], b[1]), b[2])
-
-    def is_arrow(self, a: Arrow) -> bool:
-        e, s, f = a
-        t = self.base.table
-        return (e in self.objects and f in self.objects
-                and t[t[e][s]][f] == s)
 
 
 def build(s: FiniteSemigroup) -> KaroubiCategory:

@@ -24,7 +24,7 @@ from .words import (Alphabet, Record, Word, _set, factors_up_to, is_primitive,
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Union
+    from typing import Union
 
     Item = Union[Word, "Power"]
 
@@ -77,10 +77,6 @@ class OmegaTerm(Record):
     @staticmethod
     def from_word(w: Word) -> "OmegaTerm":
         return OmegaTerm(w.alphabet, (w,) if len(w) else ())
-
-    @staticmethod
-    def from_items(alphabet: Alphabet, items: Iterable[Item]) -> "OmegaTerm":
-        return OmegaTerm(alphabet, tuple(items))
 
     def is_plain(self) -> bool:
         return all(isinstance(it, Word) for it in self.body)
@@ -273,19 +269,6 @@ def canonical_equal(s: OmegaTerm, t: OmegaTerm) -> bool:
 
 
 # -- unfolding, prefixes, factors ------------------------------------
-
-
-def unfold(t: OmegaTerm, m: int) -> Word:
-    """Replace each u^(ω+q) by u^(m+q); m must leave every exponent ≥ 1."""
-    out: tuple[str, ...] = ()
-    for it in t.body:
-        if isinstance(it, Word):
-            out += it.letters
-        else:
-            if m + it.q < 1:
-                raise ValueError(f"unfolding exponent {m} too small for q={it.q}")
-            out += it.base.letters * (m + it.q)
-    return Word(t.alphabet, out)
 
 
 def unroll(t: OmegaTerm, k: int) -> Word:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import MismatchBug, NotIdempotent
+from .errors import MismatchBug
 from .shifts import (ShiftPresentation, minimal_automaton,
                      right_cayley_graph)
 from .words import Alphabet, Record, Word, _set, word_to_json
@@ -102,11 +102,6 @@ class FiniteSemigroup:
                 "table": [list(r) for r in self.table],
                 "witnesses": {str(x): word_to_json(self._witness[x])
                               for x in range(self.size)}}
-
-    def to_gap(self) -> str:
-        """The Cayley table as a GAP list literal (1-indexed)."""
-        rows = [", ".join(str(v + 1) for v in r) for r in self.table]
-        return "[ " + ",\n  ".join("[ " + r + " ]" for r in rows) + " ]\n"
 
 
 def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
@@ -555,30 +550,6 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
     certify_retraction(t, e, f, a, a_inv)
     certify_retraction(t, f, e, a_inv, a)
     return a, a_inv
-
-
-class NotJEquivalent(Record):
-    """Returned when two idempotents lie in different J-classes."""
-
-    __slots__ = ()
-
-
-def conjugation_witness(s: FiniteSemigroup, e: int, f: int):
-    """x, y with e = xy and f = yx, for J-equivalent idempotents.
-
-    In a finite semigroup J = D, so the pair is the inverse pair of the
-    D-class (inverse_pair); for e = f it is (e, e).
-    """
-    if not s.is_idempotent(e):
-        raise NotIdempotent(f"element {e} is not idempotent")
-    if not s.is_idempotent(f):
-        raise NotIdempotent(f"element {f} is not idempotent")
-    g = green(s)
-    if g.j_of[e] != g.j_of[f]:
-        return NotJEquivalent()
-    if e == f:
-        return e, f
-    return inverse_pair(s, e, f)
 
 
 # -- abstract group comparison ---------------------------------------

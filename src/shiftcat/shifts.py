@@ -13,8 +13,8 @@ import math
 
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
                      SizeLimit)
-from .words import (Alphabet, Record, Word, _set, least_rotation,
-                    primitive_root, word_from_json, word_to_json)
+from .words import (Alphabet, Record, Word, _set, word_from_json,
+                    word_to_json)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -125,40 +125,6 @@ def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGra
             if clean(w) and w[1:] in vset:
                 edges.append((u, c, w[1:]))
     return LabeledGraph(verts, edges)
-
-
-class PeriodicPoint(Record):
-    """The point shifted `shift_phase` steps into representative^∞."""
-
-    __slots__ = ("representative", "shift_phase")
-    representative: Word
-    shift_phase: int
-
-    def __init__(self, representative: Word, shift_phase: int) -> None:
-        n = len(representative)
-        if n == 0:
-            raise ValueError("representative must be nonempty")
-        root, e = primitive_root(representative)
-        if e != 1:
-            raise ValueError("representative must be primitive")
-        if not 0 <= shift_phase < n:
-            raise ValueError("shift_phase out of range")
-        _set(self, "representative", representative)
-        _set(self, "shift_phase", shift_phase)
-
-    @staticmethod
-    def from_word(w: Word, phase: int = 0) -> "PeriodicPoint":
-        root, _ = primitive_root(w)
-        return PeriodicPoint(root, phase % len(root))
-
-    def normalized(self) -> "PeriodicPoint":
-        """Rotate the representative to its least conjugate, keeping the point."""
-        rep = self.representative
-        best = least_rotation(rep)
-        for r in range(len(rep)):
-            if rep.letters[r:] + rep.letters[:r] == best.letters:
-                return PeriodicPoint(best, (self.shift_phase - r) % len(rep))
-        raise AssertionError("least rotation is always a rotation")
 
 
 class ShiftPresentation:
@@ -292,20 +258,6 @@ def _vertex_name(v: Hashable) -> str:
     if isinstance(v, tuple):
         return "|".join(_vertex_name(x) for x in v)
     return str(v)
-
-
-def trim(x: ShiftPresentation) -> ShiftPresentation:
-    """The essential sofic presentation of x (SFTs pass through their
-    memory graph).  Raises EmptyShift when the presented subshift is empty."""
-    g = x.graph()
-    names = {v: _vertex_name(v) for v in g.vertices}
-    if len(set(names.values())) != len(names):
-        names = {v: str(i) for i, v in enumerate(g.vertices)}
-    out = ShiftPresentation.sofic(
-        x.alphabet,
-        [names[v] for v in g.vertices],
-        [(names[s], a, names[d]) for s, a, d in g.edges])
-    return out
 
 
 # The most blocks `blocks` will hold, about 90 MiB of them.  The test

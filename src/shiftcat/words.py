@@ -9,8 +9,6 @@ alphabets) behave the same as single letters.
 
 from __future__ import annotations
 
-import itertools
-
 # how a Record's __init__ sets its fields
 _set = object.__setattr__
 
@@ -69,6 +67,8 @@ class Alphabet(Record):
             raise ValueError("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        if "" in symbols:
+            raise ValueError("alphabet symbols must be nonempty")
         _set(self, "symbols", symbols)
 
     def __eq__(self, other: object) -> bool:
@@ -161,10 +161,6 @@ class Word(Record):
         return self.as_str() if self.letters else "ε"
 
 
-def empty_word(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
-
-
 def prefix_k(u: Word, k: int) -> Word:
     """First k letters of u; all of u when k exceeds its length."""
     if k < 0:
@@ -215,56 +211,6 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         if n % d == 0 and letters[:d] * (n // d) == letters:
             return (w if d == n else Word(w.alphabet, letters[:d])), n // d
     raise AssertionError("unreachable: w is always a power of itself")
-
-
-def conjugates(v: Word) -> list[Word]:
-    """All cyclic rotations of v in rotation order, first occurrence kept."""
-    if len(v) == 0:
-        raise ValueError("conjugates are undefined for the empty word")
-    seen: list[Word] = []
-    for i in range(len(v)):
-        rot = Word(v.alphabet, v.letters[i:] + v.letters[:i])
-        if rot not in seen:
-            seen.append(rot)
-    return seen
-
-
-def least_rotation(v: Word) -> Word:
-    """Lexicographically least cyclic rotation (necklace representative)."""
-    if len(v) == 0:
-        raise ValueError("least rotation is undefined for the empty word")
-    return min(conjugates(v), key=Word.lex_key)
-
-
-def check_primitivity_inclusion(v: Word, bound: int, power: int = 2) -> list[Word]:
-    """Violations of  v* · v^power · A^(<|v|)  ∩  A* · v^power  ⊆  v⁺.
-
-    Enumerates every word of length ≤ bound in the left-hand set and
-    returns, sorted, those that are not a positive power of v.  With the
-    default power=2 the result is expected empty for primitive v; power=1
-    is the weaker variant that does admit witnesses.
-    """
-    if not is_primitive(v):
-        raise ValueError("v must be primitive")
-    if power < 1:
-        raise ValueError("power must be positive")
-    anchor = v ** power
-    violations: set[Word] = set()
-    j = 0
-    while len(v) * j + len(anchor) <= bound:
-        head = (v ** j) * anchor
-        for slen in range(len(v)):
-            if len(head) + slen > bound:
-                break
-            for tail in itertools.product(v.alphabet.symbols, repeat=slen):
-                w = Word(v.alphabet, head.letters + tail)
-                # membership in A* · v^power: w must end with the anchor
-                if w.letters[len(w) - len(anchor):] != anchor.letters:
-                    continue
-                if len(w) % len(v) != 0 or (v ** (len(w) // len(v))).letters != w.letters:
-                    violations.add(w)
-        j += 1
-    return sorted(violations, key=Word.lex_key)
 
 
 def word_to_json(u: Word) -> str | list[str]:

@@ -240,6 +240,24 @@ class GreenOracle:
         return x in self.two_ideal[y]
 
 
+# -- ω-terms unfolded to words --------------------------------------------
+
+
+def unfold(t, m):
+    """The letters of the ω-term t with each u^(ω+q) replaced by
+    u^(m+q); m must leave every exponent ≥ 1."""
+    out = []
+    for it in t.body:
+        if hasattr(it, "q"):
+            if m + it.q < 1:
+                raise ValueError(f"unfolding exponent {m} too small for "
+                                 f"q={it.q}")
+            out.extend(it.base.letters * (m + it.q))
+        else:
+            out.extend(it.letters)
+    return tuple(out)
+
+
 # -- ω-term normal form by rewriting to a fixpoint -------------------------
 # A term is a list of items: a word is a tuple of letters, a power
 # u^(ω+q) is the pair (u, q) with u a nonempty tuple of letters.  The

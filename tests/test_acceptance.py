@@ -114,15 +114,15 @@ def test_ac_04_composition_and_product_identities():
             u = rand_word(rng, 1, 10)
             v = rand_word(rng, 1, 10)
             w = u * v
-            assert comp.word(w) == c2.word(c1.word(w))
+            assert word_code(comp, w) == word_code(c2, word_code(c1, w))
             n = phi_raw.window
             assert (word_code(phi_raw, w)
                     == word_code(phi_raw, u * prefix_k(v, n - 1))
                     * word_code(phi_raw, v))
             k = c1.wing
-            assert (c1.word(w)
-                    == c1.word(u * prefix_k(v, k))
-                    * c1.word(suffix_k(u, k) * v))
+            assert (word_code(c1, w)
+                    == word_code(c1, u * prefix_k(v, k))
+                    * word_code(c1, suffix_k(u, k) * v))
 
 
 @criterion("AC-5")

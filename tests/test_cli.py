@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -270,6 +271,12 @@ MALFORMED = {
     "<no-vertices>": b'{"alphabet": ["a"], "kind": "sofic", "edges": []}',
     "<no-table>": b'{"source": ["a"], "target": ["a"], "window": 1}',
     "<no-inner>": b'{"wing": 1}',
+    # window 11 with memory 0: its central table would have 2^21 windows
+    "<lopsided>": json.dumps({
+        "window": 11, "source": ["a", "b"], "target": ["a", "b"],
+        "memory": 0, "anticipation": 10,
+        "table": {"".join(w): "a" for w in itertools.product("ab", repeat=11)},
+    }).encode(),
 }
 FULL2 = str(util.DATA / "full2.json")
 
@@ -283,12 +290,14 @@ MALFORMED_ARGVS = [
     (["periodic", "<no-alphabet>", "--order", "2"], 1),
     (["expand", "<no-vertices>", "--letter", "a"], 1),
     (["code", "centralize", "<no-table>"], 1),
+    (["code", "centralize", "<lopsided>"], 1),
     (["term", "code", "<no-inner>", "a"], 1),
     (["member", "<even>", "(ab"], 1),
     (["term", "eval", "<even>", "(a)^x"], 1),
     (["term", "factors", "<even>", "a )"], 1),
     (["classify", "<even>", "(ab)^w)", "--letter", "a"], 1),
     (["classify", "<even>", "ab", "--letter", "z"], 1),
+    (["expand", "<even>", "--letter", "a", "--diamond="], 1),
     (["member", "<even>", "(a)^w", "--bound", "0"], 1),
     (["member", "<even>", "(a)^w", "--bound", "-1"], 1),
     (["member", "<even>", "ab", "--bound", "0"], 1),

@@ -6,11 +6,13 @@ import random
 import pytest
 
 import util
-from shiftcat.codes import (BlockMap, CentralBlockMap, apply_to_periodic,
+from shiftcat import codes
+from shiftcat.codes import (BlockMap, CentralBlockMap,
                             apply_to_presentation, block_map_from_json,
                             block_map_to_json, centralize, compose,
                             higher_block_map, lambda_first_letter, word_code)
-from shiftcat.shifts import PeriodicPoint, blocks
+from shiftcat.errors import SizeLimit
+from shiftcat.shifts import blocks
 from shiftcat.words import Alphabet, Word, prefix_k, suffix_k
 
 AB = Alphabet(("a", "b"))
@@ -80,7 +82,7 @@ def test_centralize_preserves_sliding_action():
             expected = Word(phi.target,
                             full.letters[drop_front:
                                          len(full) - drop_back or None])
-            assert cen.word(u) == expected
+            assert word_code(cen, u) == expected
 
 
 def test_compose_is_sequential_application():
@@ -94,7 +96,20 @@ def test_compose_is_sequential_application():
             u = w("".join(rng.choice("ab")
                           for _ in range(rng.randrange(1, 14))),
                   c1.source)
-            assert comp.word(u) == c2.word(c1.word(u))
+            assert word_code(comp, u) == word_code(c2, word_code(c1, u))
+
+
+def test_tables_over_the_size_limit_are_refused(monkeypatch):
+    table = random_block_map(random.Random(1), window=3).table
+    c1 = centralize(BlockMap(AB, AB, 3, table, 1, 1))
+    lopsided = BlockMap(AB, AB, 3, table, 0, 2)
+    assert len(compose(c1, c1).inner.table) == 2 ** 5
+    assert len(centralize(lopsided).inner.table) == 2 ** 5
+    monkeypatch.setattr(codes, "_MAX_TABLE", 2 ** 5 - 1)
+    with pytest.raises(SizeLimit, match="^more than 31 windows of length 5$"):
+        compose(c1, c1)
+    with pytest.raises(SizeLimit):
+        centralize(lopsided)
 
 
 def test_product_identities_on_words():
@@ -109,8 +124,9 @@ def test_product_identities_on_words():
             v = w("".join(rng.choice("ab") for _ in range(rng.randrange(9))))
             assert word_code(phi, u * v) == \
                 word_code(phi, u * prefix_k(v, n - 1)) * word_code(phi, v)
-            assert cen.word(u * v) == \
-                cen.word(u * prefix_k(v, k)) * cen.word(suffix_k(u, k) * v)
+            assert word_code(cen, u * v) == \
+                word_code(cen, u * prefix_k(v, k)) \
+                * word_code(cen, suffix_k(u, k) * v)
 
 
 def test_apply_to_presentation_preserves_block_language():
@@ -122,14 +138,6 @@ def test_apply_to_presentation_preserves_block_language():
                 for u in blocks(x, n + 2) if len(u) == n + 2}
         got = {u.as_str() for u in blocks(y, n) if len(u) == n}
         assert got == imgs, n
-
-
-def test_apply_to_periodic():
-    cen = centralize(higher_block_map(AB, 2))
-    p = PeriodicPoint.from_word(w("ab"))
-    img = apply_to_periodic(cen, p)
-    assert img.normalized() == PeriodicPoint.from_word(
-        Word(cen.target, ("[ab]", "[ba]"))).normalized()
 
 
 def test_block_map_json_roundtrip():

@@ -13,13 +13,13 @@ import util
 from shiftcat import flowops
 from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                              NotIdempotentWitness, NotInMirage2)
-from shiftcat.flowops import (TYPES, classify_type, eta, eta_inverse,
-                              expand_shift, functor_F, functor_G,
-                              naturality_rows, term_expand_of_contract,
-                              term_image_E, verify_naturality)
+from shiftcat.flowops import (TYPES, classify_type, eta, expand_shift,
+                              functor_F, functor_G, naturality_rows,
+                              term_expand_of_contract, term_image_E,
+                              verify_naturality)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical, canonical_equal,
                                   connector, format_term, idempotent_terms,
-                                  parse_term, unroll)
+                                  parse_term, strip_boundary, unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word
@@ -279,6 +279,16 @@ def test_contraction_rejects_a_non_mirage_component():
 
 
 # -- the natural isomorphism --------------------------------------------
+
+
+def eta_inverse(e: OmegaTerm, ctx) -> tuple:
+    """The inverse arrow (F(G(e)), e'·α·e, e) of η at e = ◊·e'·α; the
+    identity arrow where η is one."""
+    arrow = eta(e, ctx)
+    if classify_type(e, ctx) == "ImageE":
+        return arrow
+    alpha = parse_term(ctx.target.alphabet, ctx.letter)
+    return (arrow[2], canonical(strip_boundary(e) * alpha * e), e)
 
 
 def test_eta_fixes_idempotents_in_the_expansion_image():

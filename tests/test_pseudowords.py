@@ -21,7 +21,7 @@ from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
                                   quotient_equal, strip_boundary,
                                   term_block_code, term_contract, term_expand,
                                   term_factors, term_prefix_k, term_suffix_k,
-                                  unfold, unroll)
+                                  unroll)
 from shiftcat.semigroups import battery
 from shiftcat.shifts import is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
@@ -55,7 +55,7 @@ def term_strategy(alphabet=AB, max_items=4):
         st.tuples(word_st, st.integers(-2, 2)).map(
             lambda p: Power(Word.from_str(alphabet, p[0]), p[1])))
     return st.lists(item_st, min_size=1, max_size=max_items).map(
-        lambda items: OmegaTerm.from_items(alphabet, items))
+        lambda items: OmegaTerm(alphabet, tuple(items)))
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -132,7 +132,7 @@ def pooled_terms(draw):
         lambda b, c, q: Power(Word.from_str(alphabet, b * c), q),
         st.sampled_from(bases), st.integers(1, 3), st.integers(-3, 3))
     items = draw(st.lists(st.one_of(word, power), max_size=12))
-    return OmegaTerm.from_items(alphabet, items)
+    return OmegaTerm(alphabet, tuple(items))
 
 
 @settings(max_examples=400, deadline=None)
@@ -151,7 +151,7 @@ def test_canonical_matches_the_fixpoint_oracle_on_long_terms(seed, size):
     for i in range(size):
         w = Word(AB, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
         items.append(Power(w, rng.randint(-2, 2)) if i % 2 else w)
-    assert_matches_fixpoint(OmegaTerm.from_items(AB, items))
+    assert_matches_fixpoint(OmegaTerm(AB, tuple(items)))
 
 
 @pytest.mark.parametrize("text,form", [
@@ -189,8 +189,8 @@ def test_canonical_frozen_forms(text, form):
 
 def test_unfold_plain_prefixes():
     t = t_ab("(ab)^(w+1)")
-    u = unfold(t, 8)
-    assert u.as_str() == "ab" * 9  # exponent ω+1 unfolds to m+1
+    # exponent ω+1 unfolds to m+1
+    assert "".join(oracles.unfold(t, 8)) == "ab" * 9
 
 
 def test_eval_term_matches_deep_unfolding():
@@ -199,9 +199,8 @@ def test_eval_term_matches_deep_unfolding():
                  "ab (ba)^(w+2) a"):
         t = t_ab(text)
         for s, assign in tests:
-            gen_word = unfold(t, DEEP)
             assert eval_term(t, s, assign) == s.eval_word(
-                Word(AB, tuple(gen_word.letters)))
+                Word(AB, oracles.unfold(t, DEEP)))
 
 
 def test_eval_term_omega_is_idempotent_image():
@@ -226,10 +225,10 @@ def test_omega_plus_one_is_not_idempotent_in_cyclic_quotients():
 def test_term_affixes_match_unfolding():
     for text in ("(ab)^w", "a (bba)^(w+1)", "(ab)^w ba (ab)^w"):
         t = t_ab(text)
-        deep = unfold(t, DEEP)
+        deep = oracles.unfold(t, DEEP)
         for k in (1, 2, 3, 4):
-            assert term_prefix_k(t, k) == Word(AB, deep.letters[:k])
-            assert term_suffix_k(t, k) == Word(AB, deep.letters[-k:])
+            assert term_prefix_k(t, k) == Word(AB, deep[:k])
+            assert term_suffix_k(t, k) == Word(AB, deep[-k:])
     with pytest.raises(ValueError):
         term_prefix_k(t_ab("(ab)^w"), 0)
 
@@ -237,7 +236,7 @@ def test_term_affixes_match_unfolding():
 def test_term_factors_match_deep_unfolding():
     for text in ("(ab)^w", "(a)^w b (a)^w", "ab (ba)^(w-1)"):
         t = t_ab(text)
-        deep = unfold(t, DEEP)
+        deep = Word(AB, oracles.unfold(t, DEEP))
         for k in (1, 2, 3, 4):
             assert term_factors(t, k) == factors_up_to(deep, k)
 
@@ -246,18 +245,19 @@ def test_term_factors_match_deep_unfolding():
 @given(term_strategy(max_items=5), st.integers(-6, 6), st.integers(1, 6))
 def test_affixes_and_factors_ignore_the_exponent_offsets(t, shift, k):
     # The reference unfolds u^(ω+q) to u^(m+q) with m past every offset.
-    t = OmegaTerm.from_items(AB, [Power(it.base, it.q + shift)
-                                  if isinstance(it, Power) else it
-                                  for it in t.body])
+    t = OmegaTerm(AB, tuple(Power(it.base, it.q + shift)
+                            if isinstance(it, Power) else it
+                            for it in t.body))
     if t.is_plain():
         return
     max_q = max(abs(it.q) for it in t.body if isinstance(it, Power))
-    deep = unfold(t, k + max_q + 2)
+    deep = Word(AB, oracles.unfold(t, k + max_q + 2))
     assert term_prefix_k(t, k) == Word(AB, deep.letters[:k])
     assert term_suffix_k(t, k) == Word(AB, deep.letters[-k:])
     assert term_factors(t, k) == factors_up_to(deep, k)
     assert (image_E_membership(unroll(t, 2), "a", "b")
-            == image_E_membership(unfold(t, max_q + 4), "a", "b"))
+            == image_E_membership(Word(AB, oracles.unfold(t, max_q + 4)),
+                                  "a", "b"))
 
 
 def test_first_last_letter():
@@ -328,7 +328,7 @@ def test_term_block_code_semantic_continuity():
                  "a (ba)^(w-1) b", "(a)^w (b)^w (a)^w"):
         t = t_ab(text)
         img = term_block_code(cen, t)
-        word_image = word_code(cen.inner, unfold(t, DEEP))
+        word_image = word_code(cen.inner, Word(AB, oracles.unfold(t, DEEP)))
         for s, assign in tests:
             assert eval_term(img, s, assign) == s.eval_word(word_image), text
 

@@ -1,4 +1,4 @@
-"""Words, primitivity, rotations, serialization."""
+"""Words, primitivity, serialization."""
 
 import itertools
 
@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from shiftcat.words import (Alphabet, Word, check_primitivity_inclusion,
-                            conjugates, empty_word, factors_up_to,
-                            is_primitive, least_rotation, prefix_k,
-                            primitive_root, suffix_k, word_from_json,
-                            word_to_json)
+from shiftcat.words import (Alphabet, Word, factors_up_to, is_primitive,
+                            prefix_k, primitive_root, suffix_k,
+                            word_from_json, word_to_json)
 
 AB = Alphabet(("a", "b"))
 
@@ -28,6 +26,8 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(())
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))
+    with pytest.raises(ValueError, match="nonempty"):
+        Alphabet(("a", ""))
 
 
 def test_word_rejects_foreign_letters():
@@ -38,7 +38,7 @@ def test_word_rejects_foreign_letters():
 def test_concatenation_and_power():
     assert (w("ab") * w("ba")).as_str() == "abba"
     assert (w("ab") ** 3).as_str() == "ababab"
-    assert (w("ab") ** 0) == empty_word(AB)
+    assert (w("ab") ** 0) == Word(AB, ())
 
 
 def test_prefix_suffix_clamp():
@@ -47,7 +47,7 @@ def test_prefix_suffix_clamp():
     assert suffix_k(u, 3).as_str() == "bab"
     assert prefix_k(u, 9) == u
     assert suffix_k(u, 9) == u
-    assert suffix_k(u, 0) == empty_word(AB)
+    assert suffix_k(u, 0) == Word(AB, ())
     with pytest.raises(ValueError):
         prefix_k(u, -1)
 
@@ -72,33 +72,12 @@ def test_primitive_root_reconstructs():
         assert is_primitive(root)
 
 
-def test_conjugates_and_least_rotation():
-    cs = {v.as_str() for v in conjugates(w("aab"))}
-    assert cs == {"aab", "aba", "baa"}
-    assert least_rotation(w("baa")).as_str() == "aab"
-
-
-@given(nonempty_st)
-def test_least_rotation_is_a_conjugate_and_minimal(u):
-    r = least_rotation(u)
-    cs = conjugates(u)
-    assert r in cs
-    assert all(r.lex_key() <= c.lex_key() for c in cs)
-
-
 @given(nonempty_st)
 def test_primitive_root_is_primitive(u):
     root, k = primitive_root(u)
     assert is_primitive(root)
     assert root ** k == u
     assert (k == 1) == is_primitive(u)
-
-
-def test_check_primitivity_inclusion_on_primitive_word():
-    # v primitive: the only occurrences of v² inside v*v²(short) sit at
-    # multiples of |v|, so the returned violation list is empty.
-    assert check_primitivity_inclusion(w("ab"), 6) == []
-    assert check_primitivity_inclusion(w("aab"), 6) == []
 
 
 def test_json_roundtrip():
