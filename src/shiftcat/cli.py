@@ -130,10 +130,9 @@ def cmd_member(args) -> int:
     text = _term_text(args.text)
     if _is_term_text(text):
         from .pseudowords import (closure_membership, format_term,
-                                  mirage_membership, parse_term)
+                                  mirage_levels, parse_term)
         t = parse_term(x.alphabet, text)
-        mir = {str(k): mirage_membership(t, x, k)
-               for k in range(1, args.bound + 1)}
+        mir = {str(k): v for k, v in mirage_levels(t, x, args.bound).items()}
         _emit(_report("member", term=format_term(t),
                       closure_membership=closure_membership(t, x),
                       mirage_membership=mir))

@@ -15,13 +15,12 @@ from __future__ import annotations
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                      MismatchBug, NotIdempotentWitness, NotInMirage2)
 from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
-                          canonical_equal, connector, drop_first, drop_last,
-                          expand_word, first_letter, format_term,
-                          idempotent_terms, image_E_membership, last_letter,
-                          mirage_membership, quotient_equal, strip_boundary,
-                          term_contract, term_expand, unroll)
+                          canonical_equal, connector, expand_word,
+                          format_term, idempotent_terms, image_E_membership,
+                          mirage_membership, quotient_equal, term_contract,
+                          term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
-from .shifts import ShiftPresentation, blocks, is_block
+from .shifts import ShiftPresentation, blocks, is_block, mirage_membership_k
 from .words import Alphabet, Record, Word, _set
 
 TYPES = ("Letter", "ImageE", "DiamondImageE", "ImageEAlpha",
@@ -112,26 +111,8 @@ def expand_shift(x: ShiftPresentation, alpha: str,
 # -- the five-type classification --------------------------------------
 
 
-def term_image_E(t: OmegaTerm, alpha: str, diamond: str = "o") -> bool:
-    """Whether the term lies in the image of the expansion E.
-
-    Two independent tests must agree: the locally testable conditions
-    evaluated on an unrolling that exposes every junction, and
-    the exact round trip expand(contract(t)) = t on canonical forms.
-    """
-    t = canonical(t)
-    if not t.body:
-        return False
-    local = image_E_membership(unroll(t, 2), alpha, diamond)
-    c = term_contract(t, diamond)
-    if isinstance(c, EmptyResult):
-        roundtrip = False
-    else:
-        roundtrip = canonical_equal(term_expand(c, alpha, diamond), t)
-    if local != roundtrip:
-        raise MismatchBug("local expansion-image test disagrees with the "
-                          "round trip")
-    return local
+def _letter_term(ctx: ExpansionContext, a: str) -> OmegaTerm:
+    return OmegaTerm.from_word(Word(ctx.target.alphabet, (a,)))
 
 
 def classify_type(w, ctx: ExpansionContext) -> str:
@@ -141,32 +122,42 @@ def classify_type(w, ctx: ExpansionContext) -> str:
     an expanded word with a leading marker; an expanded word with a
     trailing expanded letter; or both decorations at once.  A word is
     classified as the plain term of its letters.
+
+    The boundary letters fix the shape: lead is whether the term starts
+    with ◊ and trail whether it ends with α.  The core between them must
+    lie in the image of E, and two independent tests must agree on that:
+    the local conditions on the core of an unrolling that exposes every
+    junction, and the round trip ◊^lead·E(C(t)) = t·◊^trail on canonical
+    forms.
     """
     alpha, dia = ctx.letter, ctx.diamond
     t = canonical(OmegaTerm.from_word(w) if isinstance(w, Word) else w)
     if not t.body:
         raise ValueError("the empty word has no type")
-    if not mirage_membership(t, ctx.target, _LEVEL):
+    letters = unroll(t, _LEVEL).letters
+    if not mirage_membership_k(ctx.target, Word(t.alphabet, letters), _LEVEL):
         raise NotInMirage2(f"a factor of length <= {_LEVEL} is not a block "
                            "of the expanded shift")
-    fl, ll = first_letter(t), last_letter(t)
-    matches: list[str] = []
-    if t.is_plain() and len(t.as_plain_word()) == 1 and fl in (alpha, dia):
-        matches.append("Letter")
-    if term_image_E(t, alpha, dia):
-        matches.append("ImageE")
-    if fl == dia and term_image_E(drop_first(t), alpha, dia):
-        matches.append("DiamondImageE")
-    if ll == alpha and term_image_E(drop_last(t), alpha, dia):
-        matches.append("ImageEAlpha")
-    if fl == dia and ll == alpha:
-        inner = strip_boundary(t)
-        if not inner.body or term_image_E(inner, alpha, dia):
-            matches.append("DiamondImageEAlpha")
-    if len(matches) != 1:
-        raise ClassificationFailure(f"expected exactly one type, got "
-                                    f"{matches or 'none'}")
-    return matches[0]
+    lead, trail = letters[0] == dia, letters[-1] == alpha
+    core = letters[lead:len(letters) - trail]
+    if not core:
+        # a lone ◊ or α, or ◊·α
+        return "DiamondImageEAlpha" if lead and trail else "Letter"
+    local = image_E_membership(Word(t.alphabet, core), alpha, dia)
+    try:
+        image = term_expand_of_contract(t, ctx)
+    except DiamondOnly:
+        roundtrip = False
+    else:
+        marker = _letter_term(ctx, dia)
+        roundtrip = ((canonical(marker * image) if lead else image)
+                     == (canonical(t * marker) if trail else t))
+    if local != roundtrip:
+        raise MismatchBug("local expansion-image test disagrees with the "
+                          "round trip")
+    if not local:
+        raise ClassificationFailure("expected exactly one type, got none")
+    return TYPES[1 + lead + 2 * trail]
 
 
 # -- the flow functors --------------------------------------------------
@@ -219,16 +210,13 @@ def functor_G(arrow, ctx: ExpansionContext, tests=()):
 # -- the natural isomorphism η ------------------------------------------
 
 
-def _letter_term(ctx: ExpansionContext, a: str) -> OmegaTerm:
-    return OmegaTerm.from_word(Word(ctx.target.alphabet, (a,)))
-
-
 def eta(e: OmegaTerm, ctx: ExpansionContext, tests=()):
     """The component of η at an idempotent term of the expanded shift.
 
     Idempotents in the image of E are fixed: η is the identity arrow.
     Otherwise the five-type classification forces e = ◊·e'·α, and
-    η_e = (e, e·◊, e'·α·◊) maps e to its double image F(G(e)) = e'·α·◊.
+    η_e = (e, e·◊, e'·α·◊) maps e to its double image F(G(e)) = e'·α·◊;
+    the classification has checked ◊·F(G(e)) = e·◊ on canonical forms.
     """
     if tests:
         v = quotient_equal(e * e, e, tests)
@@ -240,16 +228,8 @@ def eta(e: OmegaTerm, ctx: ExpansionContext, tests=()):
         return (e, e, e)
     if typ != "DiamondImageEAlpha":
         raise ClassificationFailure(f"an idempotent cannot have type {typ}")
-    e1 = strip_boundary(e)
-    dia = _letter_term(ctx, ctx.diamond)
-    alp = _letter_term(ctx, ctx.letter)
-    if not canonical_equal(dia * e1 * alp, e):
-        raise MismatchBug("stripping does not refactor e as ◊·e'·α")
-    cod = canonical(e1 * alp * dia)
-    fge = term_expand_of_contract(e, ctx)
-    if not canonical_equal(fge, cod):
-        raise MismatchBug("F(G(e)) differs from e'·α·◊")
-    return (e, canonical(e * dia), cod)
+    return (e, canonical(e * _letter_term(ctx, ctx.diamond)),
+            term_expand_of_contract(e, ctx))
 
 
 def term_expand_of_contract(t: OmegaTerm, ctx: ExpansionContext) -> OmegaTerm:

@@ -2,7 +2,7 @@
 
 A term is an alternating sequence of finite words and powers u^(ω+q)
 with integer offset q (possibly negative).  Nested powers are rejected;
-everything the library needs (idempotents, boundary strips, expansion
+everything the library needs (idempotents, expansion and contraction
 images) lives in this fragment, where a sound canonical form exists.
 
 Equality handling is three-tiered and never overclaims: canonical forms
@@ -320,6 +320,27 @@ def mirage_membership(t: OmegaTerm, x: ShiftPresentation, k: int) -> bool:
     return len(w) == 0 or mirage_membership_k(x, w, k)
 
 
+def mirage_levels(t: OmegaTerm, x: ShiftPresentation,
+                  bound: int) -> dict[int, bool]:
+    """{k: mirage_membership(t, x, k)} for k from 1 to bound.
+
+    A factor of length ≤ k-1 is one of length ≤ k, so membership holds up
+    to some level and fails above it: after the check at the bound, a
+    bisection finds the least failing level in O(log bound) checks.
+    """
+    fails = bound + 1
+    if not mirage_membership(t, x, bound):
+        # the levels below lo hold, and the level `fails` fails
+        lo, fails = 1, bound
+        while lo < fails:
+            mid = (lo + fails) // 2
+            if mirage_membership(t, x, mid):
+                lo = mid + 1
+            else:
+                fails = mid
+    return {k: k < fails for k in range(1, bound + 1)}
+
+
 def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
     """canonical(w^ω) for every primitive block w of x, |w| ≤ bound,
     with w^∞ a point of x; distinct rotations stay distinct."""
@@ -518,70 +539,6 @@ def image_E_membership(w: Word, alpha: str, diamond: str = "o") -> bool:
         if a == diamond and (i == 0 or ls[i - 1] != alpha):
             return False
     return True
-
-
-# -- boundary stripping ------------------------------------------------
-
-
-def first_letter(t: OmegaTerm) -> str:
-    return term_prefix_k(t, 1).letters[0]
-
-
-def last_letter(t: OmegaTerm) -> str:
-    return term_suffix_k(t, 1).letters[0]
-
-
-def _drop_first_item(items: list[Item]) -> list[Item]:
-    # a leading power (a·y)^(ω+q) = a · (y·a)^(ω+q-1) · y loses its a
-    head = items[0]
-    if isinstance(head, Word):
-        return [head[1:]] + items[1:]
-    a, y = head.base[0], head.base[1:]
-    rotated = Word(y.alphabet, y.letters + (a,))
-    return [Power(rotated, head.q - 1), y] + items[1:]
-
-
-def _drop_last_item(items: list[Item]) -> list[Item]:
-    # a trailing power (x·b)^(ω+q) = x · (b·x)^(ω+q-1) · b loses its b
-    tail = items[-1]
-    if isinstance(tail, Word):
-        return items[:-1] + [tail[: len(tail) - 1]]
-    x, b = tail.base[: len(tail.base) - 1], tail.base[-1]
-    rotated = Word(x.alphabet, (b,) + x.letters)
-    return items[:-1] + [x, Power(rotated, tail.q - 1)]
-
-
-def drop_first(t: OmegaTerm) -> OmegaTerm:
-    """Remove the first letter, staying an exact ω-term."""
-    t = canonical(t)
-    if not t.body:
-        raise TooShort("empty term")
-    items = _drop_first_item(list(t.body))
-    return canonical(OmegaTerm(t.alphabet, tuple(items)))
-
-
-def drop_last(t: OmegaTerm) -> OmegaTerm:
-    """Remove the last letter, staying an exact ω-term."""
-    t = canonical(t)
-    if not t.body:
-        raise TooShort("empty term")
-    items = _drop_last_item(list(t.body))
-    return canonical(OmegaTerm(t.alphabet, tuple(items)))
-
-
-def strip_boundary(t: OmegaTerm) -> OmegaTerm:
-    """Remove the first and last letter, staying an exact ω-term.
-
-    A leading power (a·y)^(ω+q) loses its first letter via
-    (a·y)^(ω+q) = a · (y·a)^(ω+q-1) · y, and dually on the right, so
-    first · strip_boundary(t) · last rebuilds a term with the same value
-    in every finite semigroup (checked by canonical form in tests).
-    """
-    t = canonical(t)
-    if t.is_plain() and len(t.as_plain_word()) < 2:
-        raise TooShort("need at least two letters to strip")
-    items = _flatten(_drop_first_item(list(t.body)))
-    return canonical(OmegaTerm(t.alphabet, tuple(_drop_last_item(items))))
 
 
 # -- quotient comparison -----------------------------------------------

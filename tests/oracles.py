@@ -3,7 +3,12 @@
 Everything here is computed from first principles (combinatorial rules,
 definitional set computations, sympy series) without importing the
 package under test, so each assertion in the test suite checks two
-independent derivations against each other.
+independent derivations against each other.  The one exception is the
+boundary-stripping section: the five-way classifier it keeps is built
+on the package's ω-terms and canonical form, and checks only the way
+`classify_type` reads the five shapes off one contraction.  Its
+functions import the package when called, so the module itself loads
+without it.
 """
 
 from __future__ import annotations
@@ -367,6 +372,129 @@ def fixpoint_canonical(items):
         items, ch4 = _fixpoint_rotate_once(items)
         if not (ch1 or ch4):
             return items
+
+
+# -- boundary stripping and the five-way classifier -----------------------
+# The exact removal of boundary letters from an ω-term, and the
+# classifier that tries each of the five shapes of a 2-mirage term of an
+# expanded shift in turn: the image test on the term, on the term less
+# its first letter, less its last letter and less both.
+
+
+def first_letter(t):
+    from shiftcat.pseudowords import term_prefix_k
+    return term_prefix_k(t, 1).letters[0]
+
+
+def last_letter(t):
+    from shiftcat.pseudowords import term_suffix_k
+    return term_suffix_k(t, 1).letters[0]
+
+
+def _drop_first_item(items):
+    # a leading power (a·y)^(ω+q) = a · (y·a)^(ω+q-1) · y loses its a
+    head = items[0]
+    if not hasattr(head, "q"):
+        return [head[1:]] + items[1:]
+    a, y = head.base[0], head.base[1:]
+    rotated = type(y)(y.alphabet, y.letters + (a,))
+    return [type(head)(rotated, head.q - 1), y] + items[1:]
+
+
+def _drop_last_item(items):
+    # a trailing power (x·b)^(ω+q) = x · (b·x)^(ω+q-1) · b loses its b
+    tail = items[-1]
+    if not hasattr(tail, "q"):
+        return items[:-1] + [tail[: len(tail) - 1]]
+    x, b = tail.base[: len(tail.base) - 1], tail.base[-1]
+    rotated = type(x)(x.alphabet, (b,) + x.letters)
+    return items[:-1] + [x, type(tail)(rotated, tail.q - 1)]
+
+
+def _drop(t, drop):
+    from shiftcat.errors import TooShort
+    from shiftcat.pseudowords import OmegaTerm, canonical
+    t = canonical(t)
+    if not t.body:
+        raise TooShort("empty term")
+    return canonical(OmegaTerm(t.alphabet, tuple(drop(list(t.body)))))
+
+
+def drop_first(t):
+    """Remove the first letter, staying an exact ω-term."""
+    return _drop(t, _drop_first_item)
+
+
+def drop_last(t):
+    """Remove the last letter, staying an exact ω-term."""
+    return _drop(t, _drop_last_item)
+
+
+def strip_boundary(t):
+    """Remove the first and last letter, staying an exact ω-term, so that
+    first · strip_boundary(t) · last has the canonical form of t."""
+    from shiftcat.errors import TooShort
+    from shiftcat.pseudowords import OmegaTerm, _flatten, canonical
+    t = canonical(t)
+    if t.is_plain() and len(t.as_plain_word()) < 2:
+        raise TooShort("need at least two letters to strip")
+    items = _flatten(_drop_first_item(list(t.body)))
+    return canonical(OmegaTerm(t.alphabet, tuple(_drop_last_item(items))))
+
+
+def term_image_E(t, alpha, diamond="o"):
+    """Whether the term lies in the image of the expansion E: the local
+    conditions on an unrolling and the round trip expand(contract(t)) = t
+    must agree."""
+    from shiftcat.errors import MismatchBug
+    from shiftcat.pseudowords import (EmptyResult, canonical, canonical_equal,
+                                      image_E_membership, term_contract,
+                                      term_expand, unroll)
+    t = canonical(t)
+    if not t.body:
+        return False
+    local = image_E_membership(unroll(t, 2), alpha, diamond)
+    c = term_contract(t, diamond)
+    if isinstance(c, EmptyResult):
+        roundtrip = False
+    else:
+        roundtrip = canonical_equal(term_expand(c, alpha, diamond), t)
+    if local != roundtrip:
+        raise MismatchBug("local expansion-image test disagrees with the "
+                          "round trip")
+    return local
+
+
+def five_way_classify(w, ctx):
+    """The shape of a 2-mirage word or term of ctx.target, found by
+    testing each of the five candidates."""
+    from shiftcat.errors import ClassificationFailure, NotInMirage2
+    from shiftcat.pseudowords import OmegaTerm, canonical, mirage_membership
+    alpha, dia = ctx.letter, ctx.diamond
+    t = canonical(OmegaTerm.from_word(w) if not hasattr(w, "body") else w)
+    if not t.body:
+        raise ValueError("the empty word has no type")
+    if not mirage_membership(t, ctx.target, 2):
+        raise NotInMirage2("a factor of length <= 2 is not a block of the "
+                           "expanded shift")
+    fl, ll = first_letter(t), last_letter(t)
+    matches = []
+    if t.is_plain() and len(t.as_plain_word()) == 1 and fl in (alpha, dia):
+        matches.append("Letter")
+    if term_image_E(t, alpha, dia):
+        matches.append("ImageE")
+    if fl == dia and term_image_E(drop_first(t), alpha, dia):
+        matches.append("DiamondImageE")
+    if ll == alpha and term_image_E(drop_last(t), alpha, dia):
+        matches.append("ImageEAlpha")
+    if fl == dia and ll == alpha:
+        inner = strip_boundary(t)
+        if not inner.body or term_image_E(inner, alpha, dia):
+            matches.append("DiamondImageEAlpha")
+    if len(matches) != 1:
+        raise ClassificationFailure(f"expected exactly one type, got "
+                                    f"{matches or 'none'}")
+    return matches[0]
 
 
 def brute_idempotent_pairs_local_units(table, carrier):

@@ -9,17 +9,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import util
-from shiftcat import flowops
+from shiftcat import flowops, pseudowords
 from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                              NotIdempotentWitness, NotInMirage2)
 from shiftcat.flowops import (TYPES, classify_type, eta, expand_shift,
                               functor_F, functor_G, naturality_rows,
-                              term_expand_of_contract, term_image_E,
-                              verify_naturality)
+                              term_expand_of_contract, verify_naturality)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical, canonical_equal,
                                   connector, format_term, idempotent_terms,
-                                  parse_term, strip_boundary, unroll)
+                                  parse_term, unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word
@@ -207,11 +207,86 @@ def test_term_type_equals_the_type_of_its_unrolling():
     assert seen == set(TYPES)
 
 
+def _outcome(classify, w, ctx) -> str:
+    """The type, or the class of the exception raised."""
+    try:
+        return classify(w, ctx)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+CORPUS_CONTEXTS = [expand_shift(util.load(path.stem), a)
+                   for path in sorted(util.DATA.glob("*.json"))
+                   for a in util.load(path.stem).alphabet.symbols]
+
+
+def test_classification_matches_the_five_way_oracle_on_short_words():
+    """Every word of length ≤ 5 over each corpus shift expanded at each
+    letter gets the type, or the exception, of the classifier that tests
+    all five shapes in turn."""
+    seen = Counter()
+    for ctx in CORPUS_CONTEXTS:
+        symbols = ctx.target.alphabet.symbols
+        for n in range(1, 6):
+            for tup in product(symbols, repeat=n):
+                w = Word(ctx.target.alphabet, tup)
+                got = _outcome(classify_type, w, ctx)
+                assert got == _outcome(oracles.five_way_classify, w, ctx), \
+                    (ctx.letter, w)
+                seen[got] += 1
+    assert set(seen) == set(TYPES) | {"NotInMirage2"}
+    assert sum(seen.values()) == 19250
+
+
+@st.composite
+def corpus_terms(draw):
+    """A corpus expansion and a term over its target: a walk that mostly
+    follows blocks of length 2, cut into words and powers."""
+    ctx = draw(st.sampled_from(CORPUS_CONTEXTS))
+    symbols = ctx.target.alphabet.symbols
+    pairs = {w.letters for w in blocks(ctx.target, 2) if len(w) == 2}
+    walk = [draw(st.sampled_from(symbols))]
+    for _ in range(draw(st.integers(0, 9))):
+        legal = [c for c in symbols if (walk[-1], c) in pairs]
+        walk.append(draw(st.sampled_from(legal or symbols)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(walk) - 1), max_size=3))
+                  if len(walk) > 1 else set())
+    items = []
+    for lo, hi in zip([0] + cuts, cuts + [len(walk)]):
+        w = Word(ctx.target.alphabet, tuple(walk[lo:hi]))
+        items.append(Power(w, draw(st.integers(-2, 2)))
+                     if draw(st.booleans()) else w)
+    return ctx, OmegaTerm(ctx.target.alphabet, tuple(items))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corpus_terms())
+def test_classification_matches_the_five_way_oracle_on_terms(case):
+    ctx, t = case
+    assert (_outcome(classify_type, t, ctx)
+            == _outcome(oracles.five_way_classify, t, ctx)), (ctx.letter, t)
+
+
+def test_classification_canonicalises_at_most_five_times(monkeypatch):
+    calls = Counter()
+    canonical_in = {mod: mod.canonical for mod in (flowops, pseudowords)}
+    for mod, canon in canonical_in.items():
+        def spy(t, canon=canon):
+            calls["canonical"] += 1
+            return canon(t)
+        monkeypatch.setattr(mod, "canonical", spy)
+    for text in ("(o b b a)^(w+1) (o a)^w", "o (b)^w", "(b)^w a",
+                 "(a o b b)^w"):
+        calls.clear()
+        classify_type(term(text), CTX)
+        assert 1 <= calls["canonical"] <= 5, text
+
+
 def test_term_image_membership():
     for text in ("(a o)^w", "(b)^w", "(b b a o)^w", "a o b"):
-        assert term_image_E(term(text), "a", "o"), text
+        assert oracles.term_image_E(term(text), "a", "o"), text
     for text in ("(o a)^w", "(o b b a)^w", "o b a", "b a"):
-        assert not term_image_E(term(text), "a", "o"), text
+        assert not oracles.term_image_E(term(text), "a", "o"), text
 
 
 # -- the flow functors --------------------------------------------------
@@ -288,7 +363,7 @@ def eta_inverse(e: OmegaTerm, ctx) -> tuple:
     if classify_type(e, ctx) == "ImageE":
         return arrow
     alpha = parse_term(ctx.target.alphabet, ctx.letter)
-    return (arrow[2], canonical(strip_boundary(e) * alpha * e), e)
+    return (arrow[2], canonical(oracles.strip_boundary(e) * alpha * e), e)
 
 
 def test_eta_fixes_idempotents_in_the_expansion_image():

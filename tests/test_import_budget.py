@@ -68,3 +68,24 @@ def test_karoubi_and_lu_poset_load_no_term_module(argv):
                          ids=lambda argv: argv[0])
 def test_subcommands_without_a_seed_load_no_heavy_module(argv):
     assert not modules_after(argv) & HEAVY
+
+
+ORACLES_PROBE = """
+import importlib.util, sys
+
+class NoShiftcat:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "shiftcat":
+            raise ImportError(name)
+
+sys.meta_path.insert(0, NoShiftcat())
+spec = importlib.util.spec_from_file_location("oracles", {path!r})
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+"""
+
+
+def test_the_oracles_load_without_the_package():
+    # the benchmark's checker loads tests/oracles.py from a checkout
+    # with no shiftcat on the path
+    code = ORACLES_PROBE.format(path=str(ROOT / "tests" / "oracles.py"))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

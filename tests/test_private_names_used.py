@@ -21,8 +21,6 @@ REPLAY = ROOT / "bench" / "replay.py"
 # public names that nothing in the package or the replay reads, each
 # with the reason it stays
 LIBRARY_API = {
-    "flowops.py: TYPES": "the classify vocabulary, in the order of the "
-                         "paper's five types",
     "karoubi.py: automorphism_group": "ROADMAP item 4 exposes it",
     "karoubi.py: induced_functor_on_arrow": "ROADMAP item 4 builds the "
                                             "poset witness from it",
@@ -61,36 +59,72 @@ def _definitions(tree: ast.Module):
                     yield f"{stmt.name}.{node.name}", node
 
 
-def _referenced(tree: ast.AST) -> Counter:
+def _referenced(tree: ast.AST, classes: frozenset,
+                owner: str | None = None) -> Counter:
     """How often a tree reads each name, as an identifier, an attribute
-    or an imported name."""
+    or an imported name.  A read C.m, with C one of the classes, and a
+    read self.m inside class C count as reads of "C.m"; any other
+    attribute read counts under the attribute's name alone."""
     out: Counter = Counter()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            base = getattr(node.value, "id", None)
+            if base in classes:
+                out[f"{base}.{node.attr}"] += 1
+            elif base == "self" and owner is not None:
+                out[f"{owner}.{node.attr}"] += 1
+            else:
+                out[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, owner)
     return out
+
+
+def _ancestry(trees) -> dict[str, set[str]]:
+    """Each module-level class with the names of itself and of every
+    class of the sources it derives from."""
+    bases = {stmt.name: [b.id for b in stmt.bases if isinstance(b, ast.Name)]
+             for tree in trees for stmt in tree.body
+             if isinstance(stmt, ast.ClassDef)}
+
+    def up(name: str) -> set[str]:
+        return {name}.union(*(up(b) for b in bases[name] if b in bases))
+
+    return {name: up(name) for name in bases}
 
 
 def orphans(sources: dict[str, str],
             readers: tuple[str, ...] = ()) -> list[str]:
     """Names defined in the sources that nothing reads outside their own
     definition: private ones by the sources, public ones by the sources
-    or the readers."""
+    or the readers.  A method C.m is read by a bare read of m, or by a
+    read of m bound to C or to a class derived from C."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = sum((_referenced(tree) for tree in trees.values()), Counter())
-    read_by_readers = sum((_referenced(ast.parse(r)) for r in readers),
-                          Counter())
+    ancestry = _ancestry(trees.values())
+    classes = frozenset(ancestry)
+    read = sum((_referenced(tree, classes) for tree in trees.values()),
+               Counter())
+    read_by_readers = sum((_referenced(ast.parse(r), classes)
+                           for r in readers), Counter())
     out = []
     for module, tree in sorted(trees.items()):
         for name, node in _definitions(tree):
-            last = name.rsplit(".", 1)[-1]
-            uses = read[last] - _referenced(node)[last]
+            owner, _, last = name.rpartition(".")
+            keys = [last] + [f"{c}.{last}" for c in classes
+                             if owner in ancestry[c]]
+            own = _referenced(node, classes, owner or None)
+            uses = sum(read[k] - own[k] for k in keys)
             if not _private(last):
-                uses += read_by_readers[last]
+                uses += sum(read_by_readers[k] for k in keys)
             if uses <= 0:
                 out.append(f"{module}: {name}")
     return out
@@ -125,6 +159,30 @@ class Api:
     def unread(self):
         return self.unread()
 
+    def shadowed(self):
+        return 0
+
+    def via_heir(self):
+        return 3
+
+    @staticmethod
+    def named():
+        return 1
+
+class Twin:
+    def __init__(self):
+        self.shadowed()
+
+    def shadowed(self):
+        return Api.named()
+
+    def named(self):
+        return 2
+
+class Heir(Api):
+    def inherited(self):
+        return self.via_heir()
+
 def read_by_the_reader():
     return Api().read_too()
 
@@ -141,7 +199,8 @@ def _attr_only():
 '''
 
 READER = '''
-from a import public, read_by_the_reader
+from a import Heir, Twin, public, read_by_the_reader
+_ = Heir().inherited()
 _private_in_reader = _UNUSED_CONST
 '''
 
@@ -149,7 +208,7 @@ _private_in_reader = _UNUSED_CONST
 def test_scanner_flags_only_unreferenced_names():
     assert orphans({"a": SAMPLE_A, "b": SAMPLE_B}, (READER,)) == [
         "a: _UNUSED_CONST", "a: _recursive", "a: _Orphan", "a: Api.unread",
-        "a: orphaned"]
+        "a: Api.shadowed", "a: Twin.named", "a: orphaned"]
 
 
 def _package_orphans() -> tuple[list[str], set[str]]:

@@ -14,14 +14,12 @@ from shiftcat.codes import centralize, higher_block_map, word_code
 from shiftcat.errors import TooShort
 from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
                                   canonical_equal, closure_membership,
-                                  drop_first, drop_last, eval_term,
-                                  expand_word, first_letter, format_term,
-                                  image_E_membership, last_letter,
+                                  eval_term, expand_word, format_term,
+                                  image_E_membership, mirage_levels,
                                   mirage_membership, parse_term,
-                                  quotient_equal, strip_boundary,
-                                  term_block_code, term_contract, term_expand,
-                                  term_factors, term_prefix_k, term_suffix_k,
-                                  unroll)
+                                  quotient_equal, term_block_code,
+                                  term_contract, term_expand, term_factors,
+                                  term_prefix_k, term_suffix_k, unroll)
 from shiftcat.semigroups import battery
 from shiftcat.shifts import is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
@@ -262,8 +260,8 @@ def test_affixes_and_factors_ignore_the_exponent_offsets(t, shift, k):
 
 def test_first_last_letter():
     t = t_ab("(ab)^w b")
-    assert first_letter(t) == "a"
-    assert last_letter(t) == "b"
+    assert oracles.first_letter(t) == "a"
+    assert oracles.last_letter(t) == "b"
 
 
 # -- membership ----------------------------------------------------------------
@@ -303,6 +301,31 @@ def test_mirage_equals_factor_blocks():
         for k in (1, 2, 3):
             expected = all(is_block(x, f) for f in term_factors(t, k))
             assert mirage_membership(t, x, k) == expected, (text, k)
+
+
+def test_mirage_levels_match_the_check_at_every_level():
+    rng = random.Random(12)
+    seen = set()
+    for name in ("even", "golden_mean", "full2", "periodic_ab",
+                 "fixed_point"):
+        x = util.load(name)
+        letters = x.alphabet.symbols
+        for _ in range(40):
+            items = []
+            for _ in range(rng.randint(1, 4)):
+                w = Word(x.alphabet, tuple(rng.choice(letters) for _ in
+                                           range(rng.randint(1, 3))))
+                items.append(Power(w, rng.randint(-2, 2)) if rng.random()
+                             < 0.5 else w)
+            t = OmegaTerm(x.alphabet, tuple(items))
+            bound = rng.randint(1, 9)
+            levels = mirage_levels(t, x, bound)
+            assert levels == {k: mirage_membership(t, x, k)
+                              for k in range(1, bound + 1)}, (name, t)
+            holding = sum(levels.values())
+            seen.add("all" if holding == bound else holding)
+    # terms that fail at the first level, at a later one, and never
+    assert {0, "all"} <= seen and seen - {0, "all"}
 
 
 # -- term block codes -----------------------------------------------------------
@@ -401,15 +424,16 @@ def test_strip_boundary_rebuild():
     tests = battery(AB)
     for text in ("(ab)^w", "abba", "(ab)^(w+1) b", "a (ba)^w"):
         t = canonical(t_ab(text))
-        first = OmegaTerm.from_word(Word(AB, (first_letter(t),)))
-        last = OmegaTerm.from_word(Word(AB, (last_letter(t),)))
-        for rebuilt in (first * strip_boundary(t) * last,
-                        first * drop_first(t), drop_last(t) * last):
+        first = OmegaTerm.from_word(Word(AB, (oracles.first_letter(t),)))
+        last = OmegaTerm.from_word(Word(AB, (oracles.last_letter(t),)))
+        for rebuilt in (first * oracles.strip_boundary(t) * last,
+                        first * oracles.drop_first(t),
+                        oracles.drop_last(t) * last):
             v = quotient_equal(t, canonical(rebuilt), tests)
             assert v.canonical_equal, text
     with pytest.raises(TooShort):
-        strip_boundary(t_ab("a"))
-    for drop in (drop_first, drop_last):
+        oracles.strip_boundary(t_ab("a"))
+    for drop in (oracles.drop_first, oracles.drop_last):
         with pytest.raises(TooShort):
             drop(t_ab(""))
 
