@@ -249,15 +249,17 @@ def cmd_code(args) -> int:
 def cmd_term(args) -> int:
     from .pseudowords import format_term, parse_term
     if args.action == "eval":
-        from .pseudowords import closure_membership, eval_term
+        from .pseudowords import eval_term
         from .semigroups import syntactic_semigroup
         x = _load_shift(args.source)
         t = parse_term(x.alphabet, _term_text(args.term))
         s, accept = syntactic_semigroup(x)
         val = eval_term(t, s, dict(s.gen_of))
+        # closure membership is this very test: t's value lies in the
+        # accepted set of S(X)
         _emit(_report("term-eval", term=format_term(t), value=val,
                       in_accept=val in accept,
-                      closure_membership=closure_membership(t, x)))
+                      closure_membership=val in accept))
     elif args.action == "factors":
         from .pseudowords import term_factors
         from .shifts import is_block

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                      MismatchBug, NotIdempotentWitness, NotInMirage2)
-from .pseudowords import (EmptyResult, OmegaTerm, Verdict, canonical,
-                          canonical_equal, connector, expand_word,
-                          format_term, idempotent_terms, image_E_membership,
+from .pseudowords import (OmegaTerm, Verdict, canonical, canonical_equal,
+                          connector, expand_word, format_term,
+                          idempotent_terms, image_E_membership,
                           mirage_membership, quotient_equal, term_contract,
                           term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
@@ -130,6 +130,12 @@ def classify_type(w, ctx: ExpansionContext) -> str:
     junction, and the round trip ◊^lead·E(C(t)) = t·◊^trail on canonical
     forms.
     """
+    return _classify(w, ctx)[0]
+
+
+def _classify(w, ctx: ExpansionContext):
+    # the type of w and, when the core between the boundary letters is
+    # nonempty, the image E(C(t)) of its canonical form t, or None
     alpha, dia = ctx.letter, ctx.diamond
     t = canonical(OmegaTerm.from_word(w) if isinstance(w, Word) else w)
     if not t.body:
@@ -142,11 +148,12 @@ def classify_type(w, ctx: ExpansionContext) -> str:
     core = letters[lead:len(letters) - trail]
     if not core:
         # a lone ◊ or α, or ◊·α
-        return "DiamondImageEAlpha" if lead and trail else "Letter"
+        return ("DiamondImageEAlpha" if lead and trail else "Letter"), None
     local = image_E_membership(Word(t.alphabet, core), alpha, dia)
     try:
         image = term_expand_of_contract(t, ctx)
     except DiamondOnly:
+        image = None
         roundtrip = False
     else:
         marker = _letter_term(ctx, dia)
@@ -157,7 +164,7 @@ def classify_type(w, ctx: ExpansionContext) -> str:
                           "round trip")
     if not local:
         raise ClassificationFailure("expected exactly one type, got none")
-    return TYPES[1 + lead + 2 * trail]
+    return TYPES[1 + lead + 2 * trail], image
 
 
 # -- the flow functors --------------------------------------------------
@@ -190,12 +197,7 @@ def functor_F(arrow, ctx: ExpansionContext, tests=()):
 def functor_G(arrow, ctx: ExpansionContext, tests=()):
     """Componentwise contraction of an arrow of terms over the target."""
     _check_arrow(arrow, tests)
-    out = []
-    for comp in arrow:
-        c = term_contract(comp, ctx.diamond)
-        if isinstance(c, EmptyResult):
-            raise DiamondOnly("component contracts to the empty pseudoword")
-        out.append(c)
+    out = [term_contract(comp, ctx.diamond) for comp in arrow]
     for comp in arrow:
         if not mirage_membership(comp, ctx.target, _LEVEL):
             raise InvalidArrow("component is not a mirage member of the "
@@ -216,28 +218,27 @@ def eta(e: OmegaTerm, ctx: ExpansionContext, tests=()):
     Idempotents in the image of E are fixed: η is the identity arrow.
     Otherwise the five-type classification forces e = ◊·e'·α, and
     η_e = (e, e·◊, e'·α·◊) maps e to its double image F(G(e)) = e'·α·◊;
-    the classification has checked ◊·F(G(e)) = e·◊ on canonical forms.
+    the classification has checked ◊·F(G(e)) = e·◊ on canonical forms
+    and built F(G(e)) on the way.
     """
     if tests:
         v = quotient_equal(e * e, e, tests)
         if v.kind == "DistinguishedBy":
             raise NotIdempotentWitness("e·e differs from e in a finite "
                                        "quotient")
-    typ = classify_type(e, ctx)
+    typ, image = _classify(e, ctx)
     if typ == "ImageE":
         return (e, e, e)
     if typ != "DiamondImageEAlpha":
         raise ClassificationFailure(f"an idempotent cannot have type {typ}")
-    return (e, canonical(e * _letter_term(ctx, ctx.diamond)),
-            term_expand_of_contract(e, ctx))
+    if image is None:                    # e = ◊·α
+        image = term_expand_of_contract(e, ctx)
+    return (e, canonical(e * _letter_term(ctx, ctx.diamond)), image)
 
 
 def term_expand_of_contract(t: OmegaTerm, ctx: ExpansionContext) -> OmegaTerm:
     """E(C(t)); DiamondOnly if the contraction is empty."""
-    c = term_contract(t, ctx.diamond)
-    if isinstance(c, EmptyResult):
-        raise DiamondOnly("term contracts to the empty pseudoword")
-    return term_expand(c, ctx.letter, ctx.diamond)
+    return term_expand(term_contract(t, ctx.diamond), ctx.letter, ctx.diamond)
 
 
 def verify_naturality(arrow, ctx: ExpansionContext, tests) -> Verdict:
@@ -246,23 +247,20 @@ def verify_naturality(arrow, ctx: ExpansionContext, tests) -> Verdict:
     Both sides are composed symbolically; the verdict carries the
     classification case taken for the two end idempotents.
     """
-    return _naturality_square(arrow, ctx, tests, {}, {})
+    return _naturality_square(arrow, ctx, tests, {})
 
 
-def _naturality_square(arrow, ctx: ExpansionContext, tests, cases: dict,
+def _naturality_square(arrow, ctx: ExpansionContext, tests,
                        etas: dict) -> Verdict:
-    # cases and etas hold the type and the η arrow of each end
-    # idempotent met so far, so a run over many arrows between the same
-    # idempotents classifies each and builds its η once
+    # etas holds the η arrow of each end idempotent met so far, so a run
+    # over many arrows between the same idempotents classifies each and
+    # builds its η once
     e, u, f = arrow
-    for t in (e, f):
-        if t not in cases:
-            cases[t] = classify_type(t, ctx)
-    ga = functor_G(arrow, ctx)
-    fga = functor_F(ga, ctx)
     for t in (e, f):
         if t not in etas:
             etas[t] = eta(t, ctx, tests)
+    ga = functor_G(arrow, ctx)
+    fga = functor_F(ga, ctx)
     eta_e, eta_f = etas[e], etas[f]
     if not canonical_equal(eta_e[2], fga[0]):
         raise MismatchBug("η_e does not land on F(G(e))")
@@ -271,8 +269,14 @@ def _naturality_square(arrow, ctx: ExpansionContext, tests, cases: dict,
     lhs = canonical(eta_e[1] * fga[1])
     rhs = canonical(u * eta_f[1])
     v = quotient_equal(lhs, rhs, tests)
-    note = f"case dom={cases[e]}, cod={cases[f]}; {v.note}"
+    note = f"case dom={_case(eta_e)}, cod={_case(eta_f)}; {v.note}"
     return Verdict(v.kind, v.canonical_equal, v.distinguished_by, note)
+
+
+def _case(eta_arrow) -> str:
+    # η is the identity exactly on ImageE; eta refuses every other type
+    # but DiamondImageEAlpha
+    return "ImageE" if eta_arrow[1] == eta_arrow[0] else "DiamondImageEAlpha"
 
 
 def naturality_rows(ctx: ExpansionContext, bound: int,
@@ -288,13 +292,12 @@ def naturality_rows(ctx: ExpansionContext, bound: int,
     tests = battery(ctx.target.alphabet, seed,
                     extra=[(s_tgt, dict(s_tgt.gen_of))])
     idems = idempotent_terms(ctx.target, bound)
-    cases: dict = {}
     etas: dict = {}
     for e in idems:
         for f in idems:
             mid = connector(ctx.target, e, f)
             if mid is None:
                 continue
-            v = _naturality_square((e, mid, f), ctx, tests, cases, etas)
+            v = _naturality_square((e, mid, f), ctx, tests, etas)
             yield {"dom": format_term(e), "cod": format_term(f),
                    "kind": v.kind, "case": v.note.split(";")[0]}

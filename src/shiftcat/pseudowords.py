@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import TooShort, UnassignedLetter
+from .errors import DiamondOnly, TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
 from .shifts import (ShiftPresentation, is_periodic_point,
                      mirage_membership_k, ordered_blocks)
@@ -492,14 +492,8 @@ def term_expand(t: OmegaTerm, alpha: str, diamond: str = "o") -> OmegaTerm:
     return canonical(OmegaTerm(target, tuple(items)))
 
 
-class EmptyResult(Record):
-    """Contraction erased the whole term (it was ◊-only)."""
-
-    __slots__ = ()
-
-
-def term_contract(t: OmegaTerm, diamond: str = "o"):
-    """Delete the diamond homomorphically; EmptyResult for ◊-only terms."""
+def term_contract(t: OmegaTerm, diamond: str = "o") -> OmegaTerm:
+    """Delete the diamond homomorphically; DiamondOnly for ◊-only terms."""
     if diamond not in t.alphabet:
         raise ValueError(f"{diamond!r} is not in the alphabet")
     target = Alphabet(tuple(s for s in t.alphabet.symbols if s != diamond))
@@ -518,7 +512,7 @@ def term_contract(t: OmegaTerm, diamond: str = "o"):
             items.append(Power(base, it.q))
     out = canonical(OmegaTerm(target, tuple(items)))
     if not out.body:
-        return EmptyResult()
+        raise DiamondOnly("term contracts to the empty pseudoword")
     return out
 
 

@@ -13,7 +13,7 @@ import itertools
 
 from .errors import MismatchBug
 from .shifts import (ShiftPresentation, minimal_automaton,
-                     right_cayley_graph)
+                     right_cayley_graph, sccs)
 from .words import Alphabet, Record, Word, _set, word_to_json
 
 TYPE_CHECKING = False
@@ -215,54 +215,6 @@ class GreenData(Record):
         return (i, j) in self.j_below
 
 
-def _sccs(n: int, succ) -> list[int]:
-    """Iterative Tarjan; returns component id per node (ids arbitrary)."""
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    counter = 0
-    ncomp = 0
-    stack: list[int] = []
-    on_stack = [False] * n
-    for root in range(n):
-        if num[root] != -1:
-            continue
-        work = [(root, iter(succ(root)))]
-        num[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if num[w] == -1:
-                    num[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
-
-
 def _partition_from_comp(comp: list[int]) -> tuple[tuple[frozenset[int], ...],
                                                    tuple[int, ...]]:
     groups: dict[int, set[int]] = {}
@@ -290,9 +242,9 @@ def green(s: FiniteSemigroup) -> GreenData:
     t = s.table
     gens = set(s.generators)
 
-    right = _sccs(n, lambda x: (t[x][g] for g in gens))
-    left = _sccs(n, lambda x: (t[g][x] for g in gens))
-    both = _sccs(n, lambda x: itertools.chain((t[x][g] for g in gens),
+    right = sccs(n, lambda x: (t[x][g] for g in gens))
+    left = sccs(n, lambda x: (t[g][x] for g in gens))
+    both = sccs(n, lambda x: itertools.chain((t[x][g] for g in gens),
                                               (t[g][x] for g in gens)))
     R, r_of = _partition_from_comp(right)
     L, l_of = _partition_from_comp(left)

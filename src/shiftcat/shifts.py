@@ -209,21 +209,23 @@ class ShiftPresentation:
             raise ValueError("a shift presentation is a JSON object, not "
                              f"{type(data).__name__}")
         try:
-            alphabet = Alphabet(tuple(data["alphabet"]))
+            alphabet = Alphabet(tuple(_array(data["alphabet"], "alphabet")))
             kind = data["kind"]
             if kind == "sft":
                 forb = [w if isinstance(w, Word) else
                         word_from_json(alphabet, w)
-                        for w in data.get("forbidden", [])]
+                        for w in _array(data.get("forbidden", []),
+                                        "forbidden")]
                 return ShiftPresentation(alphabet, "sft", forbidden=forb)
             if kind == "sofic":
-                edges = [tuple(e) for e in data["edges"]]
-                if any(len(e) != 3 for e in edges):
+                edges = _array(data["edges"], "edges")
+                if any(not isinstance(e, list) or len(e) != 3 for e in edges):
                     raise ValueError("each edge of a shift presentation is "
                                      "[source, label, target]")
-                return ShiftPresentation(alphabet, "sofic",
-                                         vertices=data["vertices"],
-                                         edges=edges)
+                return ShiftPresentation(
+                    alphabet, "sofic",
+                    vertices=_array(data["vertices"], "vertices"),
+                    edges=[tuple(e) for e in edges])
         except KeyError as e:
             raise ValueError(f"shift presentation has no {e.args[0]!r} "
                              "field") from None
@@ -250,6 +252,14 @@ class ShiftPresentation:
             lines.append(f'  "{names[s]}" -> "{names[d]}" [label="{a}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _array(value, field: str) -> list:
+    # a string in place of an array would be read symbol by symbol
+    if not isinstance(value, list):
+        raise ValueError(f"the {field!r} field of a shift presentation must "
+                         "be an array")
+    return value
 
 
 def _vertex_name(v: Hashable) -> str:
@@ -466,90 +476,130 @@ def right_cayley_graph(maps):
     return elems, gens, right, parent
 
 
+def sccs(n: int, succ) -> list[int]:
+    """Iterative Tarjan; returns component id per node (ids arbitrary)."""
+    comp = [-1] * n
+    low = [0] * n
+    num = [-1] * n
+    counter = 0
+    ncomp = 0
+    stack: list[int] = []
+    on_stack = [False] * n
+    for root in range(n):
+        if num[root] != -1:
+            continue
+        work = [(root, iter(succ(root)))]
+        num[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if num[w] == -1:
+                    num[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], num[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == num[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
+
+
 def is_irreducible(x: ShiftPresentation) -> bool:
     """Whether x admits a strongly connected presentation.
 
-    Decided by the word criterion (for all blocks u, v some u·w·v is a
-    block), made finite on the subset automaton: reading u from the full
-    vertex set lands in a state T, and some u·w·v is a block iff v is
-    readable from the union W of all subsets reachable from T.  Since
-    readable-from-W languages are monotone in W, the criterion reduces
-    to: every such union W reads the whole language, checked by a
-    product walk hunting for a word readable from all vertices but not
-    from W.  A direct witness search on short blocks cross-checks.
+    x is irreducible iff some strongly connected component H of its
+    trimmed graph G reads every block.  If one does, H presents x and is
+    strongly connected.  Conversely, an irreducible x has a point in
+    which every block recurs to the left; the left tail of a path
+    labelled by it stays in one component, which then reads every block
+    (Lind and Marcus, ch. 3).  Each component with an internal edge is
+    tested by one walk on pairs (vertices G reaches, vertices H reaches)
+    hunting for a word that G reads and H does not.  A direct witness
+    search on short blocks cross-checks.
     """
     g = x.graph()
-    states, trans = subset_dfa(g, x.alphabet)
-    syms = x.alphabet.symbols
-
-    def reads_everything(wset: frozenset) -> bool:
-        # hunt for a word readable from all vertices but not from wset
-        start = (frozenset(g.vertices), wset)
-        seen = {start}
-        stack = [start]
-        while stack:
-            full, part = stack.pop()
-            for a in syms:
-                nf = frozenset(g.walk(set(full), (a,)))
-                np = frozenset(g.walk(set(part), (a,)))
-                if not nf:
-                    continue
-                if not np:
-                    return False
-                if (nf, np) not in seen:
-                    seen.add((nf, np))
-                    stack.append((nf, np))
-        return True
-
-    verdict = True
-    for i, st in enumerate(states):
-        if not st or i == 0:
-            continue
-        union: set[Hashable] = set()
-        for j in _reach(states, trans, syms, i):
-            union.update(states[j])
-        if not reads_everything(frozenset(union)):
-            verdict = False
-            break
-
-    _crosscheck_irreducible(x, verdict, states, trans)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    comp = sccs(len(g.vertices),
+                lambda i: [index[d] for _, _, d in g.out[g.vertices[i]]])
+    inner: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if comp[index[e[0]]] == comp[index[e[2]]]:
+            inner.setdefault(comp[index[e[0]]], []).append(e)
+    # a component holding every edge is G itself
+    verdict = any(len(es) == len(g.edges) or
+                  _reads_every_block(g, es, x.alphabet.symbols)
+                  for es in inner.values())
+    if verdict:
+        _crosscheck_irreducible(x)
     return verdict
 
 
-def _reach(states: list[frozenset], trans: dict[tuple[int, str], int],
-           syms, i: int) -> set[int]:
-    """Subset-DFA states reachable from state i through nonempty ones."""
-    seen = {i}
-    stack = [i]
+def _reads_every_block(g: LabeledGraph, edges: list[Edge], syms) -> bool:
+    # hunt for a word that g reads and its subgraph on edges does not
+    h = LabeledGraph(dict.fromkeys(s for s, _, _ in edges), edges)
+    start = (frozenset(g.vertices), frozenset(h.vertices))
+    seen = {start}
+    stack = [start]
     while stack:
-        j = stack.pop()
+        full, part = stack.pop()
         for a in syms:
-            k = trans[(j, a)]
-            if states[k] and k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return seen
+            nf = g.walk(full, (a,))
+            if not nf:
+                continue
+            np = h.walk(part, (a,))
+            if not np:
+                return False
+            pair = (frozenset(nf), frozenset(np))
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
-def _crosscheck_irreducible(x: ShiftPresentation, verdict: bool,
-                            states: list[frozenset],
-                            trans: dict[tuple[int, str], int]) -> None:
-    """Witness search for u·w·v on short blocks; disagreement is a bug.
+def _crosscheck_irreducible(x: ShiftPresentation) -> None:
+    """Witness search for u·w·v on short blocks; a miss is a bug.
 
-    Only one direction is conclusive: if the verdict is irreducible,
-    every short pair must have a witness.  A reducible shift may still
-    connect all its short blocks.  states and trans are the subset DFA
-    of x's graph.
+    Some u·w·v is a block iff v labels a path from a vertex reachable
+    from where a path labelled u ends.  Only one direction is
+    conclusive, so this runs on an irreducible verdict only: a reducible
+    shift may still connect all its short blocks.
     """
     g = x.graph()
-    index = {s: i for i, s in enumerate(states)}
     short = ordered_blocks(x, min(4, len(g.vertices) + 2))
+    checked: set[frozenset] = set()
     for u in short:
-        t0 = index[frozenset(g.walk(set(g.vertices), u.letters))]
-        seen = _reach(states, trans, x.alphabet.symbols, t0)
+        reach = g.walk(set(g.vertices), u.letters)
+        stack = list(reach)
+        while stack:
+            for _, _, d in g.out[stack.pop()]:
+                if d not in reach:
+                    reach.add(d)
+                    stack.append(d)
+        if frozenset(reach) in checked:
+            continue
+        checked.add(frozenset(reach))
         for v in short:
-            found = any(g.walk(set(states[j]), v.letters) for j in seen)
-            if verdict and not found:
+            if not g.walk(reach, v.letters):
                 raise MismatchBug(
                     f"irreducible verdict but no w with {u}·w·{v} a block")
 

@@ -67,6 +67,8 @@ class Alphabet(Record):
             raise ValueError("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        if not all(isinstance(a, str) for a in symbols):
+            raise ValueError("alphabet symbols must be strings")
         if "" in symbols:
             raise ValueError("alphabet symbols must be nonempty")
         _set(self, "symbols", symbols)

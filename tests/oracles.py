@@ -3,12 +3,14 @@
 Everything here is computed from first principles (combinatorial rules,
 definitional set computations, sympy series) without importing the
 package under test, so each assertion in the test suite checks two
-independent derivations against each other.  The one exception is the
-boundary-stripping section: the five-way classifier it keeps is built
-on the package's ω-terms and canonical form, and checks only the way
-`classify_type` reads the five shapes off one contraction.  Its
-functions import the package when called, so the module itself loads
-without it.
+independent derivations against each other.  There are two exceptions.
+The irreducibility oracle runs the subset automaton of the package's
+trimmed graph, and checks only the way `is_irreducible` reads the
+verdict off strongly connected components.  The boundary-stripping
+section's five-way classifier is built on the package's ω-terms and
+canonical form, and checks only the way `classify_type` reads the five
+shapes off one contraction.  Their functions import the package when
+called, so the module itself loads without it.
 """
 
 from __future__ import annotations
@@ -186,6 +188,56 @@ def zeta_from_counts(p: list[int], order: int) -> list[Fraction]:
             acc += Fraction(p[k - 1]) * g[n - k]
         g.append(acc / n)
     return g
+
+
+# -- irreducibility on the subset automaton -------------------------------
+
+
+def subset_irreducible(x) -> bool:
+    """Whether x is irreducible, by the word criterion (for all blocks
+    u, v some u·w·v is a block) made finite on the subset automaton of
+    x's trimmed graph: reading u from the full vertex set lands in a
+    state T, and some u·w·v is a block iff v is readable from the union
+    W of the states reachable from T.  Each such W must read every word
+    that the full vertex set reads."""
+    from shiftcat.shifts import subset_dfa
+    g = x.graph()
+    states, trans = subset_dfa(g, x.alphabet)
+    syms = x.alphabet.symbols
+
+    def reads_everything(wset):
+        start = (frozenset(g.vertices), wset)
+        seen = {start}
+        stack = [start]
+        while stack:
+            full, part = stack.pop()
+            for a in syms:
+                nf = frozenset(g.walk(set(full), (a,)))
+                np = frozenset(g.walk(set(part), (a,)))
+                if not nf:
+                    continue
+                if not np:
+                    return False
+                if (nf, np) not in seen:
+                    seen.add((nf, np))
+                    stack.append((nf, np))
+        return True
+
+    for i, st in enumerate(states):
+        if not st or i == 0:
+            continue
+        seen = {i}
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for a in syms:
+                k = trans[(j, a)]
+                if states[k] and k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        if not reads_everything(frozenset().union(*(states[j] for j in seen))):
+            return False
+    return True
 
 
 # -- definitional Green's relations ---------------------------------------
@@ -447,15 +499,17 @@ def term_image_E(t, alpha, diamond="o"):
     conditions on an unrolling and the round trip expand(contract(t)) = t
     must agree."""
     from shiftcat.errors import MismatchBug
-    from shiftcat.pseudowords import (EmptyResult, canonical, canonical_equal,
+    from shiftcat.errors import DiamondOnly
+    from shiftcat.pseudowords import (canonical, canonical_equal,
                                       image_E_membership, term_contract,
                                       term_expand, unroll)
     t = canonical(t)
     if not t.body:
         return False
     local = image_E_membership(unroll(t, 2), alpha, diamond)
-    c = term_contract(t, diamond)
-    if isinstance(c, EmptyResult):
+    try:
+        c = term_contract(t, diamond)
+    except DiamondOnly:
         roundtrip = False
     else:
         roundtrip = canonical_equal(term_expand(c, alpha, diamond), t)

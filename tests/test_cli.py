@@ -141,6 +141,23 @@ def test_code_commands(capsys, tmp_path):
     assert periodic_counts(target, 4)[0] == [1, 3, 4, 7]
 
 
+def test_term_eval_builds_the_syntactic_semigroup_once(capsys, monkeypatch):
+    from shiftcat import semigroups
+    x = util.load("even")
+    texts = ("(a b)^w", "(a)^w (b)^w", "(b)^(w+1) (a)^w")
+    expected = [closure_membership(parse_term(x.alphabet, t), x)
+                for t in texts]
+    assert expected == [False, True, True]
+    built = []
+    build = semigroups.syntactic_semigroup
+    monkeypatch.setattr(semigroups, "syntactic_semigroup",
+                        lambda x: built.append(x) or build(x))
+    for text, member in zip(texts, expected):
+        report = run_json(capsys, "term", "eval", EVEN, text)
+        assert report["closure_membership"] == report["in_accept"] == member
+    assert len(built) == len(texts)
+
+
 def test_term_commands(capsys, tmp_path):
     report = run_json(capsys, "term", "eval", EVEN, "(a b)^w")
     assert report["in_accept"] is False
@@ -252,6 +269,13 @@ TERM = "(a)^w b (a)^w"
     (["term", "code", INPUT, TERM], {"inner": UPSILON2}),
     (["term", "code", INPUT, TERM], {"inner": UPSILON2, "wing": "1"}),
     (["term", "code", INPUT, TERM], {"inner": UPSILON2, "wing": -1}),
+    # a string is not read as the words "b" and "b"
+    (["blocks", "--order", "2", "--format", "text", INPUT],
+     {"alphabet": ["a", "b"], "kind": "sft", "forbidden": "bb"}),
+    (["blocks", "--order", "2", INPUT],
+     {"alphabet": [1, 2], "kind": "sft", "forbidden": []}),
+    (["syntactic", INPUT], {"alphabet": [1, 2], "kind": "sft",
+                            "forbidden": []}),
 ])
 def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
     path = tmp_path / "input.json"

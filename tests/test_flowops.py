@@ -420,21 +420,21 @@ def test_naturality_on_mixed_idempotent_pairs():
 
 
 def test_naturality_rows_classify_each_idempotent_once(monkeypatch):
-    # one classification for the case label and one inside η, per
-    # idempotent, however many arrows it ends
+    # one classification per idempotent, inside η, however many arrows
+    # it ends; the case label is read off η
     calls = Counter()
-    classify = flowops.classify_type
+    classify = flowops._classify
 
     def spy(w, ctx):
         calls[w] += 1
         return classify(w, ctx)
 
-    monkeypatch.setattr(flowops, "classify_type", spy)
+    monkeypatch.setattr(flowops, "_classify", spy)
     rows = list(naturality_rows(CTX, 5))
     monkeypatch.undo()
     idems = idempotent_terms(CTX.target, 5)
     assert len(idems) == 7 and set(calls) == set(idems)
-    assert max(calls.values()) <= 2
+    assert set(calls.values()) == {1}
     s_tgt, _ = syntactic_semigroup(CTX.target)
     tests = battery(B, None, extra=[(s_tgt, dict(s_tgt.gen_of))])
     expected = []

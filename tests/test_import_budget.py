@@ -50,9 +50,13 @@ def test_importing_the_cli_loads_no_library_module():
 
 
 def test_zeta_loads_only_shifts_and_words():
-    loaded = modules_after(["zeta", EVEN, "--order", "5"])
-    assert not loaded & HEAVY
-    assert shiftcat_modules(loaded) == {"cli", "errors", "shifts", "words"}
+    # irreducible too: its Tarjan routine, which Green's relations share,
+    # lives in shifts, so it must not pull in semigroups
+    for argv in (["zeta", EVEN, "--order", "5"], ["irreducible", EVEN]):
+        loaded = modules_after(argv)
+        assert not loaded & HEAVY, argv
+        assert shiftcat_modules(loaded) == {"cli", "errors", "shifts",
+                                            "words"}, argv
 
 
 @pytest.mark.parametrize("argv", [["karoubi", EVEN],

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat.codes import centralize, higher_block_map, word_code
-from shiftcat.errors import TooShort
-from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, canonical,
+from shiftcat.errors import DiamondOnly, TooShort
+from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
                                   canonical_equal, closure_membership,
                                   eval_term, expand_word, format_term,
                                   image_E_membership, mirage_levels,
@@ -388,14 +388,13 @@ def test_term_expand_contract_roundtrip():
     for text in ("(ab)^w", "(a)^w b", "b (a)^(w+2) b", "(ba)^(w-1) a"):
         t = t_ab(text)
         e = term_expand(t, "a")
-        back = term_contract(e)
-        assert not isinstance(back, EmptyResult)
-        assert canonical_equal(back, t), text
+        assert canonical_equal(term_contract(e), t), text
 
 
 def test_term_contract_diamond_only_is_empty():
     only = parse_term(ABO, "o")
-    assert isinstance(term_contract(only), EmptyResult)
+    with pytest.raises(DiamondOnly):
+        term_contract(only)
 
 
 def test_term_contract_drops_diamonds():

@@ -12,8 +12,7 @@ import util
 from shiftcat.codes import BlockMap, CentralBlockMap, centralize, higher_block_map
 from shiftcat.flowops import ExpansionContext, expand_shift
 from shiftcat.karoubi import ComparisonVerdict, LabeledPoset, lu_labeled_poset
-from shiftcat.pseudowords import (EmptyResult, OmegaTerm, Power, Verdict,
-                                  parse_term)
+from shiftcat.pseudowords import OmegaTerm, Power, Verdict, parse_term
 from shiftcat.semigroups import (GreenData, SchutzGroup, green,
                                  schutzenberger, syntactic_semigroup)
 from shiftcat.shifts import ZetaSeries
@@ -50,7 +49,6 @@ FACTORIES = {
     SchutzGroup: _schutz,
     Power: lambda: Power(Word(_ab(), ("a", "b")), 2),
     OmegaTerm: lambda: parse_term(_ab(), "a (ab)^(w+1) b"),
-    EmptyResult: EmptyResult,
     Verdict: lambda: Verdict("EqualInAll", True, None, "same"),
     LabeledPoset: _poset,
     ComparisonVerdict: lambda: ComparisonVerdict("Iso", ((0, 0),), None),
@@ -118,7 +116,6 @@ def test_repr_lists_fields_by_name():
         "Word(alphabet=Alphabet(symbols=('a', 'b')), letters=('a',))"
     assert repr(ZetaSeries(1, (1, 2), (2,), (2,))) == \
         "ZetaSeries(order=1, coefficients=(1, 2), p=(2,), q=(2,))"
-    assert repr(EmptyResult()) == "EmptyResult()"
 
 
 def test_records_survive_deep_copies_and_pickling():

@@ -125,13 +125,52 @@ def test_irreducibility_verdicts(corpus, monkeypatch):
     assert is_irreducible(corpus["marker_cycle"])
     assert is_irreducible(corpus["periodic_ab"])
     assert is_irreducible(corpus["fixed_point"])
-    assert len(built) == 6  # the cross-check reuses the verdict's DFA
+    assert built == []  # the verdict and its cross-check read the graph
 
 
 def test_disjoint_union_of_two_fixed_points_is_reducible():
     ab = Alphabet(("a", "b"))
     x = ShiftPresentation.sft(ab, ["ab", "ba"])  # {a^∞, b^∞}
     assert not is_irreducible(x)
+    assert not oracles.subset_irreducible(x)
+
+
+def random_graph(rng):
+    """1-6 vertices, 1-3 letters and 1 to 2V random edges: reducible and
+    empty shifts among them."""
+    alpha = Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+    verts = [str(i) for i in range(rng.randint(1, 6))]
+    edges = [(rng.choice(verts), rng.choice(alpha.symbols), rng.choice(verts))
+             for _ in range(rng.randint(1, 2 * len(verts)))]
+    return ShiftPresentation.sofic(alpha, verts, edges)
+
+
+def test_irreducibility_matches_the_subset_automaton_oracle(corpus):
+    for x in corpus.values():
+        assert is_irreducible(x) == oracles.subset_irreducible(x)
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(400):
+        x = random_graph(rng)
+        try:
+            x.graph()
+        except EmptyShift:
+            with pytest.raises(EmptyShift):
+                is_irreducible(x)
+            verdicts.append(None)
+            continue
+        verdicts.append(is_irreducible(x))
+        assert verdicts[-1] == oracles.subset_irreducible(x), x.to_json()
+    assert (verdicts.count(True), verdicts.count(False),
+            verdicts.count(None)) == (286, 44, 70)
+
+
+def test_a_wrong_irreducible_verdict_fails_the_cross_check(monkeypatch):
+    ab = Alphabet(("a", "b"))
+    x = ShiftPresentation.sft(ab, ["ab", "ba"])
+    monkeypatch.setattr(shifts, "_reads_every_block", lambda *args: True)
+    with pytest.raises(MismatchBug):
+        is_irreducible(x)
 
 
 # -- periodic points and zeta ---------------------------------------------
