@@ -13,7 +13,7 @@ import itertools
 import json
 
 from .errors import SizeLimit
-from .shifts import LabeledGraph, ShiftPresentation, trim_graph
+from .shifts import LabeledGraph, ShiftPresentation, _array, trim_graph
 from .words import Alphabet, Record, Word, _set
 
 
@@ -252,9 +252,11 @@ def block_map_from_json(data: dict | str) -> BlockMap:
         raise ValueError(f"a block map is a JSON object, not "
                          f"{type(data).__name__}")
     try:
-        source = Alphabet(tuple(data["source"]))
-        target = Alphabet(tuple(data["target"]))
+        source = Alphabet(tuple(_array(data["source"], "source")))
+        target = Alphabet(tuple(_array(data["target"], "target")))
         window = data["window"]
+        if not isinstance(data["table"], dict):
+            raise ValueError("the 'table' field must be a JSON object")
         table = {}
         for key, val in data["table"].items():
             letters = tuple(key) if source.is_single_char() else tuple(key.split("|"))

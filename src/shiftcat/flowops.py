@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                      MismatchBug, NotIdempotentWitness, NotInMirage2)
-from .pseudowords import (OmegaTerm, Verdict, canonical, canonical_equal,
-                          connector, expand_word, format_term,
-                          idempotent_terms, image_E_membership,
+from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
+                          check_equal_in_quotients, connector, expand_word,
+                          format_term, idempotent_terms, image_E_membership,
                           mirage_membership, quotient_equal, term_contract,
                           term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
@@ -170,18 +170,9 @@ def _classify(w, ctx: ExpansionContext):
 # -- the flow functors --------------------------------------------------
 
 
-def _check_arrow(arrow, tests) -> None:
-    e, u, f = arrow
-    if tests:
-        v = quotient_equal(e * u * f, u, tests)
-        if v.kind == "DistinguishedBy":
-            raise InvalidArrow("middle component is not fixed by the end "
-                               "idempotents in a finite quotient")
-
-
 def functor_F(arrow, ctx: ExpansionContext, tests=()):
     """Componentwise expansion of an arrow of terms over the source."""
-    _check_arrow(arrow, tests)
+    check_arrow(arrow, tests)
     for comp in arrow:
         if not mirage_membership(comp, ctx.source, _LEVEL):
             raise InvalidArrow("component is not a mirage member of the "
@@ -196,7 +187,7 @@ def functor_F(arrow, ctx: ExpansionContext, tests=()):
 
 def functor_G(arrow, ctx: ExpansionContext, tests=()):
     """Componentwise contraction of an arrow of terms over the target."""
-    _check_arrow(arrow, tests)
+    check_arrow(arrow, tests)
     out = [term_contract(comp, ctx.diamond) for comp in arrow]
     for comp in arrow:
         if not mirage_membership(comp, ctx.target, _LEVEL):
@@ -221,11 +212,8 @@ def eta(e: OmegaTerm, ctx: ExpansionContext, tests=()):
     the classification has checked ◊·F(G(e)) = e·◊ on canonical forms
     and built F(G(e)) on the way.
     """
-    if tests:
-        v = quotient_equal(e * e, e, tests)
-        if v.kind == "DistinguishedBy":
-            raise NotIdempotentWitness("e·e differs from e in a finite "
-                                       "quotient")
+    check_equal_in_quotients(e * e, e, tests, NotIdempotentWitness,
+                             "e·e differs from e in a finite quotient")
     typ, image = _classify(e, ctx)
     if typ == "ImageE":
         return (e, e, e)
@@ -254,21 +242,16 @@ def _naturality_square(arrow, ctx: ExpansionContext, tests,
                        etas: dict) -> Verdict:
     # etas holds the η arrow of each end idempotent met so far, so a run
     # over many arrows between the same idempotents classifies each and
-    # builds its η once
+    # builds its η once.  η_e ends at F(G(e)) = E(C(e)), which the
+    # classification built and checked, so only the middle u goes
+    # through the functors; quotient_equal canonicalises both sides
     e, u, f = arrow
     for t in (e, f):
         if t not in etas:
             etas[t] = eta(t, ctx, tests)
-    ga = functor_G(arrow, ctx)
-    fga = functor_F(ga, ctx)
     eta_e, eta_f = etas[e], etas[f]
-    if not canonical_equal(eta_e[2], fga[0]):
-        raise MismatchBug("η_e does not land on F(G(e))")
-    if not canonical_equal(fga[2], eta_f[2]):
-        raise MismatchBug("the two sides end at different objects")
-    lhs = canonical(eta_e[1] * fga[1])
-    rhs = canonical(u * eta_f[1])
-    v = quotient_equal(lhs, rhs, tests)
+    (fgu,) = functor_F(functor_G((u,), ctx), ctx)
+    v = quotient_equal(eta_e[1] * fgu, u * eta_f[1], tests)
     note = f"case dom={_case(eta_e)}, cod={_case(eta_f)}; {v.note}"
     return Verdict(v.kind, v.canonical_equal, v.distinguished_by, note)
 

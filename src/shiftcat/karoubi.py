@@ -23,7 +23,7 @@ can only come from an implementation error.
 
 from __future__ import annotations
 
-from .errors import InvalidArrow, MismatchBug, SizeLimit
+from .errors import MismatchBug, SizeLimit
 from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
                          green, groups_isomorphic, ideal_factors,
                          inverse_pair, local_units, schutzenberger,
@@ -192,14 +192,11 @@ def induced_functor_on_idempotent(phi, e: OmegaTerm, tests=()) -> OmegaTerm:
     suffix_k(e)·e·prefix_k(e); when e·e = e this is again idempotent,
     which is verified in the supplied (semigroup, assignment) quotients.
     """
-    from .pseudowords import quotient_equal
+    from .pseudowords import check_equal_in_quotients
     img = _code_between(phi, e, e, e)
-    usable = _covering(tests, img)
-    if usable:
-        v = quotient_equal(img * img, img, usable)
-        if v.kind == "DistinguishedBy":
-            raise MismatchBug("image of an idempotent is not idempotent "
-                              "in a finite quotient")
+    check_equal_in_quotients(img * img, img, _covering(tests, img),
+                             MismatchBug, "image of an idempotent is not "
+                             "idempotent in a finite quotient")
     return img
 
 
@@ -211,23 +208,16 @@ def induced_functor_on_arrow(phi, arrow, tests=()):
     length-k suffix of e and prefix of f, which makes the image an
     arrow between the images of e and f.
     """
-    from .pseudowords import quotient_equal
+    from .pseudowords import check_arrow, check_equal_in_quotients
     e, u, f = arrow
-    usable = _covering(tests, e, u, f)
-    if usable:
-        v = quotient_equal(e * u * f, u, usable)
-        if v.kind == "DistinguishedBy":
-            raise InvalidArrow("middle component is not fixed by the "
-                               "end idempotents in a finite quotient")
+    check_arrow(arrow, _covering(tests, e, u, f))
     img_e = induced_functor_on_idempotent(phi, e, tests)
     img_f = induced_functor_on_idempotent(phi, f, tests)
     mid = _code_between(phi, e, u, f)
-    usable = _covering(tests, img_e, mid, img_f)
-    if usable:
-        v = quotient_equal(img_e * mid * img_f, mid, usable)
-        if v.kind == "DistinguishedBy":
-            raise MismatchBug("image triple is not an arrow in a finite "
-                              "quotient")
+    check_equal_in_quotients(img_e * mid * img_f, mid,
+                             _covering(tests, img_e, mid, img_f),
+                             MismatchBug, "image triple is not an arrow in "
+                             "a finite quotient")
     return (img_e, mid, img_f)
 
 

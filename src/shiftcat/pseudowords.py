@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DiamondOnly, TooShort, UnassignedLetter
+from .errors import DiamondOnly, InvalidArrow, TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
 from .shifts import (ShiftPresentation, is_periodic_point,
                      mirage_membership_k, ordered_blocks)
@@ -360,12 +360,14 @@ def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
 def connector(x: ShiftPresentation, e: OmegaTerm,
               f: OmegaTerm) -> OmegaTerm | None:
     """The first middle term e·f, then e·c·f over the blocks c of x with
-    |c| ≤ 4 by length, that lies in the 2-mirage of x; None if none does."""
+    |c| ≤ 4 by length, that lies in the 2-mirage of x; None if none does.
+
+    A term and its canonical form unroll to words with the same factors,
+    so only the candidate returned is canonicalised."""
     for c in [None] + ordered_blocks(x, 4):
-        mid = (canonical(e * f) if c is None
-               else canonical(e * OmegaTerm.from_word(c) * f))
+        mid = e * f if c is None else e * OmegaTerm.from_word(c) * f
         if mirage_membership(mid, x, 2):
-            return mid
+            return canonical(mid)
     return None
 
 
@@ -576,6 +578,26 @@ def quotient_equal(s: OmegaTerm, t: OmegaTerm, tests) -> Verdict:
     return Verdict("EqualInAll", False, None,
                    "equal in all supplied quotients; not a proof of "
                    "equality of pseudowords")
+
+
+def check_equal_in_quotients(s: OmegaTerm, t: OmegaTerm, tests, error,
+                             message: str) -> None:
+    """Raise error(message) if a quotient in tests tells s from t.
+
+    Agreement proves nothing and passes; with no tests nothing is
+    compared or canonicalised."""
+    if tests and quotient_equal(s, t, tests).kind == "DistinguishedBy":
+        raise error(message)
+
+
+def check_arrow(arrow, tests) -> None:
+    """InvalidArrow if a quotient in tests tells e·u·f from u for the
+    arrow (e, u, f); the triple is read only when there are tests."""
+    if tests:
+        e, u, f = arrow
+        check_equal_in_quotients(e * u * f, u, tests, InvalidArrow,
+                                 "middle component is not fixed by the end "
+                                 "idempotents in a finite quotient")
 
 
 # -- parsing and printing ----------------------------------------------

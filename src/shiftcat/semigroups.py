@@ -215,9 +215,9 @@ class GreenData(Record):
         return (i, j) in self.j_below
 
 
-def _partition_from_comp(comp: list[int]) -> tuple[tuple[frozenset[int], ...],
-                                                   tuple[int, ...]]:
-    groups: dict[int, set[int]] = {}
+def _partition_from_comp(comp: list) -> tuple[tuple[frozenset[int], ...],
+                                             tuple[int, ...]]:
+    groups: dict = {}
     for x, c in enumerate(comp):
         groups.setdefault(c, set()).add(x)
     classes = sorted(groups.values(), key=min)
@@ -249,14 +249,7 @@ def green(s: FiniteSemigroup) -> GreenData:
     R, r_of = _partition_from_comp(right)
     L, l_of = _partition_from_comp(left)
     J, j_of = _partition_from_comp(both)
-    h_groups: dict[tuple[int, int], set[int]] = {}
-    for x in range(n):
-        h_groups.setdefault((r_of[x], l_of[x]), set()).add(x)
-    H_classes = sorted(h_groups.values(), key=min)
-    h_of = [0] * n
-    for i, cl in enumerate(H_classes):
-        for x in cl:
-            h_of[x] = i
+    H, h_of = _partition_from_comp(list(zip(r_of, l_of)))
 
     # J-order through the condensation of the two-sided Cayley graph
     succ_sets: dict[int, set[int]] = {i: set() for i in range(len(J))}
@@ -281,8 +274,7 @@ def green(s: FiniteSemigroup) -> GreenData:
     regular = tuple(any(t[x][x] == x for x in cl) for cl in J)
     _assert_j_equals_d(s, J, r_of, l_of)
 
-    data = GreenData(R, L, J, tuple(frozenset(c) for c in H_classes),
-                     r_of, l_of, j_of, tuple(h_of),
+    data = GreenData(R, L, J, H, r_of, l_of, j_of, h_of,
                      frozenset(below), regular)
     s._green = data
     return data

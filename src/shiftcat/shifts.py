@@ -257,8 +257,7 @@ class ShiftPresentation:
 def _array(value, field: str) -> list:
     # a string in place of an array would be read symbol by symbol
     if not isinstance(value, list):
-        raise ValueError(f"the {field!r} field of a shift presentation must "
-                         "be an array")
+        raise ValueError(f"the {field!r} field must be a JSON array")
     return value
 
 
@@ -740,8 +739,9 @@ def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
     """True iff every factor of w of length ≤ k is a block of x.
 
     Blocks are factor-closed, so it is enough that each window of w of
-    length min(k, |w|) is one; the windows are looked up as letter
-    tuples.  A word over another alphabet has no block among its
+    length min(k, |w|) is one; each distinct window is decided by one
+    walk of the trimmed graph, as is_block does, so no block is
+    enumerated.  A word over another alphabet has no block among its
     factors.
     """
     if len(w) == 0:
@@ -751,7 +751,7 @@ def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
     if w.alphabet != x.alphabet:
         return False
     kk = min(k, len(w))
-    _fill_blocks(x, kk)
-    level = x._blocks[kk]
+    g = x.graph()
     ls = w.letters
-    return all(ls[i:i + kk] in level for i in range(len(ls) - kk + 1))
+    windows = {ls[i:i + kk] for i in range(len(ls) - kk + 1)}
+    return all(g.walk(set(g.vertices), win) for win in windows)

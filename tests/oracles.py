@@ -3,14 +3,17 @@
 Everything here is computed from first principles (combinatorial rules,
 definitional set computations, sympy series) without importing the
 package under test, so each assertion in the test suite checks two
-independent derivations against each other.  There are two exceptions.
-The irreducibility oracle runs the subset automaton of the package's
-trimmed graph, and checks only the way `is_irreducible` reads the
-verdict off strongly connected components.  The boundary-stripping
+independent derivations against each other.  There are three
+exceptions.  The irreducibility oracle runs the subset automaton of the
+package's trimmed graph, and checks only the way `is_irreducible` reads
+the verdict off strongly connected components.  The boundary-stripping
 section's five-way classifier is built on the package's ω-terms and
 canonical form, and checks only the way `classify_type` reads the five
-shapes off one contraction.  Their functions import the package when
-called, so the module itself loads without it.
+shapes off one contraction.  The naturality square runs the package's
+functors and η, and checks only that the square may leave the end
+idempotents out of the functors and canonicalise each term once.  Their
+functions import the package when called, so the module itself loads
+without it.
 """
 
 from __future__ import annotations
@@ -549,6 +552,48 @@ def five_way_classify(w, ctx):
         raise ClassificationFailure(f"expected exactly one type, got "
                                     f"{matches or 'none'}")
     return matches[0]
+
+
+# -- the naturality square -----------------------------------------------
+# The square as first written: every candidate middle and both sides are
+# canonicalised before they are tested, and the whole arrow, ends
+# included, goes through G and then F.
+
+
+def connector_canonicalising_each_candidate(x, e, f):
+    """The first canonical(e·f), then canonical(e·c·f) over the blocks c
+    of x with |c| ≤ 4 by length, in the 2-mirage of x; None if none is."""
+    from shiftcat.pseudowords import (OmegaTerm, canonical,
+                                      mirage_membership)
+    from shiftcat.shifts import ordered_blocks
+    for c in [None] + ordered_blocks(x, 4):
+        mid = canonical(e * f if c is None
+                        else e * OmegaTerm.from_word(c) * f)
+        if mirage_membership(mid, x, 2):
+            return mid
+    return None
+
+
+def naturality_square_through_both_functors(arrow, ctx, tests):
+    """The verdict on η_e ∘ F(G(e, u, f)) = (e, u, f) ∘ η_f, with F∘G of
+    each end checked against η's codomain and the case labels taken from
+    classify_type."""
+    from shiftcat.errors import MismatchBug
+    from shiftcat.flowops import classify_type, eta, functor_F, functor_G
+    from shiftcat.pseudowords import (Verdict, canonical, canonical_equal,
+                                      quotient_equal)
+    e, u, f = arrow
+    eta_e, eta_f = eta(e, ctx, tests), eta(f, ctx, tests)
+    fga = functor_F(functor_G(arrow, ctx), ctx)
+    if not canonical_equal(eta_e[2], fga[0]):
+        raise MismatchBug("η_e does not land on F(G(e))")
+    if not canonical_equal(fga[2], eta_f[2]):
+        raise MismatchBug("the two sides end at different objects")
+    v = quotient_equal(canonical(eta_e[1] * fga[1]),
+                       canonical(u * eta_f[1]), tests)
+    note = (f"case dom={classify_type(e, ctx)}, "
+            f"cod={classify_type(f, ctx)}; {v.note}")
+    return Verdict(v.kind, v.canonical_equal, v.distinguished_by, note)
 
 
 def brute_idempotent_pairs_local_units(table, carrier):

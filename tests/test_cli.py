@@ -74,6 +74,20 @@ def test_even_blocks_exclude_the_odd_run(capsys):
     assert "abb" in three and "bab" in three
 
 
+def test_member_bound_enumerates_no_blocks(capsys):
+    # full-2 has 2^20 blocks of length 20 and golden-mean over 10^6 of
+    # length 30, far above shifts._MAX_BLOCKS; (ab)^ω has two windows
+    for path, bound in ((util.DATA / "full2.json", 20), (GOLDEN, 30)):
+        report = run_json(capsys, "member", str(path), "(a b)^w",
+                          "--bound", str(bound))
+        assert report["mirage_membership"] == {
+            str(k): True for k in range(1, bound + 1)}
+    report = run_json(capsys, "member", EVEN, "(a)^w b (a)^w",
+                      "--bound", "20")
+    assert report["mirage_membership"] == {
+        str(k): k < 3 for k in range(1, 21)}
+
+
 def test_member_reports(capsys):
     report = run_json(capsys, "member", EVEN, "(a)^w (b)^w")
     assert report["closure_membership"] is True
@@ -276,6 +290,16 @@ TERM = "(a)^w b (a)^w"
      {"alphabet": [1, 2], "kind": "sft", "forbidden": []}),
     (["syntactic", INPUT], {"alphabet": [1, 2], "kind": "sft",
                             "forbidden": []}),
+    # nor is a block map's alphabet read from a string
+    (["code", "apply", INPUT, GOLDEN],
+     {"window": 1, "source": "ab", "target": ["a", "b"],
+      "table": {"a": "a", "b": "b"}}),
+    (["code", "centralize", INPUT],
+     {"window": 1, "source": ["a", "b"], "target": "ab",
+      "table": {"a": "a", "b": "b"}}),
+    (["code", "centralize", INPUT],
+     {"window": 1, "source": ["a", "b"], "target": ["a", "b"],
+      "table": [["a", "a"], ["b", "b"]]}),
 ])
 def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
     path = tmp_path / "input.json"

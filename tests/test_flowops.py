@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
-from shiftcat import flowops, pseudowords
+from shiftcat import flowops
 from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                              NotIdempotentWitness, NotInMirage2)
 from shiftcat.flowops import (TYPES, classify_type, eta, expand_shift,
@@ -267,14 +267,8 @@ def test_classification_matches_the_five_way_oracle_on_terms(case):
             == _outcome(oracles.five_way_classify, t, ctx)), (ctx.letter, t)
 
 
-def test_classification_canonicalises_at_most_five_times(monkeypatch):
-    calls = Counter()
-    canonical_in = {mod: mod.canonical for mod in (flowops, pseudowords)}
-    for mod, canon in canonical_in.items():
-        def spy(t, canon=canon):
-            calls["canonical"] += 1
-            return canon(t)
-        monkeypatch.setattr(mod, "canonical", spy)
+def test_classification_canonicalises_at_most_five_times(call_counts):
+    calls = call_counts("canonical")
     for text in ("(o b b a)^(w+1) (o a)^w", "o (b)^w", "(b)^w a",
                  "(a o b b)^w"):
         calls.clear()
@@ -447,3 +441,43 @@ def test_naturality_rows_classify_each_idempotent_once(monkeypatch):
             expected.append({"dom": format_term(e), "cod": format_term(f),
                              "kind": v.kind, "case": v.note.split(";")[0]})
     assert len(rows) == 49 and rows == expected
+
+
+def test_naturality_rows_send_only_the_middle_through_the_functors(
+        call_counts):
+    # G and F see the middle of each arrow once; the ends reach them only
+    # through η, which builds E(C(e)) once per idempotent
+    idems = idempotent_terms(CTX.target, 5)
+    calls = call_counts("term_contract", "term_expand")
+    rows = list(naturality_rows(CTX, 5))
+    once = len(rows) + len(idems)
+    assert (len(rows), len(idems)) == (49, 7)
+    assert calls == Counter(term_contract=once, term_expand=once)
+
+
+def test_naturality_rows_match_the_square_through_both_functors():
+    """Every corpus expansion at bound 4 gives the rows and verdicts of
+    the square that sends whole arrows through G and F, checks both ends
+    against η, and canonicalises each candidate and side first."""
+    arrows = 0
+    for ctx in CORPUS_CONTEXTS:
+        s_tgt, _ = syntactic_semigroup(ctx.target)
+        tests = battery(ctx.target.alphabet, None,
+                        extra=[(s_tgt, dict(s_tgt.gen_of))])
+        idems = idempotent_terms(ctx.target, 4)
+        expected = []
+        for e in idems:
+            for f in idems:
+                mid = oracles.connector_canonicalising_each_candidate(
+                    ctx.target, e, f)
+                if mid is None:
+                    continue
+                v = oracles.naturality_square_through_both_functors(
+                    (e, mid, f), ctx, tests)
+                assert verify_naturality((e, mid, f), ctx, tests) == v
+                expected.append({"dom": format_term(e),
+                                 "cod": format_term(f), "kind": v.kind,
+                                 "case": v.note.split(";")[0]})
+        assert list(naturality_rows(ctx, 4)) == expected, ctx.letter
+        arrows += len(expected)
+    assert arrows == 470

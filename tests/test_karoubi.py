@@ -331,6 +331,15 @@ def test_induced_functor_rejects_non_arrow():
         induced_functor_on_arrow(cen, (e, u, f), tests)
 
 
+def test_induced_functor_refutes_a_non_idempotent():
+    cen = centralize(higher_block_map(AB, 2))
+    tests = battery(cen.target, seed=3)
+    for text in ("a b", "(a)^(w+1)"):
+        with pytest.raises(MismatchBug, match="^image of an idempotent is "
+                           "not idempotent in a finite quotient$"):
+            induced_functor_on_idempotent(cen, parse_term(AB, text), tests)
+
+
 def test_induced_functor_composition_law():
     cen = centralize(higher_block_map(AB, 2))
     tgt_tests = battery(cen.target, seed=11)

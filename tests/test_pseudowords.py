@@ -11,16 +11,20 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat.codes import centralize, higher_block_map, word_code
-from shiftcat.errors import DiamondOnly, TooShort
+from shiftcat.errors import (DiamondOnly, InvalidArrow, MismatchBug,
+                             NotIdempotentWitness, TooShort)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
-                                  canonical_equal, closure_membership,
-                                  eval_term, expand_word, format_term,
-                                  image_E_membership, mirage_levels,
-                                  mirage_membership, parse_term,
-                                  quotient_equal, term_block_code,
-                                  term_contract, term_expand, term_factors,
-                                  term_prefix_k, term_suffix_k, unroll)
-from shiftcat.semigroups import battery
+                                  canonical_equal, check_arrow,
+                                  check_equal_in_quotients,
+                                  closure_membership, connector, eval_term,
+                                  expand_word, format_term,
+                                  idempotent_terms, image_E_membership,
+                                  mirage_levels, mirage_membership,
+                                  parse_term, quotient_equal,
+                                  term_block_code, term_contract,
+                                  term_expand, term_factors, term_prefix_k,
+                                  term_suffix_k, unroll)
+from shiftcat.semigroups import battery, syntactic_semigroup
 from shiftcat.shifts import is_block
 from shiftcat.words import Alphabet, Word, factors_up_to
 
@@ -460,6 +464,52 @@ def test_quotient_equal_weak_equal():
     v = quotient_equal(t_ab("(ab)^w"), t_ab("(ba)^w"), tests)
     assert v.kind == "EqualInAll"
     assert v.canonical_equal is False
+
+
+@pytest.mark.parametrize("error", [InvalidArrow, NotIdempotentWitness,
+                                   MismatchBug])
+def test_a_refuting_quotient_raises_the_given_error(error, call_counts):
+    tests = battery(AB)
+    s, t = t_ab("(a)^w"), t_ab("(a)^(w+1)")
+    with pytest.raises(error, match="^told apart$"):
+        check_equal_in_quotients(s, t, tests, error, "told apart")
+    # agreement in every quotient passes, proved or not
+    check_equal_in_quotients(t_ab("(ab)^w"), t_ab("(ba)^w"), tests, error,
+                             "told apart")
+    calls = call_counts("canonical")
+    check_equal_in_quotients(s, t, [], error, "told apart")
+    assert calls["canonical"] == 0
+
+
+def test_check_arrow_refutes_a_loose_middle():
+    s, _ = syntactic_semigroup(util.load("golden_mean"))
+    tests = battery(AB, extra=[(s, dict(s.gen_of))])
+    e, f = t_ab("(a)^w"), t_ab("(b)^w")
+    with pytest.raises(InvalidArrow, match="^middle component is not fixed "
+                       "by the end idempotents in a finite quotient$"):
+        check_arrow((e, t_ab("b a"), f), tests)
+    check_arrow((e, t_ab("(a)^w (b)^w"), f), tests)
+    # without tests the components are not read as a triple
+    check_arrow((e,), [])
+
+
+def test_connector_canonicalises_only_the_middle_it_returns(call_counts):
+    calls = call_counts("canonical")
+    later = 0
+    for path in sorted(util.DATA.glob("*.json")):
+        x = util.load(path.stem)
+        idems = idempotent_terms(x, 4)
+        for e in idems:
+            for f in idems:
+                calls.clear()
+                mid = connector(x, e, f)
+                assert calls["canonical"] == (mid is not None)
+                assert mid == oracles.connector_canonicalising_each_candidate(
+                    x, e, f)
+                later += mid is None or not mirage_membership(e * f, x, 2)
+    # pairs whose first candidate e·f fails, where a connector that
+    # canonicalised every candidate made more than one pass
+    assert later > 0
 
 
 @settings(max_examples=80, deadline=None)
