@@ -84,9 +84,10 @@ class CentralBlockMap(Record):
         return self.inner.target
 
 
-# The most windows `centralize` and `compose` will tabulate: up to
-# about 30 MiB of table and 0.6 s of work.  The test suite reaches at
-# most 512 (a composite of wing 4 over two letters), the benchmark 128.
+# The most windows `centralize` and `compose` will tabulate, and the
+# most edges `apply_to_presentation` will build: up to about 30 MiB of
+# table and 0.6 s of work.  The test suite reaches at most 512 (a
+# composite of wing 4 over two letters), the benchmark 128.
 _MAX_TABLE = 1 << 16
 
 
@@ -203,7 +204,8 @@ def apply_to_presentation(phi: CentralBlockMap,
     its label word.  Running over edge paths (rather than label words)
     keeps the hidden sofic state, so the result presents exactly the
     image language; the label-word shortcut would overcount for strictly
-    sofic inputs.
+    sofic inputs.  The paths are counted first, in O(|E|·k), and more
+    than _MAX_TABLE of them raise SizeLimit before any is built.
     """
     if x.alphabet != phi.source:
         raise ValueError("presentation is not over the source alphabet")
@@ -213,6 +215,16 @@ def apply_to_presentation(phi: CentralBlockMap,
         relabeled = [(s, phi.inner.table[(a,)], d) for s, a, d in g.edges]
         out = trim_graph(LabeledGraph(g.vertices, relabeled))
     else:
+        ending = dict.fromkeys(g.vertices, 1)   # paths of m edges ending at v
+        for _ in range(2 * k + 1):
+            nxt = dict.fromkeys(g.vertices, 0)
+            for s, _, d in g.edges:
+                nxt[d] += ending[s]
+            ending = nxt
+            # the count never falls: every trimmed vertex has an out-edge
+            if sum(ending.values()) > _MAX_TABLE:
+                raise SizeLimit(f"more than {_MAX_TABLE} paths of "
+                                f"{2 * k + 1} edges")
         paths = [(e,) for e in g.edges]
         for _ in range(2 * k):
             paths = [p + (e,) for p in paths for e in g.out[p[-1][2]]]

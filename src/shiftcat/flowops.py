@@ -15,12 +15,12 @@ from __future__ import annotations
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
                      MismatchBug, NotIdempotentWitness, NotInMirage2)
 from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
-                          check_equal_in_quotients, connector, expand_word,
-                          format_term, idempotent_terms, image_E_membership,
+                          check_equal_in_quotients, connector, format_term,
+                          idempotent_terms, image_E_membership,
                           mirage_membership, quotient_equal, term_contract,
                           term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
-from .shifts import ShiftPresentation, blocks, is_block, mirage_membership_k
+from .shifts import ShiftPresentation, mirage_membership_k, reads_alike
 from .words import Alphabet, Record, Word, _set
 
 TYPES = ("Letter", "ImageE", "DiamondImageE", "ImageEAlpha",
@@ -47,30 +47,19 @@ class ExpansionContext(Record):
 # the mirage level of the expanded shift that the five types describe;
 # contraction halves it on the source side
 _LEVEL = 2
-_CHECK_BOUND = 6
 
 
 def _characterization_check(ctx: ExpansionContext):
-    """Blocks translate both ways between source and target.
-
-    Expanding any block of the source yields a block of the target, and
-    any block of the target that has the shape of an expanded word
-    contracts to a block of the source.
-    """
-    b_alpha = ctx.target.alphabet
-    for u in blocks(ctx.source, _CHECK_BOUND):
-        img = expand_word(u, ctx.letter, b_alpha, ctx.diamond)
-        if not is_block(ctx.target, img):
-            raise MismatchBug("expanded source block is not a target block")
-    a_alpha = ctx.source.alphabet
-    for w in blocks(ctx.target, _CHECK_BOUND):
-        if not image_E_membership(w, ctx.letter, ctx.diamond):
-            continue
-        back = Word(a_alpha, tuple(a for a in w.letters
-                                   if a != ctx.diamond))
-        if not is_block(ctx.source, back):
-            raise MismatchBug("expanded-shaped target block does not "
-                              "contract to a source block")
+    """u is a block of the source exactly when E(u) is one of the target,
+    for every u, by one walk of shifts.reads_alike.  So expanded source
+    blocks are target blocks, and the E-shaped target blocks
+    (image_E_membership), being the images E(u), contract to source
+    blocks."""
+    steps = [((a,), (a, ctx.diamond) if a == ctx.letter else (a,))
+             for a in ctx.source.alphabet.symbols]
+    if not reads_alike(ctx.source.graph(), ctx.target.graph(), steps):
+        raise MismatchBug("the expanded presentation and the source "
+                          "disagree on the expansion of a word")
 
 
 def expand_shift(x: ShiftPresentation, alpha: str,

@@ -108,19 +108,6 @@ class OmegaTerm(Record):
 # -- canonical form ---------------------------------------------------
 
 
-def _flatten(items: list[Item]) -> list[Item]:
-    out: list[Item] = []
-    for it in items:
-        if isinstance(it, Word):
-            if len(it) == 0:
-                continue
-            if out and isinstance(out[-1], Word):
-                out[-1] = out[-1] * it
-                continue
-        out.append(it)
-    return out
-
-
 def _absorb_head(w: tuple, base: tuple, q: int) -> tuple[tuple, int]:
     # u^(ω+q)·u^k·w' = u^(ω+q+k)·w': whole copies at the start of w
     n, k = len(base), 0
@@ -471,10 +458,8 @@ def term_block_code(phi, t: OmegaTerm) -> OmegaTerm:
 
 
 def expand_word(w: Word, alpha: str, target: Alphabet, diamond: str) -> Word:
-    out: tuple[str, ...] = ()
-    for a in w.letters:
-        out += (a, diamond) if a == alpha else (a,)
-    return Word(target, out)
+    return Word(target, tuple(c for a in w.letters
+                              for c in ((a, diamond) if a == alpha else (a,))))
 
 
 def term_expand(t: OmegaTerm, alpha: str, diamond: str = "o") -> OmegaTerm:
@@ -616,7 +601,8 @@ def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
         if m.group("bad"):
             raise ValueError(f"unexpected text {m.group('bad')!r}")
         tokens.append(m.group())
-    items: list[Item] = []
+    # powers, and the letters between them as one list per run
+    items: list = []
     i = 0
 
     def to_letters(tok: str) -> tuple[str, ...]:
@@ -630,11 +616,11 @@ def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
         tok = tokens[i]
         if tok == "(":
             j = i + 1
-            letters: tuple[str, ...] = ()
+            letters: list[str] = []
             while j < len(tokens) and not tokens[j].startswith(")"):
                 if tokens[j] == "(":
                     raise ValueError("nested powers are not supported")
-                letters += to_letters(tokens[j])
+                letters.extend(to_letters(tokens[j]))
                 j += 1
             if j == len(tokens):
                 raise ValueError("unclosed power")
@@ -642,15 +628,18 @@ def parse_term(alphabet: Alphabet, text: str) -> OmegaTerm:
                 raise ValueError("empty power base")
             m = _EXP.match(tokens[j])
             q = int(m.group(1)) if m else 0
-            items.append(Power(Word(alphabet, letters), q))
+            items.append(Power(Word(alphabet, tuple(letters)), q))
             i = j + 1
         elif tok.startswith(")"):
             raise ValueError("unmatched ')'")
         else:
-            items.append(Word(alphabet, to_letters(tok)))
+            if not items or isinstance(items[-1], Power):
+                items.append([])
+            items[-1].extend(to_letters(tok))
             i += 1
-    items = _flatten(items)
-    return OmegaTerm(alphabet, tuple(items))
+    return OmegaTerm(alphabet, tuple(
+        it if isinstance(it, Power) else Word(alphabet, tuple(it))
+        for it in items))
 
 
 def format_term(t: OmegaTerm) -> str:

@@ -532,9 +532,9 @@ def is_irreducible(x: ShiftPresentation) -> bool:
     which every block recurs to the left; the left tail of a path
     labelled by it stays in one component, which then reads every block
     (Lind and Marcus, ch. 3).  Each component with an internal edge is
-    tested by one walk on pairs (vertices G reaches, vertices H reaches)
-    hunting for a word that G reads and H does not.  A direct witness
-    search on short blocks cross-checks.
+    tested by reads_alike, letter against letter: H is a subgraph of G,
+    so the walk hunts for a word that G reads and H does not.  A direct
+    witness search on short blocks cross-checks.
     """
     g = x.graph()
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -544,32 +544,37 @@ def is_irreducible(x: ShiftPresentation) -> bool:
     for e in g.edges:
         if comp[index[e[0]]] == comp[index[e[2]]]:
             inner.setdefault(comp[index[e[0]]], []).append(e)
+    steps = [((a,), (a,)) for a in x.alphabet.symbols]
     # a component holding every edge is G itself
     verdict = any(len(es) == len(g.edges) or
-                  _reads_every_block(g, es, x.alphabet.symbols)
+                  reads_alike(g, LabeledGraph(dict.fromkeys(
+                      s for s, _, _ in es), es), steps)
                   for es in inner.values())
     if verdict:
         _crosscheck_irreducible(x)
     return verdict
 
 
-def _reads_every_block(g: LabeledGraph, edges: list[Edge], syms) -> bool:
-    # hunt for a word that g reads and its subgraph on edges does not
-    h = LabeledGraph(dict.fromkeys(s for s, _, _ in edges), edges)
+def reads_alike(g: LabeledGraph, h: LabeledGraph, steps) -> bool:
+    """Whether g reads g(u) exactly when h reads h(u), for every word u.
+
+    steps holds one pair per letter c: the letters g reads for c and the
+    letters h reads for c; g(u) and h(u) join the pairs of u's letters.
+    Walks pairs (vertices g reaches, vertices h reaches) from (all of g,
+    all of h) and fails as soon as exactly one side reads a step, which
+    happens at the shortest prefix of any word read by one side only.
+    """
     start = (frozenset(g.vertices), frozenset(h.vertices))
     seen = {start}
     stack = [start]
     while stack:
-        full, part = stack.pop()
-        for a in syms:
-            nf = g.walk(full, (a,))
-            if not nf:
-                continue
-            np = h.walk(part, (a,))
-            if not np:
+        gs, hs = stack.pop()
+        for gw, hw in steps:
+            ng, nh = g.walk(gs, gw), h.walk(hs, hw)
+            if bool(ng) != bool(nh):
                 return False
-            pair = (frozenset(nf), frozenset(np))
-            if pair not in seen:
+            pair = (frozenset(ng), frozenset(nh))
+            if ng and pair not in seen:
                 seen.add(pair)
                 stack.append(pair)
     return True

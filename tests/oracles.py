@@ -489,11 +489,14 @@ def strip_boundary(t):
     """Remove the first and last letter, staying an exact ω-term, so that
     first · strip_boundary(t) · last has the canonical form of t."""
     from shiftcat.errors import TooShort
-    from shiftcat.pseudowords import OmegaTerm, _flatten, canonical
+    from shiftcat.pseudowords import OmegaTerm, canonical
     t = canonical(t)
     if t.is_plain() and len(t.as_plain_word()) < 2:
         raise TooShort("need at least two letters to strip")
-    items = _flatten(_drop_first_item(list(t.body)))
+    # dropping the first letter may leave an empty word in front of the
+    # last item
+    items = [it for it in _drop_first_item(list(t.body))
+             if hasattr(it, "q") or len(it)]
     return canonical(OmegaTerm(t.alphabet, tuple(_drop_last_item(items))))
 
 

@@ -391,6 +391,28 @@ def test_blocks_over_the_size_limit_is_a_one_line_error(capsys,
                    "most 40\n")
 
 
+def test_code_apply_over_the_size_limit_is_a_one_line_error(capsys,
+                                                           tmp_path):
+    """Eight vertices joined every way by a, at wing 2, have 8^6 paths
+    of 5 edges; they are counted and refused before any is built."""
+    verts = [str(i) for i in range(8)]
+    shift = tmp_path / "complete.json"
+    shift.write_text(json.dumps(
+        {"alphabet": ["a"], "kind": "sofic", "vertices": verts,
+         "edges": [[s, "a", d] for s in verts for d in verts]}))
+    central = tmp_path / "central.json"
+    central.write_text(json.dumps(
+        {"inner": {"window": 5, "source": ["a"], "target": ["a"],
+                   "memory": 2, "anticipation": 2,
+                   "table": {"aaaaa": "a"}},
+         "wing": 2}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "code", "apply", str(central), str(shift))
+    assert (code, out) == (1, "")
+    assert err == "error: SizeLimit: more than 65536 paths of 5 edges\n"
+    assert time.perf_counter() - start < 10
+
+
 def test_huge_exponent_offsets_run_in_bounded_work(capsys):
     start = time.perf_counter()
     assert run(capsys, "member", EVEN, "(a)^(w+99999999999)")[0] == 0
@@ -412,6 +434,15 @@ def test_term_code_on_a_long_term_runs_in_linear_work(capsys, tmp_path):
                      else letters)
     start = time.perf_counter()
     assert run(capsys, "term", "code", str(central), " ".join(parts))[0] == 0
+    assert time.perf_counter() - start < 10
+
+
+def test_classify_on_a_long_word_runs_in_linear_work(capsys):
+    word = "aobb" * 48000                   # 192 KB, type ImageE
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", EVEN, word, "--letter", "a")
+    assert code == 0, err
+    assert json.loads(out)["type"] == "ImageE"
     assert time.perf_counter() - start < 10
 
 

@@ -140,6 +140,38 @@ def test_apply_to_presentation_preserves_block_language():
         assert got == imgs, n
 
 
+def test_apply_to_presentation_reads_the_codes_of_the_source_blocks():
+    """On every corpus shift, strictly sofic ones included, and at wings
+    0, 1 and 2, the image presentation reads exactly the word codes of
+    the source blocks longer than 2k."""
+    rng = random.Random(16)
+    n = 4
+    for path in sorted(util.DATA.glob("*.json")):
+        x = util.load(path.stem)
+        for k in (0, 1, 2):
+            target = Alphabet(("0", "1", "2")[:rng.randint(1, 3)])
+            table = {win: rng.choice(target.symbols) for win in
+                     itertools.product(x.alphabet.symbols, repeat=2 * k + 1)}
+            cen = CentralBlockMap(
+                BlockMap(x.alphabet, target, 2 * k + 1, table, k, k), k)
+            y = apply_to_presentation(cen, x)
+            images = {word_code(cen, u) for u in blocks(x, n + 2 * k)
+                      if len(u) > 2 * k}
+            assert blocks(y, n) == images, (path.stem, k)
+
+
+def test_apply_to_presentation_counts_its_paths_against_the_limit(
+        monkeypatch):
+    # full-2 on its two de Bruijn vertices has 16 paths of 3 edges
+    x = util.load("full2")
+    cen = centralize(higher_block_map(AB, 3))
+    monkeypatch.setattr(codes, "_MAX_TABLE", 16)
+    assert len(apply_to_presentation(cen, x).graph().edges) == 16
+    monkeypatch.setattr(codes, "_MAX_TABLE", 15)
+    with pytest.raises(SizeLimit, match="^more than 15 paths of 3 edges$"):
+        apply_to_presentation(cen, x)
+
+
 def test_block_map_json_roundtrip():
     rng = random.Random(3)
     for _ in range(10):

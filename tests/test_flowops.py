@@ -3,6 +3,7 @@ flow functors with their natural isomorphism."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -12,16 +13,19 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat import flowops
-from shiftcat.errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
-                             NotIdempotentWitness, NotInMirage2)
-from shiftcat.flowops import (TYPES, classify_type, eta, expand_shift,
-                              functor_F, functor_G, naturality_rows,
-                              term_expand_of_contract, verify_naturality)
+from shiftcat.errors import (ClassificationFailure, DiamondOnly, EmptyShift,
+                             InvalidArrow, MismatchBug, NotIdempotentWitness,
+                             NotInMirage2)
+from shiftcat.flowops import (TYPES, ExpansionContext, classify_type, eta,
+                              expand_shift, functor_F, functor_G,
+                              naturality_rows, term_expand_of_contract,
+                              verify_naturality)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical, canonical_equal,
-                                  connector, format_term, idempotent_terms,
-                                  parse_term, unroll)
+                                  connector, expand_word, format_term,
+                                  idempotent_terms, parse_term, unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
-from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts, zeta
+from shiftcat.shifts import (ShiftPresentation, blocks, is_block,
+                             periodic_counts, zeta)
 from shiftcat.words import Alphabet, Word
 
 EVEN = util.load("even")
@@ -68,6 +72,84 @@ def test_expansion_validates_its_arguments():
         expand_shift(EVEN, "z")
     with pytest.raises(ValueError):
         expand_shift(EVEN, "a", diamond="b")
+
+
+def test_an_expansion_that_differs_only_beyond_length_six_is_refused():
+    """full-2 and the SFT without b^7 share every block of length at
+    most 6, so only a check at every length tells the expansion of one
+    from the other's, in either direction."""
+    ab = Alphabet(("a", "b"))
+    full2 = ShiftPresentation.full_shift(ab)
+    no_b7 = ShiftPresentation.sft(ab, ["bbbbbbb"])
+    for source, other in ((full2, no_b7), (no_b7, full2)):
+        ctx = ExpansionContext(source, "a", "o",
+                               expand_shift(other, "a").target)
+        with pytest.raises(MismatchBug):
+            flowops._characterization_check(ctx)
+
+
+def random_sofic(rng):
+    """1-8 vertices, 1-3 letters and V to 3V random edges; some present
+    the empty shift."""
+    alpha = Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+    verts = [str(i) for i in range(rng.randint(1, 8))]
+    edges = [(rng.choice(verts), rng.choice(alpha.symbols), rng.choice(verts))
+             for _ in range(rng.randint(len(verts), 3 * len(verts)))]
+    return ShiftPresentation.sofic(alpha, verts, edges)
+
+
+def short_disagreement(ctx, n):
+    """A source word of length at most n that is a block exactly when
+    its expansion is not a block of the target, or None.  Blocks are
+    closed under prefixes, so the search extends only the words that
+    one side reads."""
+    b = ctx.target.alphabet
+    stack = [()]
+    while stack:
+        letters = stack.pop()
+        for a in ctx.source.alphabet.symbols:
+            u = Word(ctx.source.alphabet, letters + (a,))
+            img = expand_word(u, ctx.letter, b, ctx.diamond)
+            read = is_block(ctx.source, u), is_block(ctx.target, img)
+            if read[0] != read[1]:
+                return u
+            if read[0] and len(u) < n:
+                stack.append(u.letters)
+    return None
+
+
+def test_expansions_pass_the_check_and_broken_ones_fail_it():
+    """Every corpus shift at every letter and 200 seeded random sofic
+    shifts expand without MismatchBug.  With one edge of the expanded
+    presentation dropped, the check refuses exactly when a word of
+    length at most 7 tells source and target apart."""
+    for ctx in CORPUS_CONTEXTS:
+        flowops._characterization_check(ctx)
+    rng = random.Random(16)
+    outcomes: Counter = Counter()
+    while sum(outcomes.values()) < 200:
+        x = random_sofic(rng)
+        try:
+            x.graph()
+        except EmptyShift:
+            continue
+        ctx = expand_shift(x, rng.choice(x.alphabet.symbols))
+        raw = ctx.target.to_json()
+        del raw["edges"][rng.randrange(len(raw["edges"]))]
+        broken = ExpansionContext(x, ctx.letter, ctx.diamond,
+                                  ShiftPresentation.from_json(raw))
+        try:
+            flowops._characterization_check(broken)
+            outcome = "passed"
+        except EmptyShift:
+            outcome = "empty"
+        except MismatchBug:
+            outcome = "refused"
+        if outcome != "empty":
+            witness = short_disagreement(broken, 7)
+            assert (outcome == "refused") == (witness is not None), raw
+        outcomes[outcome] += 1
+    assert outcomes == {"passed": 92, "refused": 84, "empty": 24}
 
 
 # -- the five-type classification ---------------------------------------

@@ -4,6 +4,7 @@ expansion/contraction homomorphisms."""
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -517,6 +518,21 @@ def test_connector_canonicalises_only_the_middle_it_returns(call_counts):
 def test_parse_format_roundtrip(t):
     back = parse_term(AB, format_term(t))
     assert canonical_equal(back, t)
+
+
+def test_a_long_printed_term_parses_back_in_linear_work():
+    """format_term prints one letter per token; 40 000 of them read back
+    as two words around a power."""
+    rng = random.Random(16)
+
+    def run():
+        return Word(AB, tuple(rng.choice("ab") for _ in range(20000)))
+
+    t = OmegaTerm(AB, (run(), Power(Word(AB, ("a", "b")), -1), run()))
+    text = format_term(t)
+    start = time.perf_counter()
+    assert parse_term(AB, text) == t
+    assert time.perf_counter() - start < 5
 
 
 def test_parse_rejects_unknown_symbols():
