@@ -13,12 +13,13 @@ quotients is reported as exactly that.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import DiamondOnly, InvalidArrow, TooShort, UnassignedLetter
 from .semigroups import FiniteSemigroup, omega_plus
 from .shifts import (ShiftPresentation, is_periodic_point,
-                     mirage_membership_k, ordered_blocks)
+                     mirage_membership_k, ordered_blocks, spell_blocks)
 from .words import (Alphabet, Record, Word, _set, factors_up_to, is_primitive,
                     prefix_k, primitive_root, suffix_k)
 
@@ -350,9 +351,12 @@ def connector(x: ShiftPresentation, e: OmegaTerm,
     |c| ≤ 4 by length, that lies in the 2-mirage of x; None if none does.
 
     A term and its canonical form unroll to words with the same factors,
-    so only the candidate returned is canonicalised."""
-    for c in [None] + ordered_blocks(x, 4):
-        mid = e * f if c is None else e * OmegaTerm.from_word(c) * f
+    so only the candidate returned is canonicalised.  The blocks are
+    spelled as they are tried, and most pairs need the first few."""
+    candidates = spell_blocks(x, 4, [(a,) for a in x.alphabet.symbols], ())
+    for c in itertools.chain([None], candidates):
+        mid = e * f if c is None else \
+            e * OmegaTerm.from_word(Word(x.alphabet, c)) * f
         if mirage_membership(mid, x, 2):
             return canonical(mid)
     return None

@@ -18,7 +18,7 @@ from .words import (Alphabet, Record, Word, _set, word_from_json,
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Hashable, Iterable
+    from typing import Hashable, Iterable, Iterator
 
     Edge = tuple[Hashable, str, Hashable]
 
@@ -152,8 +152,12 @@ class ShiftPresentation:
         else:
             self._raw = None
         self._graph: LabeledGraph | None = None
-        # the blocks of each length, letters -> Word, in alphabet order
-        self._blocks: dict[int, dict[tuple[str, ...], Word]] = {}
+        # the blocks of each length m, in alphabet order, as three
+        # parallel arrays: the index of the block's length-(m-1) prefix
+        # in level m - 1, its last letter's index in the alphabet, and
+        # the state of _subsets its path ends in
+        self._blocks: dict[int, tuple] = {}
+        self._subsets: SubsetAutomaton | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -269,8 +273,10 @@ def _vertex_name(v: Hashable) -> str:
     return str(v)
 
 
-# The most blocks `blocks` will hold, about 90 MiB of them.  The test
-# suite and the benchmark reach at most 8190 (full-2 up to length 12).
+# The most blocks `blocks` will hold.  The store keeps 12 bytes a block;
+# at the limit, spelling them for `shiftcat blocks` peaks at about 40 MiB
+# and ordered_blocks' list of Words holds about 50 MiB.  The test suite
+# reaches 32766 (full-2 up to length 14), the benchmark 8190 (up to 12).
 _MAX_BLOCKS = 200_000
 
 
@@ -280,23 +286,36 @@ def blocks(x: ShiftPresentation, n: int) -> set[Word]:
     Raises SizeLimit, before enumerating any, when there are more than
     _MAX_BLOCKS of them.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _fill_blocks(x, n)
-    return {w for m in range(1, n + 1) for w in x._blocks[m].values()}
+    return set(ordered_blocks(x, n))
 
 
 def ordered_blocks(x: ShiftPresentation, n: int) -> list[Word]:
     """The blocks of x of length between 1 and n, by length and then in
     alphabet order."""
+    return [Word(x.alphabet, letters) for letters in
+            spell_blocks(x, n, [(a,) for a in x.alphabet.symbols], ())]
+
+
+def spell_blocks(x: ShiftPresentation, n: int, images, unit) -> Iterator:
+    """The blocks of x of length between 1 and n, in the order of
+    ordered_blocks, each spelled as unit + images[i] + images[j] + ...
+    over the alphabet indices i, j, ... of its letters: with the symbols
+    and "" they are the blocks' strings, with one-letter tuples and ()
+    their letters.  Each level is spelled from the one below it, when
+    the first of its blocks is asked for, so a block costs one
+    concatenation."""
     if n < 1:
         raise ValueError("n must be positive")
     _fill_blocks(x, n)
-    return [w for m in range(1, n + 1) for w in x._blocks[m].values()]
+    level = [unit]
+    for m in range(1, n + 1):
+        prefix, letter, _ = x._blocks[m]
+        level = [level[p] + images[k] for p, k in zip(prefix, letter)]
+        yield from level
 
 
 def _fill_blocks(x: ShiftPresentation, n: int) -> None:
-    # extend the cache x._blocks to every length up to n; a level in
+    # extend the store x._blocks to every length up to n; a level in
     # alphabet order extended letter by letter in alphabet order stays so
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
@@ -304,26 +323,28 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
     if _more_blocks_than(x, n, _MAX_BLOCKS):
         raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length at "
                         f"most {n}")
-    g = x.graph()
-    if have == 0:
-        frontier: dict[tuple[str, ...], set[Hashable]] = {(): set(g.vertices)}
-        start = 1
-    else:
-        frontier = {seq: g.walk(set(g.vertices), seq)
-                    for seq in x._blocks[have]}
-        start = have + 1
-    rank = {a: i for i, a in enumerate(x.alphabet.symbols)}
-    for m in range(start, n + 1):
-        nxt: dict[tuple[str, ...], set[Hashable]] = {}
-        for seq, ends in frontier.items():
-            ext: dict[str, set[Hashable]] = {}
-            for v in ends:
-                for (_, a, d) in g.out[v]:
-                    ext.setdefault(a, set()).add(d)
-            for a in sorted(ext, key=rank.__getitem__):
-                nxt[seq + (a,)] = ext[a]
-        x._blocks[m] = {seq: Word(x.alphabet, seq) for seq in nxt}
-        frontier = nxt
+    # imported here: loading the array module costs about 0.4 MiB of
+    # peak RSS, which the subcommands that store no block need not pay
+    from array import array
+    if x._subsets is None:
+        x._subsets = SubsetAutomaton(x.graph(), x.alphabet)
+    sub = x._subsets
+    ends = x._blocks[have][2] if have else array("I", [0])
+    # per state, the (letter, successor) pairs whose successor is nonempty
+    live: dict[int, list[tuple[int, int]]] = {}
+    for m in range(have + 1, n + 1):
+        prefix, letter, nxt = array("I"), array("I"), array("I")
+        for p, e in enumerate(ends):
+            succ = live.get(e)
+            if succ is None:
+                succ = live[e] = [(k, j) for k, j in enumerate(sub.row(e))
+                                  if sub.states[j]]
+            for k, j in succ:
+                prefix.append(p)
+                letter.append(k)
+                nxt.append(j)
+        x._blocks[m] = (prefix, letter, nxt)
+        ends = nxt
 
 
 def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
@@ -372,6 +393,41 @@ def is_block(x: ShiftPresentation, w: Word) -> bool:
     return bool(g.walk(set(g.vertices), w.letters))
 
 
+class SubsetAutomaton:
+    """The subset automaton of the path-label NFA of g, built on demand.
+
+    State 0 is the set of all vertices.  Each vertex set reached is
+    interned once, as states[i] in discovery order, and row(i), its
+    successors in alphabet order (the empty set included), is computed
+    once.  A word is a block iff it walks 0 to a nonempty state.
+    """
+
+    def __init__(self, g: LabeledGraph, alphabet: Alphabet):
+        self.g = g
+        self.symbols = alphabet.symbols
+        start = frozenset(g.vertices)
+        self.states: list[frozenset] = [start]
+        self.index = {start: 0}
+        self.rows: dict[int, list[int]] = {}
+
+    def row(self, i: int) -> list[int]:
+        row = self.rows.get(i)
+        if row is None:
+            ext: dict[str, set[Hashable]] = {}
+            for v in self.states[i]:
+                for _, a, d in self.g.out[v]:
+                    ext.setdefault(a, set()).add(d)
+            row = self.rows[i] = []
+            for a in self.symbols:
+                nxt = frozenset(ext.get(a, ()))
+                j = self.index.get(nxt)
+                if j is None:
+                    j = self.index[nxt] = len(self.states)
+                    self.states.append(nxt)
+                row.append(j)
+        return row
+
+
 def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
     """Determinize the path-label NFA whose start set is all vertices.
 
@@ -380,21 +436,14 @@ def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
     and trans[(i, a)] = j.  A word is a block iff it walks 0 to a
     nonempty state.
     """
-    initial = frozenset(g.vertices)
-    states: list[frozenset] = [initial]
-    index = {initial: 0}
+    sub = SubsetAutomaton(g, alphabet)
     trans: dict[tuple[int, str], int] = {}
     i = 0
-    while i < len(states):
-        cur = states[i]
-        for a in alphabet.symbols:
-            nxt = frozenset(g.walk(set(cur), (a,)))
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            trans[(i, a)] = index[nxt]
+    while i < len(sub.states):
+        for a, j in zip(alphabet.symbols, sub.row(i)):
+            trans[(i, a)] = j
         i += 1
-    return states, trans
+    return sub.states, trans
 
 
 def minimal_automaton(x: ShiftPresentation):

@@ -193,6 +193,24 @@ def zeta_from_counts(p: list[int], order: int) -> list[Fraction]:
     return g
 
 
+# -- block languages by path enumeration ----------------------------------
+
+
+def path_labels(symbols, edges, n: int) -> list[tuple[str, ...]]:
+    """The distinct labels of the paths of length 1..n along edges
+    (source, label, target), every path walked on its own, sorted by
+    length and then by the index of each letter in symbols.  On a
+    trimmed graph these are the blocks of length at most n."""
+    rank = {a: i for i, a in enumerate(symbols)}
+    paths = [((), s) for s in {e[0] for e in edges}]
+    labels = set()
+    for _ in range(n):
+        paths = [(lab + (a,), d) for lab, v in paths
+                 for s, a, d in edges if s == v]
+        labels.update(lab for lab, _ in paths)
+    return sorted(labels, key=lambda lab: (len(lab), [rank[a] for a in lab]))
+
+
 # -- irreducibility on the subset automaton -------------------------------
 
 

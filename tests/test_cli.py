@@ -26,7 +26,7 @@ from shiftcat.pseudowords import (closure_membership, format_term,
                                   mirage_membership, parse_term,
                                   term_block_code)
 from shiftcat.shifts import ShiftPresentation, periodic_counts
-from shiftcat.words import Alphabet
+from shiftcat.words import Alphabet, Word
 
 GOLDEN = str(util.DATA / "golden_mean.json")
 EVEN = str(util.DATA / "even.json")
@@ -72,6 +72,21 @@ def test_even_blocks_exclude_the_odd_run(capsys):
     three = [w for w in report["blocks"] if len(w) == 3]
     assert "aba" not in three
     assert "abb" in three and "bab" in three
+
+
+def test_blocks_spells_its_report_without_words(capsys, monkeypatch):
+    made = []
+    init = Word.__init__
+
+    def spy(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Word, "__init__", spy)
+    report = run_json(capsys, "blocks", str(util.DATA / "full2.json"),
+                      "--order", "8")
+    assert len(report["blocks"]) == 510
+    assert made == []
 
 
 def test_member_bound_enumerates_no_blocks(capsys):

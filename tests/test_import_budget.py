@@ -51,8 +51,10 @@ def test_importing_the_cli_loads_no_library_module():
 
 def test_zeta_loads_only_shifts_and_words():
     # irreducible too: its Tarjan routine, which Green's relations share,
-    # lives in shifts, so it must not pull in semigroups
-    for argv in (["zeta", EVEN, "--order", "5"], ["irreducible", EVEN]):
+    # lives in shifts, so it must not pull in semigroups; and blocks,
+    # whose store lives in shifts
+    for argv in (["zeta", EVEN, "--order", "5"], ["irreducible", EVEN],
+                 ["blocks", EVEN, "--order", "5"]):
         loaded = modules_after(argv)
         assert not loaded & HEAVY, argv
         assert shiftcat_modules(loaded) == {"cli", "errors", "shifts",
@@ -63,8 +65,11 @@ def test_zeta_loads_only_shifts_and_words():
                                   ["lu-poset", EVEN, "--carrier", "all"]],
                          ids=lambda argv: argv[0])
 def test_karoubi_and_lu_poset_load_no_term_module(argv):
-    assert shiftcat_modules(modules_after(argv)) == {
+    loaded = modules_after(argv)
+    assert shiftcat_modules(loaded) == {
         "cli", "errors", "karoubi", "semigroups", "shifts", "words"}
+    # only the block store needs it, and it costs 0.4 MiB of peak RSS
+    assert "array" not in loaded
 
 
 @pytest.mark.parametrize("argv", [["karoubi", EVEN],

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,40 @@ def test_many_paths_per_word_are_not_refused():
                                 [(u, "a", v) for u in verts for v in verts])
     assert [w.as_str() for w in shifts.ordered_blocks(x, 200)] == [
         "a" * m for m in range(1, 201)]
+
+
+def test_ordered_blocks_match_path_enumeration_on_random_shifts():
+    rng = random.Random(2026)
+    cases = [random_sofic(rng, v) for v in range(2, 9) for _ in range(2)]
+    # symbols of several characters, listed out of string order
+    ab = Alphabet(("zz", "b", "ab"))
+    cases.append(ShiftPresentation.sofic(ab, ["0", "1", "2"], [
+        ("0", "zz", "1"), ("1", "b", "2"), ("2", "ab", "0"),
+        ("0", "b", "0"), ("1", "ab", "1"), ("2", "zz", "1")]))
+    for x in cases:
+        got = shifts.ordered_blocks(x, 6)
+        assert [w.letters for w in got] == oracles.path_labels(
+            x.alphabet.symbols, x.graph().edges, 6)
+        assert all(w.alphabet == x.alphabet for w in got)
+        assert list(shifts.spell_blocks(x, 6, x.alphabet.symbols, "")) == [
+            w.as_str() for w in got]
+        # a store extended from length 3 equals one filled at once
+        y = ShiftPresentation.from_json(x.to_json())
+        shifts.ordered_blocks(y, 3)
+        assert shifts.ordered_blocks(y, 8) == shifts.ordered_blocks(
+            ShiftPresentation.from_json(x.to_json()), 8)
+
+
+def test_the_block_store_holds_under_64_bytes_a_block():
+    x = util.load("full2")
+    x.graph()
+    tracemalloc.start()
+    try:
+        shifts._fill_blocks(x, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19               # 8190 blocks in under 0.5 MiB
 
 
 # -- irreducibility --------------------------------------------------------
