@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from types import SimpleNamespace
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType, SimpleNamespace
 
 from . import __version__
 from .errors import EmptyShift, NonIntegralCoefficient, ShiftcatError
@@ -70,8 +72,82 @@ def _central_to_json(phi: CentralBlockMap) -> dict:
             "inner": block_map_to_json(phi.inner), "wing": phi.wing}
 
 
+# -- the report writer ---------------------------------------------------
+# json.dumps with an indent runs the pure-Python encoder, which makes a
+# string per item, a list of them all and then the whole report.  _emit
+# writes the same bytes in pieces: a batch of ints, of strings or of
+# equal-length int rows goes out as one join or one "%d" template, and a
+# generator (the blocks of `blocks`) is read a batch at a time, so the
+# memory a list costs beyond its items is that of one batch.
+
+_BATCH = 1024
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline
+    to stdout.  The report holds computed values, or a generator that
+    cannot fail, so an error comes before the first byte."""
+    write = sys.stdout.write
+    _put(write, report, "\n")
+    write("\n")
+
+
+def _batches(items):
+    it = iter(items)
+    while batch := list(islice(it, _BATCH)):
+        yield batch
+
+
+def _scalar(v) -> str:
+    if type(v) is str:
+        return _quote(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return json.dumps(v)    # a scalar renders alike with or without indent
+
+
+def _put(write, v, nl: str) -> None:
+    """Write v as json.dumps(v, indent=2, sort_keys=True) does at the
+    depth whose line break and indent are nl."""
+    if isinstance(v, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            write(f"{sep}{_quote(k if isinstance(k, str) else _scalar(k))}: ")
+            _put(write, v[k], inner)
+            sep = "," + inner
+        write("{}" if sep[0] == "{" else nl + "}")
+    elif isinstance(v, (list, tuple, GeneratorType)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for batch in _batches(v):
+            write(sep)
+            _put_items(write, batch, inner)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else nl + "]")
+    else:
+        write(_scalar(v))
+
+
+def _put_items(write, items: list, nl: str) -> None:
+    """Write the items of a list, each at the depth of nl, with the
+    separators between them."""
+    sep = "," + nl
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        write(sep.join(map(int.__repr__, items)))
+    elif kinds == {str}:
+        write(sep.join(map(_quote, items)))
+    elif (kinds <= {list, tuple} and len(set(map(len, items))) == 1
+          and items[0] and set(map(type, chain(*items))) == {int}):
+        inner = nl + "  "
+        row = f"[{inner}{f',{inner}'.join(['%d'] * len(items[0]))}{nl}]"
+        write(sep.join([row] * len(items)) % tuple(chain(*items)))
+    else:
+        for i, item in enumerate(items):
+            if i:
+                write(sep)
+            _put(write, item, nl)
 
 
 def _report(schema: str, **fields) -> dict:
@@ -112,20 +188,28 @@ def _green_summary(s) -> list[dict]:
 # -- subcommands ---------------------------------------------------------
 
 
+def _check_positive(value: int, option: str) -> None:
+    # the library's own check would name its parameter, not the option
+    if value < 1:
+        raise ValueError(f"{option} must be positive")
+
+
 def cmd_blocks(args) -> int:
     from .shifts import spell_blocks
+    _check_positive(args.order, "--order")
     x = _load_shift(args.shift)
-    out = list(spell_blocks(x, args.order, x.alphabet.symbols, ""))
+    # the store is filled, or refused, here, before any byte is written
+    blocks = spell_blocks(x, args.order, x.alphabet.symbols, "")
     if args.format == "text":
-        print("\n".join(out))
+        for batch in _batches(blocks):
+            sys.stdout.write("\n".join(batch) + "\n")
     else:
-        _emit(_report("blocks", order=args.order, blocks=out))
+        _emit(_report("blocks", order=args.order, blocks=blocks))
     return EXIT_OK
 
 
 def cmd_member(args) -> int:
-    if args.bound < 1:
-        raise ValueError("--bound must be positive")
+    _check_positive(args.bound, "--bound")
     x = _load_shift(args.shift)
     text = _term_text(args.text)
     if _is_term_text(text):
@@ -152,6 +236,7 @@ def cmd_irreducible(args) -> int:
 
 def cmd_periodic(args) -> int:
     from .shifts import periodic_counts
+    _check_positive(args.order, "--order")
     x = _load_shift(args.shift)
     p, q = periodic_counts(x, args.order)
     _emit(_report("periodic", order=args.order, p=p, q=q))
@@ -160,6 +245,7 @@ def cmd_periodic(args) -> int:
 
 def cmd_zeta(args) -> int:
     from .shifts import zeta
+    _check_positive(args.order, "--order")
     x = _load_shift(args.shift)
     z = zeta(x, args.order)
     _emit(_report("zeta", order=args.order, p=list(z.p), q=list(z.q),
@@ -182,7 +268,7 @@ def cmd_green(args) -> int:
     s, _ = syntactic_semigroup(x)
     g = green(s)
     _emit(_report("green", size=s.size, summary=_green_summary(s),
-                  j_order=sorted(map(list, g.j_below))))
+                  j_order=sorted(g.j_below)))
     return EXIT_OK
 
 
@@ -199,7 +285,7 @@ def cmd_karoubi(args) -> int:
         "karoubi", size=s.size, objects=list(cat.objects),
         green=_green_summary(s),
         census={str(k): v for k, v in sorted(census.items())},
-        retraction_pairs=sorted(map(list, retraction_order(cat))),
+        retraction_pairs=sorted(retraction_order(cat)),
         lu_poset_dot=poset.to_dot()))
     return EXIT_OK
 
@@ -218,7 +304,7 @@ def cmd_lu_poset(args) -> int:
                    "group_element_orders": grp.element_orders()}
                   for (e, reg, grp) in poset.labels]
         _emit(_report("lu-poset", elements=list(poset.elements),
-                      order=sorted(map(list, poset.order)), labels=labels))
+                      order=sorted(poset.order), labels=labels))
     return EXIT_OK
 
 
@@ -263,6 +349,7 @@ def cmd_term(args) -> int:
     elif args.action == "factors":
         from .pseudowords import term_factors
         from .shifts import is_block
+        _check_positive(args.bound, "--bound")
         x = _load_shift(args.source)
         t = parse_term(x.alphabet, _term_text(args.term))
         fs = sorted(term_factors(t, args.bound),
@@ -307,6 +394,7 @@ def cmd_classify(args) -> int:
 
 def cmd_flowcheck(args) -> int:
     from .flowops import expand_shift, naturality_rows
+    _check_positive(args.bound, "--bound")
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     rows = list(naturality_rows(ctx, args.bound, args.seed))

@@ -13,7 +13,6 @@ quotients is reported as exactly that.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .errors import DiamondOnly, InvalidArrow, TooShort, UnassignedLetter
@@ -352,11 +351,13 @@ def connector(x: ShiftPresentation, e: OmegaTerm,
 
     A term and its canonical form unroll to words with the same factors,
     so only the candidate returned is canonicalised.  The blocks are
-    spelled as they are tried, and most pairs need the first few."""
-    candidates = spell_blocks(x, 4, [(a,) for a in x.alphabet.symbols], ())
-    for c in itertools.chain([None], candidates):
-        mid = e * f if c is None else \
-            e * OmegaTerm.from_word(Word(x.alphabet, c)) * f
+    spelled only when e·f fails and as they are tried, and most pairs
+    need the first few."""
+    mid = e * f
+    if mirage_membership(mid, x, 2):
+        return canonical(mid)
+    for c in spell_blocks(x, 4, [(a,) for a in x.alphabet.symbols], ()):
+        mid = e * OmegaTerm.from_word(Word(x.alphabet, c)) * f
         if mirage_membership(mid, x, 2):
             return canonical(mid)
     return None

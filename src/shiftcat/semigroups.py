@@ -10,6 +10,7 @@ over the declared alphabet that the generating morphism sends to it.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import MismatchBug
 from .shifts import (ShiftPresentation, minimal_automaton,
@@ -56,10 +57,13 @@ class FiniteSemigroup:
         if any(len(r) != n for r in t):
             raise ValueError("product table must be square")
         for g in sorted(set(self.generators)):
-            tg = t[g]
+            # x·(g·z) for every z at once; itemgetter of one index
+            # returns the item, not a 1-tuple
+            then_g = itemgetter(*t[g]) if n > 1 else \
+                lambda tx, z=t[g][0]: (tx[z],)
             for x in range(n):
                 tx = t[x]
-                if t[tx[g]] != tuple(tx[z] for z in tg):
+                if t[tx[g]] != then_g(tx):
                     raise ValueError(f"associativity fails at x={x}, "
                                      f"generator {g}")
 
@@ -99,7 +103,7 @@ class FiniteSemigroup:
         return {"size": self.size,
                 "alphabet": list(self.alphabet.symbols),
                 "generators": list(self.generators),
-                "table": [list(r) for r in self.table],
+                "table": self.table,
                 "witnesses": {str(x): word_to_json(self._witness[x])
                               for x in range(self.size)}}
 

@@ -301,15 +301,19 @@ def spell_blocks(x: ShiftPresentation, n: int, images, unit) -> Iterator:
     ordered_blocks, each spelled as unit + images[i] + images[j] + ...
     over the alphabet indices i, j, ... of its letters: with the symbols
     and "" they are the blocks' strings, with one-letter tuples and ()
-    their letters.  Each level is spelled from the one below it, when
-    the first of its blocks is asked for, so a block costs one
-    concatenation."""
+    their letters.  The store is filled, or SizeLimit raised, by the
+    call; each level is spelled from the one below it when the first of
+    its blocks is asked for, so a block costs one concatenation."""
     if n < 1:
         raise ValueError("n must be positive")
     _fill_blocks(x, n)
+    return _spell(x._blocks, n, images, unit)
+
+
+def _spell(store, n: int, images, unit) -> Iterator:
     level = [unit]
     for m in range(1, n + 1):
-        prefix, letter, _ = x._blocks[m]
+        prefix, letter, _ = store[m]
         level = [level[p] + images[k] for p, k in zip(prefix, letter)]
         yield from level
 

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,24 @@ def test_blocks_spells_its_report_without_words(capsys, monkeypatch):
                       "--order", "8")
     assert len(report["blocks"]) == 510
     assert made == []
+
+
+def test_blocks_streams_its_report_in_bounded_memory(monkeypatch):
+    # about 1.4 MiB when the report was built as one string, from a list
+    # of pieces, from the list of every block
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        code = cli.main(["blocks", FULL2, "--order", "12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 def test_member_bound_enumerates_no_blocks(capsys):
@@ -391,16 +410,31 @@ def test_malformed_input_is_a_one_line_error(capsys, tmp_path, argv,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["blocks", EVEN, "--order", "0"], ["periodic", EVEN, "--order", "0"],
+    ["zeta", EVEN, "--order", "0"], ["member", EVEN, "ab", "--bound", "0"],
+    ["term", "factors", EVEN, "(a)^w", "--bound", "0"],
+    ["flowcheck", EVEN, "--letter", "a", "--bound", "0"]],
+    ids=lambda argv: " ".join(a for a in argv[:2] if a != EVEN))
+def test_a_size_below_one_names_the_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[-2]} must be positive\n"
+
+
 def test_unreadable_path_names_the_path_and_the_reason(capsys, tmp_path):
     code, out, err = run(capsys, "zeta", str(tmp_path), "--order", "3")
     assert (code, out) == (1, "")
     assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
-def test_blocks_over_the_size_limit_is_a_one_line_error(capsys,
-                                                        monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_blocks_over_the_size_limit_is_a_one_line_error(capsys, monkeypatch,
+                                                        fmt):
+    # refused before the first byte of the report is written
     monkeypatch.setattr(shifts, "_MAX_BLOCKS", 100)
-    code, out, err = run(capsys, "blocks", FULL2, "--order", "40")
+    code, out, err = run(capsys, "blocks", FULL2, "--order", "40",
+                         "--format", fmt)
     assert (code, out) == (1, "")
     assert err == ("error: SizeLimit: more than 100 blocks of length at "
                    "most 40\n")
@@ -602,6 +636,78 @@ def test_reports_have_sorted_keys(capsys):
     keys = [line.split('"')[1] for line in out.splitlines()
             if line.startswith('  "')]
     assert keys == sorted(keys)
+
+
+# -- the report writer ----------------------------------------------------
+
+
+class Lazy(list):
+    """A list that _emit is handed as a generator, as `blocks` hands it
+    the spelled blocks."""
+
+
+STRINGS = ["", "a", "ab|c", "é", "\n\t", "\x00\x1f\x7f", "\u2028", "😀",
+           '"q"', "\\"]
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    n = rng.choice([0, 1, 2, 5, 9])
+    kind = rng.randrange(8 if depth < 3 else 1)
+    if kind == 0:
+        return rng.choice([0, -1, 2**70, -(3**50), rng.randrange(-99, 99),
+                           True, False, None, 0.5, -2.0, *STRINGS])
+    if kind == 1:                    # ints, now and then a bool among them
+        v = [rng.randrange(-10**20, 10**20) for _ in range(n)]
+        if v and rng.random() < 0.3:
+            v[rng.randrange(n)] = rng.choice([True, False])
+        return v
+    if kind == 2:
+        return [rng.choice(STRINGS) for _ in range(n)]
+    if kind == 3:                    # rows: equal, ragged, empty, tuples
+        width = rng.randrange(4)
+        rows = [[rng.randrange(-5, 300) for _ in range(width)]
+                for _ in range(n)]
+        if rows and rng.random() < 0.3:
+            rows[0].append(1)
+        if rows and width and rng.random() < 0.3:
+            rows[-1][0] = True
+        return [tuple(r) if rng.random() < 0.5 else r for r in rows]
+    items = [random_value(rng, depth + 1) for _ in range(n)]
+    if kind == 4:
+        return tuple(items)
+    if kind == 5:
+        return Lazy(items)
+    if kind == 6:
+        return dict(zip(rng.sample(range(-50, 50), n), items))
+    return {f"{rng.choice(STRINGS)}{i}": v for i, v in enumerate(items)}
+
+
+def thaw(v):
+    """v with each Lazy list made a generator."""
+    if isinstance(v, Lazy):
+        return (thaw(item) for item in v)
+    if isinstance(v, dict):
+        return {k: thaw(item) for k, item in v.items()}
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(thaw, v))
+    return v
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
+def test_the_report_writer_writes_what_json_dumps_does(capsys, monkeypatch,
+                                                       batch):
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    rng = random.Random(batch)
+    x = util.load("even")
+    cases = [({}, {}), ([], []),
+             ({"blocks": (b for b in ())}, {"blocks": []}),
+             ({"blocks": shifts.spell_blocks(x, 6, ("a", "b"), "")},
+              {"blocks": list(shifts.spell_blocks(x, 6, ("a", "b"), ""))})]
+    cases += [(thaw(v), v) for v in (random_value(rng) for _ in range(400))]
+    for given, expected in cases:
+        cli._emit(given)
+        assert capsys.readouterr().out == json.dumps(
+            expected, indent=2, sort_keys=True) + "\n", expected
 
 
 def _golden_reports():

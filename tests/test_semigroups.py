@@ -120,6 +120,23 @@ def test_light_test_rejects_a_large_corrupted_table(large_random):
         FiniteSemigroup(table, s.generators, witnesses, AB)
 
 
+def test_light_test_rejects_every_single_changed_entry(corpus_semigroups):
+    # one element: itemgetter of a single index returns no tuple
+    one = Alphabet(("a",))
+    assert FiniteSemigroup([[0]], [0], {0: Word(one, ("a",))}, one).size == 1
+    for name in ("even", "marker_cycle"):
+        s, _ = corpus_semigroups[name]
+        n = s.size
+        witnesses = {x: s.witness(x) for x in range(n)}
+        for x, y in itertools.product(range(n), repeat=2):
+            table = [list(r) for r in s.table]
+            table[x][y] = (table[x][y] + 1) % n
+            with pytest.raises(ValueError,
+                               match=r"^associativity fails at x=\d+, "
+                                     r"generator \d+$"):
+                FiniteSemigroup(table, s.generators, witnesses, s.alphabet)
+
+
 def test_green_asserts_j_equals_d_above_400(large_random, monkeypatch):
     s, _ = large_random
     fresh = FiniteSemigroup(s.table, s.generators,
