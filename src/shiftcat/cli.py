@@ -13,6 +13,7 @@ when it is called, so a process loads only those.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from itertools import chain, islice
@@ -35,18 +36,18 @@ EXIT_USAGE = 64
 
 
 def _load_json(path: str):
+    # ValueError, which main reports as "error: <message>", exit 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        sys.exit(EXIT_FAIL)
+        raise ValueError(f"no such file: {path}") from None
     except OSError as e:
-        print(f"error: cannot read {path}: {e.strerror or e}", file=sys.stderr)
-        sys.exit(EXIT_FAIL)
+        raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
-        print(f"error: {path}:{e.lineno}:{e.colno}: {e.msg}", file=sys.stderr)
-        sys.exit(EXIT_FAIL)
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_shift(path: str) -> ShiftPresentation:
@@ -83,11 +84,20 @@ def _central_to_json(phi: CentralBlockMap) -> dict:
 _BATCH = 1024
 
 
+def _stdout():
+    """sys.stdout, which Python sets to None when the process starts
+    with stdout closed: a reader gone before the report, as when a pipe
+    is closed."""
+    if sys.stdout is None:
+        raise BrokenPipeError
+    return sys.stdout
+
+
 def _emit(report: dict) -> None:
     """Write json.dumps(report, indent=2, sort_keys=True) and a newline
     to stdout.  The report holds computed values, or a generator that
     cannot fail, so an error comes before the first byte."""
-    write = sys.stdout.write
+    write = _stdout().write
     _put(write, report, "\n")
     write("\n")
 
@@ -201,8 +211,9 @@ def cmd_blocks(args) -> int:
     # the store is filled, or refused, here, before any byte is written
     blocks = spell_blocks(x, args.order, x.alphabet.symbols, "")
     if args.format == "text":
+        write = _stdout().write
         for batch in _batches(blocks):
-            sys.stdout.write("\n".join(batch) + "\n")
+            write("\n".join(batch) + "\n")
     else:
         _emit(_report("blocks", order=args.order, blocks=blocks))
     return EXIT_OK
@@ -298,7 +309,7 @@ def cmd_lu_poset(args) -> int:
     k = range(s.size) if args.carrier == "all" else accept
     poset = lu_labeled_poset(s, k)
     if args.format == "dot":
-        print(poset.to_dot())
+        print(poset.to_dot(), file=_stdout())
     else:
         labels = [{"j_class": e, "regular": reg, "group_order": grp.order,
                    "group_element_orders": grp.element_orders()}
@@ -372,7 +383,7 @@ def cmd_expand(args) -> int:
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     if args.format == "dot":
-        print(ctx.target.to_dot())
+        print(ctx.target.to_dot(), file=_stdout())
     else:
         _emit(_report("expand", letter=args.letter, diamond=args.diamond,
                       target=ctx.target.to_json()))
@@ -745,7 +756,7 @@ def _help(command: str | None = None) -> str:
 
 
 def _print_text(args) -> int:
-    print(args.text)
+    print(args.text, file=_stdout())
     return EXIT_OK
 
 
@@ -756,14 +767,17 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()      # a reader gone shows here at the latest
+        return code
     except BrokenPipeError:
         # the reader closed stdout early; send what is still buffered to
-        # devnull so that the flush at exit cannot raise again
-        import os
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # devnull so that a later flush cannot raise again
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print("error: stdout was closed before the report was written",
               file=sys.stderr)
         return EXIT_FAIL
@@ -781,5 +795,30 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+def _hooked() -> bool:
+    """Whether a tracer, profiler or debugger (coverage, cProfile, pdb)
+    is attached; such a tool writes its data at the normal exit."""
+    monitoring = getattr(sys, "monitoring", None)    # Python 3.12+
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(map(monitoring.get_tool, range(6)))))
+
+
+def run() -> None:
+    """The process entry point: main(), the output flushed, then an exit
+    that skips the interpreter's teardown of every module and object,
+    which costs several milliseconds a process.  Every computation and
+    check has finished when main returns.  Under a trace or profile hook
+    the exit is the normal one; an exception escaping main is a bug and
+    keeps its traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    if not _hooked():
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -49,6 +50,18 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# stdout buffered, as by default, so that a short report leaves in the
+# flush after the command
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = str(util.DATA.parent.parent / "src")
+
+
+def fresh(argv, **kwargs):
+    """A fresh `python -m shiftcat.cli` process, its output captured."""
+    return subprocess.run([sys.executable, "-m", "shiftcat.cli", *argv],
+                          capture_output=True, env=ENV, timeout=120, **kwargs)
 
 
 # -- reports --------------------------------------------------------------
@@ -96,6 +109,9 @@ def test_blocks_streams_its_report_in_bounded_memory(monkeypatch):
     class Sink:
         def write(self, text):
             return len(text)
+
+        def flush(self):
+            pass
 
     monkeypatch.setattr(sys, "stdout", Sink())
     tracemalloc.start()
@@ -305,6 +321,8 @@ def test_missing_file_exit_code(capsys):
 INPUT = "<input.json>"
 UPSILON2 = block_map_to_json(centralize(higher_block_map(AB, 2)).inner)
 TERM = "(a)^w b (a)^w"
+DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
+        + "[" * 100_000 + "]" * 100_000 + "}")
 
 
 @pytest.mark.parametrize("command, data", [
@@ -334,10 +352,15 @@ TERM = "(a)^w b (a)^w"
     (["code", "centralize", INPUT],
      {"window": 1, "source": ["a", "b"], "target": ["a", "b"],
       "table": [["a", "a"], ["b", "b"]]}),
+    # JSON text nested deeper than the parser's recursion limit
+    *(pytest.param(command, DEEP, id=f"{command[0]}-deep")
+      for command in (["zeta", INPUT, "--order", "2"],
+                      ["blocks", INPUT, "--order", "2"],
+                      ["code", "centralize", INPUT])),
 ])
 def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run(capsys, *(str(path) if a == INPUT else a
                                    for a in command))
     assert (code, out) == (1, "")
@@ -516,10 +539,7 @@ def test_term_code_reads_a_term_too_long_for_argv_from_stdin(tmp_path):
 
 def pipe(argv, text):
     """The JSON report of a fresh `shiftcat` process with text on stdin."""
-    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-m", "shiftcat.cli", *argv],
-                          input=text.encode(), capture_output=True, env=env,
-                          timeout=120)
+    proc = fresh(argv, input=text.encode())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -563,22 +583,90 @@ def test_member_reads_a_word_from_stdin(capsys, monkeypatch):
 
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_closed_stdout_is_a_one_line_error(fmt):
+BLOCKS14 = ["blocks", FULL2, "--order", "14"]
+SHORT = ["zeta", EVEN, "--order", "3"]
+
+
+@pytest.mark.parametrize("argv, closed", [
     # about 0.5 MB of blocks, more than a pipe holds, so the write that
     # finds the pipe closed happens inside the subcommand
-    env = dict(os.environ, PYTHONPATH=str(util.DATA.parent.parent / "src"))
-    with subprocess.Popen([sys.executable, "-m", "shiftcat.cli", "blocks",
-                           str(util.DATA / "full2.json"), "--order", "14",
-                           "--format", fmt],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 1
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1, err
+    pytest.param([*BLOCKS14, "--format", "text"], "after 10 bytes", id="text"),
+    pytest.param([*BLOCKS14, "--format", "json"], "after 10 bytes", id="json"),
+    # a short report waits in the buffer for the flush after the command
+    pytest.param(SHORT, "before the first byte", id="short"),
+    # started with stdout closed (`>&-`), so that sys.stdout is None
+    pytest.param(SHORT, "at start", id="closed-at-start"),
+])
+def test_a_closed_stdout_is_a_one_line_error(argv, closed):
+    command = [sys.executable, "-m", "shiftcat.cli", *argv]
+    if closed == "at start":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],
+                              stderr=subprocess.PIPE, env=ENV, timeout=60)
+        code, err = proc.returncode, proc.stderr.decode()
+    elif closed == "before the first byte":
+        read, write = os.pipe()
+        os.close(read)
+        with subprocess.Popen(command, stdout=write, stderr=subprocess.PIPE,
+                              env=ENV) as proc:
+            os.close(write)
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    else:
+        with subprocess.Popen(command, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=ENV) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    assert code == 1
+    assert err == "error: stdout was closed before the report was written\n"
+
+
+def test_a_fresh_process_writes_the_whole_report(capsys):
+    proc = fresh(BLOCKS14)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 500_000
+    assert proc.stdout == run(capsys, *BLOCKS14)[1].encode()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (SHORT, 0), (["blocks", "no-such-file.json", "--order", "2"], 1),
+    (["zeta", "<empty>", "--order", "3"], 2), (["no-such-command"], 64)],
+    ids=["ok", "missing-file", "empty-shift", "usage"])
+def test_a_fresh_process_ends_as_main_returns(capsys, tmp_path, argv,
+                                              expected):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(ShiftPresentation.sft(AB, ["a", "b"])
+                                .to_json()))
+    argv = [str(empty) if a == "<empty>" else a for a in argv]
+    proc = fresh(argv)
+    assert proc.returncode == expected
+    assert len(proc.stderr.splitlines()) == (expected != 0)
+    assert ((expected, proc.stdout.decode(), proc.stderr.decode())
+            == run(capsys, *argv))
+
+
+def test_a_process_ends_without_the_interpreter_teardown():
+    # an atexit hook runs in the teardown, which the process skips
+    code = ("import atexit, sys; atexit.register(print, 'teardown'); "
+            "sys.argv[1:] = ['--version']; "
+            "from shiftcat.cli import run; run()")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (f"{__version__}\n".encode(), b"")
+
+
+def test_a_profiled_process_still_writes_its_profile(tmp_path):
+    # cProfile writes its file once the module returns, at the normal exit
+    prof = tmp_path / "zeta.prof"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(prof),
+                           "-m", "shiftcat.cli", *SHORT],
+                          capture_output=True, env=ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 3
+    functions = {fn for _, _, fn in pstats.Stats(str(prof)).stats}
+    assert "cmd_zeta" in functions
 
 
 def test_a_term_on_stdin_that_is_not_utf8_is_a_one_line_error(
