@@ -266,17 +266,25 @@ def block_map_from_json(data: dict | str) -> BlockMap:
     try:
         source = Alphabet(tuple(_array(data["source"], "source")))
         target = Alphabet(tuple(_array(data["target"], "target")))
-        window = data["window"]
+        window = _integer(data["window"], "window")
         if not isinstance(data["table"], dict):
             raise ValueError("the 'table' field must be a JSON object")
         table = {}
         for key, val in data["table"].items():
             letters = tuple(key) if source.is_single_char() else tuple(key.split("|"))
             table[letters] = val
-        memory = data.get("memory", 0)
-        return BlockMap(source, target, window, table,
-                        memory, data.get("anticipation", window - 1 - memory))
+        memory = _integer(data.get("memory", 0), "memory")
+        return BlockMap(source, target, window, table, memory,
+                        _integer(data.get("anticipation", window - 1 - memory),
+                                 "anticipation"))
     except KeyError as e:
         raise ValueError(f"block map has no {e.args[0]!r} field") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed block map: {e}") from None
+
+
+def _integer(value, field: str) -> int:
+    # a float or a bool passes BlockMap's comparisons and fails later
+    if type(value) is not int:
+        raise ValueError(f"the {field!r} field must be an integer")
+    return value

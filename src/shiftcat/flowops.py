@@ -21,7 +21,7 @@ from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
                           term_expand, unroll)
 from .semigroups import battery, syntactic_semigroup
 from .shifts import ShiftPresentation, mirage_membership_k, reads_alike
-from .words import Alphabet, Record, Word, _set
+from .words import Alphabet, Record, Word
 
 TYPES = ("Letter", "ImageE", "DiamondImageE", "ImageEAlpha",
          "DiamondImageEAlpha")
@@ -35,13 +35,6 @@ class ExpansionContext(Record):
     letter: str
     diamond: str
     target: ShiftPresentation
-
-    def __init__(self, source: ShiftPresentation, letter: str, diamond: str,
-                 target: ShiftPresentation) -> None:
-        _set(self, "source", source)
-        _set(self, "letter", letter)
-        _set(self, "diamond", diamond)
-        _set(self, "target", target)
 
 
 # the mirage level of the expanded shift that the five types describe;

@@ -305,12 +305,6 @@ class ComparisonVerdict(Record):
     witness: tuple[tuple[int, int], ...] | None
     reason: str | None
 
-    def __init__(self, kind: str, witness: tuple[tuple[int, int], ...] | None,
-                 reason: str | None) -> None:
-        _set(self, "kind", kind)
-        _set(self, "witness", witness)
-        _set(self, "reason", reason)
-
 
 _POSET_LIMIT = 16
 

@@ -329,19 +329,13 @@ def mirage_levels(t: OmegaTerm, x: ShiftPresentation,
 
 
 def idempotent_terms(x: ShiftPresentation, bound: int) -> list[OmegaTerm]:
-    """canonical(w^ω) for every primitive block w of x, |w| ≤ bound,
-    with w^∞ a point of x; distinct rotations stay distinct."""
-    seen = set()
-    out = []
-    for w in ordered_blocks(x, bound):
-        if not is_primitive(w) or not is_periodic_point(x, w):
-            continue
-        t = canonical(OmegaTerm(x.alphabet, (Power(w, 0),)))
-        key = format_term(t)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
+    """w^ω for every primitive block w of x, |w| ≤ bound, with w^∞ a
+    point of x, in the order of ordered_blocks.  For a primitive w,
+    w^ω is its own canonical form, and distinct w give distinct terms,
+    so distinct rotations stay distinct."""
+    return [OmegaTerm(x.alphabet, (Power(w, 0),))
+            for w in ordered_blocks(x, bound)
+            if is_primitive(w) and is_periodic_point(x, w)]
 
 
 def connector(x: ShiftPresentation, e: OmegaTerm,
@@ -543,13 +537,6 @@ class Verdict(Record):
     canonical_equal: bool
     distinguished_by: FiniteSemigroup | None
     note: str
-
-    def __init__(self, kind: str, canonical_equal: bool,
-                 distinguished_by: FiniteSemigroup | None, note: str) -> None:
-        _set(self, "kind", kind)
-        _set(self, "canonical_equal", canonical_equal)
-        _set(self, "distinguished_by", distinguished_by)
-        _set(self, "note", note)
 
 
 def quotient_equal(s: OmegaTerm, t: OmegaTerm, tests) -> Verdict:

@@ -15,7 +15,7 @@ from operator import itemgetter
 from .errors import MismatchBug
 from .shifts import (ShiftPresentation, minimal_automaton,
                      right_cayley_graph, sccs)
-from .words import Alphabet, Record, Word, _set, word_to_json
+from .words import Alphabet, Record, Word, word_to_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -209,12 +209,6 @@ class GreenData(Record):
     j_below: frozenset[tuple[int, int]]
     regular: tuple[bool, ...]
 
-    def __init__(self, R, L, J, H, r_of, l_of, j_of, h_of, j_below,
-                 regular) -> None:
-        for name, value in zip(self.__slots__, (R, L, J, H, r_of, l_of,
-                                                j_of, h_of, j_below, regular)):
-            _set(self, name, value)
-
     def j_leq(self, i: int, j: int) -> bool:
         return (i, j) in self.j_below
 
@@ -344,12 +338,6 @@ class SchutzGroup(Record):
     hclass: tuple[int, ...]
     carrier: frozenset[tuple[int, ...]]
     order: int
-
-    def __init__(self, hclass: tuple[int, ...],
-                 carrier: frozenset[tuple[int, ...]], order: int) -> None:
-        _set(self, "hclass", hclass)
-        _set(self, "carrier", carrier)
-        _set(self, "order", order)
 
     @staticmethod
     def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,8 +13,7 @@ import math
 
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
                      SizeLimit)
-from .words import (Alphabet, Record, Word, _set, word_from_json,
-                    word_to_json)
+from .words import Alphabet, Record, Word, word_from_json, word_to_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -324,15 +323,15 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
         return
+    if x._subsets is None:
+        x._subsets = SubsetAutomaton(x.graph(), x.alphabet)
+    sub = x._subsets
     if _more_blocks_than(x, n, _MAX_BLOCKS):
         raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length at "
                         f"most {n}")
     # imported here: loading the array module costs about 0.4 MiB of
     # peak RSS, which the subcommands that store no block need not pay
     from array import array
-    if x._subsets is None:
-        x._subsets = SubsetAutomaton(x.graph(), x.alphabet)
-    sub = x._subsets
     ends = x._blocks[have][2] if have else array("I", [0])
     # per state, the (letter, successor) pairs whose successor is nonempty
     live: dict[int, list[tuple[int, int]]] = {}
@@ -353,37 +352,23 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
 
 def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
     """Whether x has more than cap blocks of length at most n, counted
-    without enumerating them.  Every block labels a path of the trimmed
-    graph, so the paths of length at most n bound the blocks, in
-    O(|E|·n); only when they exceed cap are the blocks counted exactly,
-    as the words of length m that walk the minimal automaton from its
-    initial state to a state other than the sink."""
-    g = x.graph()
-    paths = dict.fromkeys(g.vertices, 1)     # paths of length m ending at v
+    exactly without enumerating them: a block of length m is a word that
+    walks the store's subset automaton x._subsets from state 0 to a
+    nonempty state, so the words reaching each state are pushed along
+    its row one length at a time.  The count stops once it passes cap;
+    it reads only the rows of states that blocks shorter than n reach,
+    which are the rows _fill_blocks reads next."""
+    sub = x._subsets
+    words = {0: 1}                           # words of length m reaching s
     total = 0
     for _ in range(n):
-        nxt = dict.fromkeys(g.vertices, 0)
-        for s, _, d in g.edges:
-            nxt[d] += paths[s]
-        paths = nxt
-        total += sum(paths.values())
-        if total > cap:
-            break
-    else:
-        return False
-    maps, initial, sink = minimal_automaton(x)
-    words = [0] * len(maps[0])               # words of length m reaching s
-    words[initial] = 1
-    total = 0
-    for _ in range(n):
-        nxt = [0] * len(words)
-        for t in maps:
-            for s, c in enumerate(words):
-                nxt[t[s]] += c
-        if sink is not None:
-            nxt[sink] = 0
+        nxt: dict[int, int] = {}
+        for s, c in words.items():
+            for j in sub.row(s):
+                if sub.states[j]:
+                    nxt[j] = nxt.get(j, 0) + c
         words = nxt
-        total += sum(words)
+        total += sum(words.values())
         if total > cap:
             return True
     return False
@@ -755,13 +740,6 @@ class ZetaSeries(Record):
     coefficients: tuple[int, ...]
     p: tuple[int, ...]
     q: tuple[int, ...]
-
-    def __init__(self, order: int, coefficients: tuple[int, ...],
-                 p: tuple[int, ...], q: tuple[int, ...]) -> None:
-        _set(self, "order", order)
-        _set(self, "coefficients", coefficients)
-        _set(self, "p", p)
-        _set(self, "q", q)
 
     def __str__(self) -> str:
         terms = ["1"]

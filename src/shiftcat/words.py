@@ -22,13 +22,22 @@ class Record:
     and hash as the tuple of their fields (a class with an unhashable
     field must define its own __hash__).  repr lists the fields by
     name, and copy and pickle rebuild an instance through __init__.
-    Each subclass checks its fields in __init__ and sets them with
-    _set.  The classes on the hot path (Alphabet, Word, Power,
-    OmegaTerm) spell out __eq__ and __hash__ over their fields: the
-    generic versions cost about twice as much per call.
+    The generic __init__ takes one value per field, positionally, and
+    stores them unchecked; a subclass that checks its fields defines
+    its own __init__ and sets them with _set.  The classes on the hot
+    path (Alphabet, Word, Power, OmegaTerm) spell out __eq__ and
+    __hash__ over their fields: the generic versions cost about twice
+    as much per call.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes "
+                            f"{len(self.__slots__)} fields, not {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -321,6 +321,11 @@ def test_missing_file_exit_code(capsys):
 INPUT = "<input.json>"
 UPSILON2 = block_map_to_json(centralize(higher_block_map(AB, 2)).inner)
 TERM = "(a)^w b (a)^w"
+# the identity of window 3 over {a, b}, as a block map that composes
+# with itself and applies to even
+ID3 = {"window": 3, "source": ["a", "b"], "target": ["a", "b"],
+       "memory": 1, "anticipation": 1,
+       "table": {"".join(w): w[1] for w in itertools.product("ab", repeat=3)}}
 DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
         + "[" * 100_000 + "]" * 100_000 + "}")
 
@@ -352,6 +357,19 @@ DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
     (["code", "centralize", INPUT],
      {"window": 1, "source": ["a", "b"], "target": ["a", "b"],
       "table": [["a", "a"], ["b", "b"]]}),
+    # window, memory and anticipation are exact integers: a float or a
+    # bool is not read as one
+    (["code", "compose", INPUT, INPUT], dict(ID3, window=3.0)),
+    (["term", "code", INPUT, "abab"], dict(ID3, window=3.0)),
+    (["code", "apply", INPUT, EVEN], dict(ID3, memory=1.0)),
+    (["code", "compose", INPUT, INPUT], dict(ID3, memory=1.0)),
+    (["code", "centralize", INPUT], dict(ID3, memory=1.0)),
+    (["code", "centralize", INPUT], dict(ID3, anticipation=1.0)),
+    (["code", "apply", INPUT, EVEN], {"inner": dict(ID3, window=3.0),
+                                      "wing": 1}),
+    (["code", "centralize", INPUT],
+     {"window": True, "source": ["a", "b"], "target": ["a", "b"],
+      "table": {"a": "a", "b": "b"}}),
     # JSON text nested deeper than the parser's recursion limit
     *(pytest.param(command, DEEP, id=f"{command[0]}-deep")
       for command in (["zeta", INPUT, "--order", "2"],

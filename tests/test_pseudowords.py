@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import util
 from shiftcat.codes import centralize, higher_block_map, word_code
+from shiftcat.flowops import expand_shift
 from shiftcat.errors import (DiamondOnly, InvalidArrow, MismatchBug,
                              NotIdempotentWitness, TooShort)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
@@ -26,8 +27,8 @@ from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
                                   term_expand, term_factors, term_prefix_k,
                                   term_suffix_k, unroll)
 from shiftcat.semigroups import battery, syntactic_semigroup
-from shiftcat.shifts import is_block
-from shiftcat.words import Alphabet, Word, factors_up_to
+from shiftcat.shifts import is_block, is_periodic_point, ordered_blocks
+from shiftcat.words import Alphabet, Word, factors_up_to, is_primitive
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -511,6 +512,28 @@ def test_connector_canonicalises_only_the_middle_it_returns(call_counts):
     # pairs whose first candidate e·f fails, where a connector that
     # canonicalised every candidate made more than one pass
     assert later > 0
+
+
+def test_idempotent_terms_are_built_canonical(call_counts):
+    # w^ω for a primitive w is its own canonical form and distinct w give
+    # distinct terms, so the list needs no canonical pass and no dedup
+    calls = call_counts("canonical")
+    found = []
+    for path in sorted(util.DATA.glob("*.json")):
+        x = util.load(path.stem)
+        for y in [x] + [expand_shift(x, a).target for a in x.alphabet]:
+            for bound in (1, 3, 6):
+                terms = idempotent_terms(y, bound)
+                assert terms == [
+                    OmegaTerm(y.alphabet, (Power(w, 0),))
+                    for w in ordered_blocks(y, bound)
+                    if is_primitive(w) and is_periodic_point(y, w)]
+                found.append(terms)
+    assert calls["canonical"] == 0
+    assert sum(map(len, found)) == 689
+    for terms in found:
+        assert [canonical(t) for t in terms] == terms
+        assert len(set(map(format_term, terms))) == len(terms)
 
 
 @settings(max_examples=80, deadline=None)

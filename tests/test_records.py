@@ -130,3 +130,21 @@ def test_constructors_still_check_their_fields():
         Power(Word(ab, ()), 0)
     with pytest.raises(ValueError, match="different alphabet"):
         OmegaTerm(ab, (Word(Alphabet(("a",)), ("a",)),))
+
+
+# the records whose fields are stored as given, by Record.__init__
+PLAIN = (ZetaSeries, GreenData, SchutzGroup, Verdict, ComparisonVerdict,
+         ExpansionContext)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_plain_records_take_one_value_per_field(cls):
+    assert cls.__init__ is Record.__init__
+    record = FACTORIES[cls]()
+    values = record._values()
+    assert cls(*values) == record
+    assert copy.copy(record) == record        # rebuilt through __init__
+    for wrong in (values[:-1], values + (None,), ()):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes "
+                           f"{len(values)} fields, not {len(wrong)}$"):
+            cls(*wrong)

@@ -80,6 +80,7 @@ def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
     rng = random.Random(77)
     cases = [util.load(name) for name in CORPUS]
     cases += [random_sofic(rng, v) for v in (2, 3, 4, 5, 6) for _ in range(3)]
+    cases += [seeded_sofic(12, seed) for seed in (0, 1)]
     for x in cases:
         for n in (1, 2, 5, 7):
             monkeypatch.undo()
@@ -93,16 +94,37 @@ def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
             assert len(blocks(y, n)) == total
 
 
-def test_blocks_under_the_path_bound_build_no_automaton(monkeypatch):
+def test_blocks_build_one_subset_automaton(monkeypatch):
+    # the count and the store share the presentation's automaton, and
+    # neither builds the whole subset DFA or the minimal automaton
+    def unused(*args):
+        raise AssertionError("whole automaton built")
+
+    monkeypatch.setattr(shifts, "minimal_automaton", unused)
+    monkeypatch.setattr(shifts, "subset_dfa", unused)
+    built = []
+    init = shifts.SubsetAutomaton.__init__
+    monkeypatch.setattr(shifts.SubsetAutomaton, "__init__",
+                        lambda self, *args: built.append(args) or
+                        init(self, *args))
+    for name, n, count in (("full2", 12, 8190), ("even", 12, 1580)):
+        x = util.load(name)
+        built.clear()
+        assert len(blocks(x, n)) == count
+        assert len(built) == 1
+        assert len(shifts.ordered_blocks(x, n + 2)) > count
+        assert len(list(shifts.spell_blocks(x, n + 4, "ab", ""))) > count
+        assert len(built) == 1
+        with pytest.raises(SizeLimit):
+            blocks(x, 40)
+        assert len(built) == 1
+
+
+def test_many_paths_per_word_are_not_refused(monkeypatch):
     def unused(x):
         raise AssertionError("minimal_automaton called")
 
     monkeypatch.setattr(shifts, "minimal_automaton", unused)
-    assert len(blocks(util.load("full2"), 12)) == 8190
-    assert len(blocks(util.load("even"), 12)) > 0
-
-
-def test_many_paths_per_word_are_not_refused():
     # 20 vertices joined by a-edges both ways: 20·20^n paths of length n
     # but one block a^n, far below the limit
     a = Alphabet(("a",))
@@ -111,6 +133,10 @@ def test_many_paths_per_word_are_not_refused():
                                 [(u, "a", v) for u in verts for v in verts])
     assert [w.as_str() for w in shifts.ordered_blocks(x, 200)] == [
         "a" * m for m in range(1, 201)]
+    # 40 vertices over three letters: more paths than the limit by length
+    # 8, and a subset automaton of thousands of states in all, of which
+    # the count reads only the rows that blocks of length below 8 reach
+    assert len(shifts.ordered_blocks(seeded_sofic(40, 2), 8)) == 9156
 
 
 def test_ordered_blocks_match_path_enumeration_on_random_shifts():
@@ -290,6 +316,17 @@ def random_sofic(rng, v):
     edges += [(rng.choice(verts), rng.choice(ab.symbols), rng.choice(verts))
               for _ in range(2 * v)]
     return ShiftPresentation.sofic(ab, verts, edges)
+
+
+def seeded_sofic(v, seed):
+    """V vertices over {a, b, c}: an a-cycle through every vertex plus
+    2V random edges, drawn from random.Random(100·seed + V)."""
+    rng = random.Random(100 * seed + v)
+    verts = [str(i) for i in range(v)]
+    edges = [(verts[i], "a", verts[(i + 1) % v]) for i in range(v)]
+    edges += [(rng.choice(verts), rng.choice("abc"), rng.choice(verts))
+              for _ in range(2 * v)]
+    return ShiftPresentation.sofic(Alphabet(("a", "b", "c")), verts, edges)
 
 
 def enumerated_counts(x, n_max):
