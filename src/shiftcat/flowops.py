@@ -44,13 +44,15 @@ _LEVEL = 2
 
 def _characterization_check(ctx: ExpansionContext):
     """u is a block of the source exactly when E(u) is one of the target,
-    for every u, by one walk of shifts.reads_alike.  So expanded source
+    for every u, by one walk of shifts.reads_alike on their subset
+    automata.  So expanded source
     blocks are target blocks, and the E-shaped target blocks
     (image_E_membership), being the images E(u), contract to source
     blocks."""
     steps = [((a,), (a, ctx.diamond) if a == ctx.letter else (a,))
              for a in ctx.source.alphabet.symbols]
-    if not reads_alike(ctx.source.graph(), ctx.target.graph(), steps):
+    if not reads_alike(ctx.source.subset_automaton(),
+                       ctx.target.subset_automaton(), steps):
         raise MismatchBug("the expanded presentation and the source "
                           "disagree on the expansion of a word")
 

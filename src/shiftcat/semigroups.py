@@ -289,42 +289,33 @@ def _assert_j_equals_d(s: FiniteSemigroup, J, r_of, l_of) -> None:
 
 def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     """Least i, p with x^(i+p) = x^i."""
-    seen = {x: 1}
-    cur = x
-    k = 1
+    powers, i = _powers(s, x)
+    return i, len(powers) + 1 - i
+
+
+def _powers(s: FiniteSemigroup, x: int) -> tuple[list[int], int]:
+    """[x, x², …, x^(i+p-1)], the powers up to the first repeat, and
+    the index i: the next power is x^i again."""
+    powers, seen = [x], {x: 1}
     while True:
-        cur = s.table[cur][x]
-        k += 1
+        cur = s.table[powers[-1]][x]
         if cur in seen:
-            i = seen[cur]
-            return i, k - i
-        seen[cur] = k
-
-
-def _power(s: FiniteSemigroup, x: int, e: int) -> int:
-    acc = x
-    for _ in range(e - 1):
-        acc = s.table[acc][x]
-    return acc
+            return powers, seen[cur]
+        powers.append(cur)
+        seen[cur] = len(powers)
 
 
 def omega_power(s: FiniteSemigroup, x: int) -> int:
     """The unique idempotent power of x: x^e for the multiple e of the
     period lying in [index, index + period)."""
-    i, p = index_and_period(s, x)
-    e = ((i + p - 1) // p) * p
-    return _power(s, x, e)
+    return omega_plus(s, x, 0)
 
 
 def omega_plus(s: FiniteSemigroup, x: int, q: int) -> int:
-    """x^(ω+q): the ω-power times x^(q mod period); q may be negative."""
-    _, p = index_and_period(s, x)
-    w = omega_power(s, x)
-    r = q % p
-    acc = w
-    for _ in range(r):
-        acc = s.table[acc][x]
-    return acc
+    """x^(ω+q), q of any sign: ω is a multiple of the period p, so this
+    is x^n for the n ≡ q (mod p) in [index, index + p)."""
+    powers, i = _powers(s, x)
+    return powers[i - 1 + (q - i) % (len(powers) + 1 - i)]
 
 
 class SchutzGroup(Record):

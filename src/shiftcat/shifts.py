@@ -111,6 +111,8 @@ def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGra
         u = stack.pop()
         if len(u) == m:
             verts.append(u)
+            if len(verts) > _MAX_SIZE:
+                raise SizeLimit(f"de Bruijn graph over {_MAX_SIZE} vertices")
             continue
         for c in alphabet.symbols:
             if clean(u + (c,)):
@@ -194,6 +196,13 @@ class ShiftPresentation:
                 de_bruijn_graph(self.alphabet, self.forbidden)
             self._graph = trim_graph(raw)
         return self._graph
+
+    def subset_automaton(self) -> SubsetAutomaton:
+        """The subset automaton of the trimmed graph, built once; every
+        block query reads its rows."""
+        if self._subsets is None:
+            self._subsets = SubsetAutomaton(self.graph(), self.alphabet)
+        return self._subsets
 
     def word(self, letters: Iterable[str] | str) -> Word:
         if isinstance(letters, str):
@@ -323,9 +332,7 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
     have = max(x._blocks) if x._blocks else 0
     if have >= n:
         return
-    if x._subsets is None:
-        x._subsets = SubsetAutomaton(x.graph(), x.alphabet)
-    sub = x._subsets
+    sub = x.subset_automaton()
     if _more_blocks_than(x, n, _MAX_BLOCKS):
         raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length at "
                         f"most {n}")
@@ -353,12 +360,12 @@ def _fill_blocks(x: ShiftPresentation, n: int) -> None:
 def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
     """Whether x has more than cap blocks of length at most n, counted
     exactly without enumerating them: a block of length m is a word that
-    walks the store's subset automaton x._subsets from state 0 to a
-    nonempty state, so the words reaching each state are pushed along
-    its row one length at a time.  The count stops once it passes cap;
-    it reads only the rows of states that blocks shorter than n reach,
-    which are the rows _fill_blocks reads next."""
-    sub = x._subsets
+    walks x's subset automaton from state 0 to a nonempty state, so the
+    words reaching each state are pushed along its row one length at a
+    time.  The count stops once it passes cap; it reads only the rows of
+    states that blocks shorter than n reach, which are the rows
+    _fill_blocks reads next."""
+    sub = x.subset_automaton()
     words = {0: 1}                           # words of length m reaching s
     total = 0
     for _ in range(n):
@@ -378,8 +385,7 @@ def is_block(x: ShiftPresentation, w: Word) -> bool:
     """True iff w labels a path in the trimmed presentation."""
     if len(w) == 0:
         raise ValueError("blocks are nonempty")
-    g = x.graph()
-    return bool(g.walk(set(g.vertices), w.letters))
+    return x.subset_automaton().read(0, w.letters) is not None
 
 
 class SubsetAutomaton:
@@ -394,6 +400,7 @@ class SubsetAutomaton:
     def __init__(self, g: LabeledGraph, alphabet: Alphabet):
         self.g = g
         self.symbols = alphabet.symbols
+        self.position = {a: k for k, a in enumerate(self.symbols)}
         start = frozenset(g.vertices)
         self.states: list[frozenset] = [start]
         self.index = {start: 0}
@@ -416,6 +423,18 @@ class SubsetAutomaton:
                 row.append(j)
         return row
 
+    def read(self, i: int, letters: Iterable[str]) -> int | None:
+        """The state that letters walk i to, or None once the walk
+        reaches the empty set or a letter outside the alphabet."""
+        for a in letters:
+            k = self.position.get(a)
+            if k is None:
+                return None
+            i = self.row(i)[k]
+            if not self.states[i]:
+                return None
+        return i
+
 
 def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
     """Determinize the path-label NFA whose start set is all vertices.
@@ -426,41 +445,38 @@ def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
     nonempty state.
     """
     sub = SubsetAutomaton(g, alphabet)
-    trans: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(sub.states):
-        for a, j in zip(alphabet.symbols, sub.row(i)):
-            trans[(i, a)] = j
-        i += 1
+    trans = {(i, a): j for i, _ in enumerate(sub.states)  # reaches new states
+             for a, j in zip(alphabet.symbols, sub.row(i))}
     return sub.states, trans
 
 
 def minimal_automaton(x: ShiftPresentation):
     """The minimal automaton of the block language of x.
 
-    The subset DFA of the trimmed presentation is Moore-minimized.
+    x's subset automaton is completed and Moore-minimized on its rows.
     Returns (maps, initial, sink): maps[i][s] is the state reached from
     s by letter i of the alphabet, and sink is the class of the empty
     vertex set, or None when every word is a block.  A word is a block
     iff it walks initial to a state other than sink.  States are
-    numbered by their first subset-DFA state, so initial is 0.
+    numbered by their first subset-automaton state, so initial is 0.
     """
-    states, trans = subset_dfa(x.graph(), x.alphabet)
-    syms = x.alphabet.symbols
+    sub = x.subset_automaton()
+    states = sub.states
+    rows = [sub.row(i) for i, _ in enumerate(states)]  # reaches new states
     part = [0 if st else 1 for st in states]
     while True:
-        sigs = [(part[i], tuple(part[trans[(i, a)]] for a in syms))
-                for i in range(len(states))]
+        sigs = [(p, tuple(map(part.__getitem__, row)))
+                for p, row in zip(part, rows)]
         renum: dict = {}
         new = [renum.setdefault(s, len(renum)) for s in sigs]
         if new == part:
             break
         part = new
     maps = []
-    for a in syms:
+    for k in range(len(sub.symbols)):
         img = [0] * len(renum)
-        for i in range(len(states)):
-            img[part[i]] = part[trans[(i, a)]]
+        for p, row in zip(part, rows):
+            img[p] = part[row[k]]
         maps.append(tuple(img))
     sink = next((part[i] for i, st in enumerate(states) if not st), None)
     return maps, part[0], sink
@@ -570,8 +586,9 @@ def is_irreducible(x: ShiftPresentation) -> bool:
     which every block recurs to the left; the left tail of a path
     labelled by it stays in one component, which then reads every block
     (Lind and Marcus, ch. 3).  Each component with an internal edge is
-    tested by reads_alike, letter against letter: H is a subgraph of G,
-    so the walk hunts for a word that G reads and H does not.  A direct
+    tested by reads_alike, letter against letter, on x's subset
+    automaton and a fresh one of H: H is a subgraph of G, so the walk
+    hunts for a word that G reads and H does not.  A direct
     witness search on short blocks cross-checks.
     """
     g = x.graph()
@@ -585,36 +602,35 @@ def is_irreducible(x: ShiftPresentation) -> bool:
     steps = [((a,), (a,)) for a in x.alphabet.symbols]
     # a component holding every edge is G itself
     verdict = any(len(es) == len(g.edges) or
-                  reads_alike(g, LabeledGraph(dict.fromkeys(
-                      s for s, _, _ in es), es), steps)
+                  reads_alike(x.subset_automaton(), SubsetAutomaton(
+                      LabeledGraph(dict.fromkeys(s for s, _, _ in es), es),
+                      x.alphabet), steps)
                   for es in inner.values())
     if verdict:
         _crosscheck_irreducible(x)
     return verdict
 
 
-def reads_alike(g: LabeledGraph, h: LabeledGraph, steps) -> bool:
+def reads_alike(g: SubsetAutomaton, h: SubsetAutomaton, steps) -> bool:
     """Whether g reads g(u) exactly when h reads h(u), for every word u.
 
     steps holds one pair per letter c: the letters g reads for c and the
     letters h reads for c; g(u) and h(u) join the pairs of u's letters.
-    Walks pairs (vertices g reaches, vertices h reaches) from (all of g,
-    all of h) and fails as soon as exactly one side reads a step, which
-    happens at the shortest prefix of any word read by one side only.
+    Walks pairs of states (g's, h's) from (0, 0) and fails as soon as
+    exactly one side reads a step, which happens at the shortest prefix
+    of any word read by one side only.
     """
-    start = (frozenset(g.vertices), frozenset(h.vertices))
-    seen = {start}
-    stack = [start]
+    seen = {(0, 0)}
+    stack = [(0, 0)]
     while stack:
         gs, hs = stack.pop()
         for gw, hw in steps:
-            ng, nh = g.walk(gs, gw), h.walk(hs, hw)
-            if bool(ng) != bool(nh):
+            ng, nh = g.read(gs, gw), h.read(hs, hw)
+            if (ng is None) != (nh is None):
                 return False
-            pair = (frozenset(ng), frozenset(nh))
-            if ng and pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
+            if ng is not None and (ng, nh) not in seen:
+                seen.add((ng, nh))
+                stack.append((ng, nh))
     return True
 
 
@@ -649,15 +665,16 @@ def _crosscheck_irreducible(x: ShiftPresentation) -> None:
 def is_periodic_point(x: ShiftPresentation, w: Word) -> bool:
     """True iff w^∞ lies in x.
 
-    Tests whether w^(V+1) labels a path, V = vertex count: the V+1
+    Reads w V+1 times from state 0, V = vertex count: the V+1
     vertices sitting at the copy boundaries of such a path must repeat,
     giving a cycle labeled by a power of w, hence w^∞ in x.  Conversely
     every power of w is a block when w^∞ is in x.
     """
     if len(w) == 0:
         raise ValueError("w must be nonempty")
-    g = x.graph()
-    return is_block(x, w ** (len(g.vertices) + 1))
+    copies = range(len(x.graph().vertices) + 1)
+    return x.subset_automaton().read(
+        0, (a for _ in copies for a in w.letters)) is not None
 
 
 def periodic_counts(x: ShiftPresentation, n_max: int) -> tuple[list[int], list[int]]:
@@ -775,10 +792,10 @@ def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
     """True iff every factor of w of length ≤ k is a block of x.
 
     Blocks are factor-closed, so it is enough that each window of w of
-    length min(k, |w|) is one; each distinct window is decided by one
-    walk of the trimmed graph, as is_block does, so no block is
-    enumerated.  A word over another alphabet has no block among its
-    factors.
+    length min(k, |w|) is one; the distinct windows are read from state
+    0 of x's subset automaton in order of first position, as is_block
+    reads, so no block is enumerated.  A word over another alphabet has
+    no block among its factors.
     """
     if len(w) == 0:
         raise ValueError("w must be nonempty")
@@ -787,7 +804,6 @@ def mirage_membership_k(x: ShiftPresentation, w: Word, k: int) -> bool:
     if w.alphabet != x.alphabet:
         return False
     kk = min(k, len(w))
-    g = x.graph()
-    ls = w.letters
-    windows = {ls[i:i + kk] for i in range(len(ls) - kk + 1)}
-    return all(g.walk(set(g.vertices), win) for win in windows)
+    sub, ls = x.subset_automaton(), w.letters
+    windows = dict.fromkeys(ls[i:i + kk] for i in range(len(ls) - kk + 1))
+    return all(sub.read(0, win) is not None for win in windows)

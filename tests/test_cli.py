@@ -299,6 +299,25 @@ def test_closure_over_the_size_limit_is_a_one_line_error(capsys,
         assert err == "error: SizeLimit: closure exceeds 4 elements\n"
 
 
+def test_a_de_bruijn_graph_over_the_size_limit_is_refused(capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+    # a^10 leaves all 2^9 = 512 words of length 9 as vertices, a^7 2^6
+    monkeypatch.setattr(shifts, "_MAX_SIZE", 100)
+    path = tmp_path / "runs.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "kind": "sft",
+                                "forbidden": ["a" * 10]}))
+    for argv in (("blocks", "--order", "1"), ("zeta", "--order", "2"),
+                 ("syntactic",), ("irreducible",)):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert err == "error: SizeLimit: de Bruijn graph over 100 vertices\n"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "kind": "sft",
+                                "forbidden": ["a" * 7]}))
+    assert run_json(capsys, "blocks", str(path), "--order", "1")[
+        "blocks"] == ["a", "b"]
+
+
 def test_usage_exit_codes(capsys):
     assert run(capsys, "no-such-command")[0] == 64
     assert run(capsys, "blocks", GOLDEN)[0] == 64
@@ -742,6 +761,69 @@ def test_reports_have_sorted_keys(capsys):
     keys = [line.split('"')[1] for line in out.splitlines()
             if line.startswith('  "')]
     assert keys == sorted(keys)
+
+
+def test_flowcheck_work_does_not_depend_on_the_hash_seed():
+    # the graph walks and automaton rows of one in-process flowcheck,
+    # counted, under three hash seeds
+    script = """
+import sys
+from shiftcat import cli, shifts
+calls = []
+for cls, name in ((shifts.LabeledGraph, "walk"),
+                  (shifts.SubsetAutomaton, "row")):
+    def spy(*args, _f=getattr(cls, name)):
+        calls.append(1)
+        return _f(*args)
+    setattr(cls, name, spy)
+code = cli.main(sys.argv[1:])
+print(code, len(calls), file=sys.stderr)
+"""
+    argv = ["flowcheck", str(util.DATA / "full2.json"), "--letter", "a",
+            "--bound", "4"]
+    runs = []
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, timeout=120,
+                              env={**ENV, "PYTHONHASHSEED": seed})
+        runs.append((proc.stdout, proc.stderr))
+    assert runs[0][1].split()[0] == b"0", runs[0][1]
+    assert runs[0] == runs[1] == runs[2], [err for _, err in runs]
+
+
+def test_no_subcommand_builds_the_whole_subset_dfa(capsys, monkeypatch):
+    # every block query reads the presentation's own subset automaton
+    def unused(*args):
+        raise AssertionError("subset_dfa called")
+
+    monkeypatch.setattr(shifts, "subset_dfa", unused)
+    for path in sorted(util.DATA.glob("*.json")):
+        shift = str(path)
+        for argv in (("zeta", shift, "--order", "6"), ("syntactic", shift),
+                     ("karoubi", shift), ("member", shift, "ab"),
+                     ("member", shift, "(a b)^w", "--bound", "4"),
+                     ("blocks", shift, "--order", "6"),
+                     ("irreducible", shift),
+                     ("expand", shift, "--letter", "a"),
+                     ("flowcheck", shift, "--letter", "a", "--bound", "3")):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+
+
+def test_flowcheck_builds_one_subset_automaton_per_shift(capsys,
+                                                         monkeypatch):
+    # the expansion certificate interns the source's and the target's
+    # states; the mirage windows, the idempotent terms and the target's
+    # syntactic semigroup read the same target automaton
+    built = []
+    init = shifts.SubsetAutomaton.__init__
+    monkeypatch.setattr(shifts.SubsetAutomaton, "__init__",
+                        lambda self, *args: built.append(args) or
+                        init(self, *args))
+    report = run_json(capsys, "flowcheck", str(util.DATA / "full2.json"),
+                      "--letter", "a", "--bound", "4")
+    assert report["passed"] is True
+    assert [a.symbols for _, a in built] == [("a", "b"), ("a", "b", "o")]
 
 
 # -- the report writer ----------------------------------------------------

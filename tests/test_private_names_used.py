@@ -26,6 +26,11 @@ LIBRARY_API = {
                                             "poset witness from it",
     "karoubi.py: poset_isomorphic": "ROADMAP item 4 exposes it",
     "karoubi.py: karoubi_vs_lu_comparison": "ROADMAP item 4 exposes it",
+    "semigroups.py: index_and_period": "omega_plus reads the index and "
+                                       "period off its one walk; the "
+                                       "tests read them here",
+    "semigroups.py: omega_power": "x^ω, which the acceptance tests check "
+                                  "against the paper",
 }
 
 

@@ -268,6 +268,35 @@ def test_omega_plus_shifts_within_cycle():
     assert omega_plus(s, g, 7) == s.product(e, s.eval_word("a" * 7))
 
 
+def test_omega_plus_matches_repeated_products():
+    # x^(ω+q) is x^m for any m ≡ q modulo the period p with m at least
+    # the index i: the group of x's powers has p elements, and x^i is
+    # the first power in it
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(30):
+        s = random_transformation_semigroup(AB, rng.randint(2, 5), rng)
+        for x in range(s.size):
+            powers = [x]
+            while len(powers) <= s.size:
+                powers.append(s.product(powers[-1], x))
+            e = next(y for y in powers if s.is_idempotent(y))
+            group = {s.product(e, y) for y in powers}
+            i = next(k for k, y in enumerate(powers, 1) if y in group)
+            p = len(group)
+            for q in range(-5, 6):
+                c = -(-max(i, i - q) // p)        # ceil
+                m = p * c + q
+                acc = x
+                for _ in range(m - 1):
+                    acc = s.product(acc, x)
+                assert omega_plus(s, x, q) == acc, (x, q)
+                checked += 1
+            assert index_and_period(s, x) == (i, p)
+            assert omega_power(s, x) == e
+    assert checked > 1000
+
+
 # -- Schützenberger groups ---------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from shiftcat.shifts import (ShiftPresentation, blocks, is_block,
                              is_irreducible, is_periodic_point,
                              mirage_membership_k, periodic_counts, subset_dfa,
                              zeta)
-from shiftcat.words import Alphabet, factors_up_to
+from shiftcat.words import Alphabet, Word, factors_up_to
 
 CORPUS = ["golden_mean", "even", "full2", "periodic_ab", "fixed_point",
           "marker_cycle"]
@@ -186,7 +186,7 @@ def test_irreducibility_verdicts(corpus, monkeypatch):
     assert is_irreducible(corpus["marker_cycle"])
     assert is_irreducible(corpus["periodic_ab"])
     assert is_irreducible(corpus["fixed_point"])
-    assert built == []  # the verdict and its cross-check read the graph
+    assert built == []  # the verdict reads x's own subset automaton
 
 
 def test_disjoint_union_of_two_fixed_points_is_reducible():
@@ -327,6 +327,42 @@ def seeded_sofic(v, seed):
     edges += [(rng.choice(verts), rng.choice("abc"), rng.choice(verts))
               for _ in range(2 * v)]
     return ShiftPresentation.sofic(Alphabet(("a", "b", "c")), verts, edges)
+
+
+def test_the_syntactic_semigroup_ignores_the_automaton_order():
+    # minimal_automaton numbers its states in the order x's subset
+    # automaton interned them, which earlier block queries decide; the
+    # syntactic semigroup numbers elements by equal maps only
+    from shiftcat.semigroups import syntactic_semigroup
+    reordered = 0
+    for v in (3, 4, 5):
+        for seed in range(6):
+            s, accept = syntactic_semigroup(seeded_sofic(v, seed))
+            # block tests read deep states first, the store then fills
+            # in breadth-first order
+            x = seeded_sofic(v, seed)
+            rng = random.Random(seed)
+            for _ in range(50):
+                is_block(x, x.word([rng.choice("abc")
+                                    for _ in range(rng.randint(1, 8))]))
+            shifts.ordered_blocks(x, 5)
+            warm, warm_accept = syntactic_semigroup(x)
+            assert (warm.to_json(), warm_accept) == (s.to_json(), accept)
+            fresh = shifts.SubsetAutomaton(x.graph(), x.alphabet)
+            for i, _ in enumerate(fresh.states):
+                fresh.row(i)
+            reordered += fresh.states != x.subset_automaton().states
+    assert reordered == 10               # the others keep BFS order
+
+
+def test_a_foreign_letter_is_not_a_block():
+    x = util.load("full2")
+    abc = Alphabet(("a", "b", "c"))
+    for text in ("c", "ac", "abc"):
+        w = Word.from_str(abc, text)
+        assert not is_block(x, w)
+        assert not is_periodic_point(x, w)
+    assert is_block(x, Word.from_str(abc, "ab"))
 
 
 def enumerated_counts(x, n_max):
