@@ -49,11 +49,6 @@ class BlockMap(Record):
         _set(self, "memory", memory)
         _set(self, "anticipation", anticipation)
 
-    def __call__(self, letters: tuple[str, ...] | Word) -> str:
-        if isinstance(letters, Word):
-            letters = letters.letters
-        return self.table[tuple(letters)]
-
     def __hash__(self) -> int:
         # the table is a dict, so hash its sorted items
         return hash((self.source, self.target, self.window,

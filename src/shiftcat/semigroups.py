@@ -115,14 +115,22 @@ def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
     the state reached reading u from q, so products satisfy
     element(u)·element(v) = element(uv).  Elements are numbered by BFS
     discovery (shifts.right_cayley_graph), which makes witnesses
-    shortest and lexicographically least.  The table is filled from the
-    right Cayley graph by x·(y'a) = (x·y')·a along each element's parent
-    (y', a), and is proved associative by FiniteSemigroup.
+    shortest and lexicographically least.
     """
     maps = [tuple(t) for t in transformations]
     if len(maps) != len(alphabet):
         raise ValueError("one transformation per alphabet letter")
     _, gen_ids, right, parent = right_cayley_graph(maps)
+    return _fill_table(gen_ids, right, parent, alphabet)
+
+
+def _fill_table(gen_ids, right, parent, alphabet: Alphabet) -> FiniteSemigroup:
+    """The semigroup of a right Cayley graph (shifts.right_cayley_graph).
+
+    The table is filled by x·(y'a) = (x·y')·a along each element's
+    parent (y', a), one tuple per row, and is proved associative by
+    FiniteSemigroup.
+    """
     witness: dict[int, Word] = {}
     for y, (y_prev, i) in enumerate(parent):
         prefix = () if y_prev < 0 else witness[y_prev].letters
@@ -132,7 +140,7 @@ def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
         xy: list[int] = []               # xy[y] = x·y, filled in BFS order
         for y_prev, i in parent:
             xy.append(rx[i] if y_prev < 0 else right[xy[y_prev]][i])
-        table.append(xy)
+        table.append(tuple(xy))
     return FiniteSemigroup(table, gen_ids, witness, alphabet)
 
 
@@ -173,19 +181,13 @@ def syntactic_semigroup(x: ShiftPresentation) -> tuple[FiniteSemigroup,
     language, with the accepted element ids.
 
     The automaton (shifts.minimal_automaton) is canonical, so is the
-    result: u is a block iff its element is in accept.
+    result: u is a block iff its element is in accept, the elements
+    that send the initial state elsewhere than the sink.
     """
     maps, initial, sink = minimal_automaton(x)
-    s = generate(maps, x.alphabet)
-    accept = frozenset(m for m in range(s.size)
-                       if _apply_transformation(s, m, maps, initial) != sink)
-    return s, accept
-
-
-def _apply_transformation(s: FiniteSemigroup, m: int, gen_maps, state: int) -> int:
-    for a in s.witness(m).letters:
-        state = gen_maps[s.alphabet.index(a)][state]
-    return state
+    elems, gen_ids, right, parent = right_cayley_graph(maps)
+    accept = frozenset(y for y, t in enumerate(elems) if t[initial] != sink)
+    return _fill_table(gen_ids, right, parent, x.alphabet), accept
 
 
 class GreenData(Record):

@@ -26,64 +26,61 @@ class LabeledGraph:
     """A finite directed graph with alphabet-labeled edges.
 
     Vertices are arbitrary hashables; parallel edges and loops allowed.
-    Immutable by convention; adjacency maps are precomputed.
+    Immutable by convention; out[v] lists the edges leaving v, in order.
     """
 
     def __init__(self, vertices: Iterable[Hashable], edges: Iterable[Edge]):
         self.vertices: tuple[Hashable, ...] = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        self.out: dict[Hashable, list[Edge]] = {v: [] for v in self.vertices}
+        if len(self.out) != len(self.vertices):
             raise ValueError("duplicate vertices")
         self.edges: tuple[Edge, ...] = tuple(edges)
-        for s, _, d in self.edges:
-            if s not in vset or d not in vset:
-                raise ValueError("edge endpoint not a vertex")
-        self.out: dict[Hashable, list[Edge]] = {v: [] for v in self.vertices}
-        # (src, label) -> destinations, the step map used by every word walk
-        self.step: dict[tuple[Hashable, str], list[Hashable]] = {}
         for e in self.edges:
-            s, a, d = e
-            self.out[s].append(e)
-            self.step.setdefault((s, a), []).append(d)
+            if e[0] not in self.out or e[2] not in self.out:
+                raise ValueError("edge endpoint not a vertex")
+            self.out[e[0]].append(e)
 
-    def walk(self, starts: set[Hashable], letters: Iterable[str]) -> set[Hashable]:
+    def walk(self, starts: Iterable[Hashable],
+             letters: Iterable[str]) -> set[Hashable]:
         """Vertices reachable from `starts` along a path labeled by `letters`."""
         cur = set(starts)
         for a in letters:
-            nxt: set[Hashable] = set()
-            for v in cur:
-                nxt.update(self.step.get((v, a), ()))
-            if not nxt:
-                return nxt
-            cur = nxt
+            cur = {d for v in cur for _, b, d in self.out[v] if b == a}
         return cur
 
 
 def trim_graph(g: LabeledGraph) -> LabeledGraph:
     """Remove everything not on a bi-infinite path.
 
-    Iterates deletion of vertices with no incoming or no outgoing edge.
-    At the fixpoint every vertex has a predecessor and a successor, so in
-    a finite graph it reaches a cycle in both directions, i.e. lies on a
-    bi-infinite path; vertices on bi-infinite paths are never deleted.
+    Deletes vertices with no incoming or no outgoing edge from a
+    worklist, counting each one's edges off its neighbours' degrees, so
+    each edge is read a bounded number of times.  The survivors each
+    have a predecessor and a successor, so in a finite graph they reach
+    a cycle in both directions, i.e. lie on a bi-infinite path; vertices
+    on bi-infinite paths are never deleted.
     """
-    alive = set(g.vertices)
-    edges = list(g.edges)
-    changed = True
-    while changed:
-        changed = False
-        edges = [e for e in edges if e[0] in alive and e[2] in alive]
-        has_out = {e[0] for e in edges}
-        has_in = {e[2] for e in edges}
-        for v in list(alive):
-            if v not in has_out or v not in has_in:
-                alive.discard(v)
-                changed = True
-    if not alive:
+    indeg = dict.fromkeys(g.vertices, 0)
+    into: dict[Hashable, list[Hashable]] = {v: [] for v in g.vertices}
+    for s, _, d in g.edges:
+        indeg[d] += 1
+        into[d].append(s)
+    outdeg = {v: len(es) for v, es in g.out.items()}
+    dead = [v for v in g.vertices if not indeg[v] or not outdeg[v]]
+    gone = set(dead)
+    while dead:
+        v = dead.pop()
+        for deg, ends in ((indeg, [d for _, _, d in g.out[v]]),
+                          (outdeg, into[v])):
+            for u in ends:
+                deg[u] -= 1
+                if not deg[u] and u not in gone:
+                    gone.add(u)
+                    dead.append(u)
+    if len(gone) == len(g.vertices):
         raise EmptyShift("no vertex lies on a bi-infinite path")
-    keep = [v for v in g.vertices if v in alive]
-    kept_edges = [e for e in g.edges if e[0] in alive and e[2] in alive]
-    return LabeledGraph(keep, kept_edges)
+    return LabeledGraph([v for v in g.vertices if v not in gone],
+                        [e for e in g.edges
+                         if e[0] not in gone and e[2] not in gone])
 
 
 def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGraph:
@@ -91,19 +88,19 @@ def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGra
 
     m = max forbidden length - 1, at least 1.  Vertices are the allowed
     m-words; u steps to (u.c)[1:] under letter c when u.c has no forbidden
-    factor.
+    factor.  Every factor of u.c that u lacks is a suffix, so an allowed
+    u is extended by c when no forbidden word ends u.c; then (u.c)[1:]
+    is an allowed m-word, hence a vertex.
     """
-    forb = [tuple(w.letters) for w in forbidden]
-    if any(len(f) == 0 for f in forb):
+    forb = {w.letters for w in forbidden}
+    if () in forb:
         raise ValueError("forbidden words must be nonempty")
-    m = max([len(f) - 1 for f in forb] + [1])
+    lengths = {len(f) for f in forb}
+    m = max(lengths | {2}) - 1
 
-    def clean(seq: tuple[str, ...]) -> bool:
-        for f in forb:
-            k = len(f)
-            if any(seq[i:i + k] == f for i in range(len(seq) - k + 1)):
-                return False
-        return True
+    def allowed(u: tuple[str, ...], c: str) -> bool:
+        w = u + (c,)
+        return not any(w[-k:] in forb for k in lengths)
 
     verts: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [()]
@@ -114,18 +111,10 @@ def de_bruijn_graph(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledGra
             if len(verts) > _MAX_SIZE:
                 raise SizeLimit(f"de Bruijn graph over {_MAX_SIZE} vertices")
             continue
-        for c in alphabet.symbols:
-            if clean(u + (c,)):
-                stack.append(u + (c,))
+        stack.extend(u + (c,) for c in alphabet.symbols if allowed(u, c))
     verts.sort()
-    edges: list[Edge] = []
-    vset = set(verts)
-    for u in verts:
-        for c in alphabet.symbols:
-            w = u + (c,)
-            if clean(w) and w[1:] in vset:
-                edges.append((u, c, w[1:]))
-    return LabeledGraph(verts, edges)
+    return LabeledGraph(verts, [(u, c, u[1:] + (c,)) for u in verts
+                                for c in alphabet.symbols if allowed(u, c)])
 
 
 class ShiftPresentation:
@@ -607,7 +596,7 @@ def is_irreducible(x: ShiftPresentation) -> bool:
                       x.alphabet), steps)
                   for es in inner.values())
     if verdict:
-        _crosscheck_irreducible(x)
+        _crosscheck_irreducible(x, comp)
     return verdict
 
 
@@ -634,32 +623,42 @@ def reads_alike(g: SubsetAutomaton, h: SubsetAutomaton, steps) -> bool:
     return True
 
 
-def _crosscheck_irreducible(x: ShiftPresentation) -> None:
+def _crosscheck_irreducible(x: ShiftPresentation, comp: list[int]) -> None:
     """Witness search for u·w·v on short blocks; a miss is a bug.
 
     Some u·w·v is a block iff v labels a path from a vertex reachable
-    from where a path labelled u ends.  Only one direction is
-    conclusive, so this runs on an irreducible verdict only: a reducible
-    shift may still connect all its short blocks.
+    from where a path labelled u ends.  That depends only on the
+    strongly connected components (comp) those ends lie in, so each set
+    of them is closed and searched once.  Only one direction is
+    conclusive, so this runs on an irreducible verdict only: a
+    reducible shift may still connect all its short blocks.
     """
     g = x.graph()
+    comp_of = dict(zip(g.vertices, comp))
     short = ordered_blocks(x, min(4, len(g.vertices) + 2))
-    checked: set[frozenset] = set()
+    checked: set[frozenset[int]] = set()
     for u in short:
-        reach = g.walk(set(g.vertices), u.letters)
-        stack = list(reach)
-        while stack:
-            for _, _, d in g.out[stack.pop()]:
-                if d not in reach:
-                    reach.add(d)
-                    stack.append(d)
-        if frozenset(reach) in checked:
+        ends = g.walk(g.vertices, u.letters)
+        key = frozenset(map(comp_of.__getitem__, ends))
+        if key in checked:
             continue
-        checked.add(frozenset(reach))
+        checked.add(key)
+        reach = _reach(g, ends)
         for v in short:
             if not g.walk(reach, v.letters):
                 raise MismatchBug(
                     f"irreducible verdict but no w with {u}·w·{v} a block")
+
+
+def _reach(g: LabeledGraph, starts: set[Hashable]) -> set[Hashable]:
+    """starts and every vertex a path from them ends at."""
+    reach, stack = set(starts), list(starts)
+    while stack:
+        for _, _, d in g.out[stack.pop()]:
+            if d not in reach:
+                reach.add(d)
+                stack.append(d)
+    return reach
 
 
 def is_periodic_point(x: ShiftPresentation, w: Word) -> bool:

@@ -90,9 +90,6 @@ class Alphabet(Record):
     def __hash__(self) -> int:
         return hash((self.symbols,))
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
     def __contains__(self, symbol: object) -> bool:
         return symbol in self.symbols
 

@@ -555,6 +555,24 @@ def test_classify_on_a_long_word_runs_in_linear_work(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_a_long_chain_into_one_loop_is_trimmed_in_linear_work(capsys,
+                                                              tmp_path):
+    # 20000 vertices, 0.65 MB: deleting the chain's head once per pass
+    # over every edge took minutes
+    n = 20000
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(
+        {"alphabet": ["a", "b"], "kind": "sofic",
+         "vertices": [str(i) for i in range(n)],
+         "edges": [[str(i), "a", str(i + 1)] for i in range(n - 1)]
+         + [[str(n - 1), "b", str(n - 1)]]}))
+    start = time.perf_counter()
+    assert run_json(capsys, "irreducible", str(chain))["irreducible"]
+    assert run_json(capsys, "blocks", str(chain), "--order", "1")[
+        "blocks"] == ["b"]
+    assert time.perf_counter() - start < 10
+
+
 def test_term_code_reads_a_term_too_long_for_argv_from_stdin(tmp_path):
     central = tmp_path / "central.json"
     cen = centralize(higher_block_map(AB, 2))

@@ -26,6 +26,11 @@ LIBRARY_API = {
                                             "poset witness from it",
     "karoubi.py: poset_isomorphic": "ROADMAP item 4 exposes it",
     "karoubi.py: karoubi_vs_lu_comparison": "ROADMAP item 4 exposes it",
+    "pseudowords.py: canonical_equal": "equality of ω-terms by canonical "
+                                       "form, which the tests read "
+                                       "identities of the paper with",
+    "semigroups.py: FiniteSemigroup.witness": "the word behind an element, "
+                                              "which the tests evaluate",
     "semigroups.py: index_and_period": "omega_plus reads the index and "
                                        "period off its one walk; the "
                                        "tests read them here",
@@ -66,10 +71,13 @@ def _definitions(tree: ast.Module):
 
 def _referenced(tree: ast.AST, classes: frozenset,
                 owner: str | None = None) -> Counter:
-    """How often a tree reads each name, as an identifier, an attribute
-    or an imported name.  A read C.m, with C one of the classes, and a
+    """How often a tree reads each name.  An identifier or an imported
+    name n counts as a read of "n", which only a module-level name
+    matches.  An attribute read C.m, with C one of the classes, and a
     read self.m inside class C count as reads of "C.m"; any other
-    attribute read counts under the attribute's name alone."""
+    attribute read x.m counts as a read of ".m".  Only methods match
+    attribute reads, so a field or a local variable that shares a
+    name with a function or a method reads neither."""
     out: Counter = Counter()
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -84,7 +92,7 @@ def _referenced(tree: ast.AST, classes: frozenset,
             elif base == "self" and owner is not None:
                 out[f"{owner}.{node.attr}"] += 1
             else:
-                out[node.attr] += 1
+                out[f".{node.attr}"] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
         for child in ast.iter_child_nodes(node):
@@ -111,8 +119,9 @@ def orphans(sources: dict[str, str],
             readers: tuple[str, ...] = ()) -> list[str]:
     """Names defined in the sources that nothing reads outside their own
     definition: private ones by the sources, public ones by the sources
-    or the readers.  A method C.m is read by a bare read of m, or by a
-    read of m bound to C or to a class derived from C."""
+    or the readers.  A module-level name n is read by a bare read or an
+    import of n; a method C.m by an attribute read of m that is unbound,
+    or bound to C or to a class derived from C."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     ancestry = _ancestry(trees.values())
     classes = frozenset(ancestry)
@@ -124,8 +133,11 @@ def orphans(sources: dict[str, str],
     for module, tree in sorted(trees.items()):
         for name, node in _definitions(tree):
             owner, _, last = name.rpartition(".")
-            keys = [last] + [f"{c}.{last}" for c in classes
-                             if owner in ancestry[c]]
+            if owner:
+                keys = [f".{last}"] + [f"{c}.{last}" for c in classes
+                                       if owner in ancestry[c]]
+            else:
+                keys = [name]
             own = _referenced(node, classes, owner or None)
             uses = sum(read[k] - own[k] for k in keys)
             if not _private(last):
@@ -152,7 +164,8 @@ class _Orphan:
 
 def public(x):
     _local = _helper()
-    return x.__class__._attr_only + _local + _shared
+    hidden = x.__class__._attr_only
+    return hidden + _local + _shared
 
 class Api:
     def __init__(self):
@@ -169,6 +182,9 @@ class Api:
 
     def via_heir(self):
         return 3
+
+    def hidden(self):
+        return 4
 
     @staticmethod
     def named():
@@ -213,7 +229,8 @@ _private_in_reader = _UNUSED_CONST
 def test_scanner_flags_only_unreferenced_names():
     assert orphans({"a": SAMPLE_A, "b": SAMPLE_B}, (READER,)) == [
         "a: _UNUSED_CONST", "a: _recursive", "a: _Orphan", "a: Api.unread",
-        "a: Api.shadowed", "a: Twin.named", "a: orphaned"]
+        "a: Api.shadowed", "a: Api.hidden", "a: Twin.named", "a: orphaned",
+        "b: _attr_only"]
 
 
 def _package_orphans() -> tuple[list[str], set[str]]:

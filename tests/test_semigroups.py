@@ -3,6 +3,7 @@ relations, omega powers, Schützenberger groups, local units."""
 
 import itertools
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -17,7 +18,7 @@ from shiftcat.semigroups import (FiniteSemigroup, generate, green,
                                  omega_power, random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup,
                                  translation_group)
-from shiftcat.shifts import right_cayley_graph
+from shiftcat.shifts import ShiftPresentation, is_block, right_cayley_graph
 from shiftcat.words import Alphabet, Word
 
 AB = Alphabet(("a", "b"))
@@ -52,6 +53,32 @@ def null_two() -> FiniteSemigroup:
                            {1: Word(Alphabet(("a",)), ("a",)),
                             0: Word(Alphabet(("a",)), ("a", "a"))},
                            Alphabet(("a",)))
+
+
+def test_syntactic_semigroup_holds_one_copy_of_its_table():
+    # the 26th draw of bench/workloads.random_sofic from random.Random(7);
+    # its table holds about 38 MiB, and filling it as lists before
+    # copying it into tuples doubled the peak
+    edges = [("0", "a", "1"), ("1", "a", "2"), ("2", "a", "3"),
+             ("3", "a", "4"), ("4", "a", "0"), ("1", "b", "3"),
+             ("0", "c", "3"), ("4", "c", "1"), ("0", "a", "3"),
+             ("3", "c", "1"), ("2", "b", "0"), ("4", "a", "1"),
+             ("3", "b", "2"), ("2", "b", "2"), ("2", "b", "1")]
+    x = ShiftPresentation.sofic(Alphabet(("a", "b", "c")),
+                                [str(i) for i in range(5)], edges)
+    x.graph()
+    tracemalloc.start()
+    try:
+        s, accept = syntactic_semigroup(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.size == 2225
+    assert peak < 1.25 * held
+    for n in range(1, 5):
+        for letters in itertools.product("abc", repeat=n):
+            w = x.word(letters)
+            assert (s.eval_word(w) in accept) == is_block(x, w), w
 
 
 def test_generate_cyclic_group_sizes():
@@ -90,7 +117,7 @@ def witness_maps(s: FiniteSemigroup, maps) -> list[tuple[int, ...]]:
     for x in range(s.size):
         m = tuple(range(len(maps[0])))
         for a in s.witness(x).letters:
-            m = itemgetter(*m)(maps[s.alphabet.index(a)])
+            m = itemgetter(*m)(maps[s.alphabet.symbols.index(a)])
         out.append(m)
     return out
 

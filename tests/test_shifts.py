@@ -226,6 +226,19 @@ def test_irreducibility_matches_the_subset_automaton_oracle(corpus):
             verdicts.count(None)) == (286, 44, 70)
 
 
+def test_the_cross_check_closes_each_set_of_components_once(monkeypatch):
+    # the SFT avoiding a^15 has a strongly connected de Bruijn graph of
+    # 2^14 vertices, so its 30 blocks of length at most 4 all end in one
+    # component, and one closure serves them all
+    closed = []
+    reach = shifts._reach
+    monkeypatch.setattr(shifts, "_reach",
+                        lambda g, starts: closed.append(1) or reach(g, starts))
+    x = ShiftPresentation.sft(Alphabet(("a", "b")), ["a" * 15])
+    assert is_irreducible(x)
+    assert len(closed) == 1
+
+
 def test_a_wrong_irreducible_verdict_fails_the_cross_check(monkeypatch):
     ab = Alphabet(("a", "b"))
     x = ShiftPresentation.sft(ab, ["ab", "ba"])
@@ -383,7 +396,8 @@ def test_periodic_counts_match_enumeration_on_random_shifts():
     not_right_resolving = 0
     for x in cases:
         g = x.graph()
-        not_right_resolving += any(len(d) > 1 for d in g.step.values())
+        pairs = [(s, a) for s, a, _ in g.edges]
+        not_right_resolving += len(set(pairs)) < len(pairs)
         n_max = 8 if len(x.alphabet) == 2 else 7
         assert periodic_counts(x, n_max) == enumerated_counts(x, n_max), \
             x.to_json()
@@ -499,6 +513,58 @@ def test_trim_drops_stranded_vertices():
     g = x.graph()
     assert g.vertices == ("0", "1")
     assert g.edges == (("0", "a", "0"), ("0", "b", "1"), ("1", "b", "0"))
+
+
+def test_trim_keeps_exactly_the_vertices_between_cycles():
+    # v lies on a bi-infinite path iff a cycle reaches v and v reaches
+    # a cycle
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        edges = [(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))]
+        reach = [{d for s, _, d in edges if s == v} for v in range(n)]
+        for _ in range(n):
+            reach = [r.union(*(reach[u] for u in r)) for r in reach]
+        cyclic = {v for v in range(n) if v in reach[v]}
+        alive = [v for v in verts
+                 if any(c == v or v in reach[c] for c in cyclic)
+                 and any(c == v or c in reach[v] for c in cyclic)]
+        g = shifts.LabeledGraph(verts, edges)
+        if not alive:
+            with pytest.raises(EmptyShift):
+                shifts.trim_graph(g)
+            continue
+        trimmed = shifts.trim_graph(g)
+        assert trimmed.vertices == tuple(alive)
+        assert trimmed.edges == tuple(e for e in edges
+                                      if e[0] in alive and e[2] in alive)
+
+
+def test_de_bruijn_graph_lists_the_allowed_words():
+    # vertices: the m-words with no forbidden factor; edges: the
+    # (m+1)-words, from their prefix to their suffix
+    rng = random.Random(12)
+    for _ in range(300):
+        ab = Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+        forbidden = [Word(ab, tuple(rng.choice(ab.symbols)
+                                    for _ in range(rng.randint(1, 4))))
+                     for _ in range(rng.randint(0, 4))]
+        m = max([len(f) - 1 for f in forbidden] + [1])
+
+        def allowed(w):
+            return not any(w[i:i + len(f)] == f.letters
+                           for f in forbidden for i in range(len(w)))
+
+        g = shifts.de_bruijn_graph(ab, forbidden)
+        assert g.vertices == tuple(
+            w for w in itertools.product(ab.symbols, repeat=m) if allowed(w))
+        assert g.edges == tuple(
+            (w[:-1], w[-1], w[1:])
+            for w in itertools.product(ab.symbols, repeat=m + 1)
+            if allowed(w))
 
 
 def test_json_roundtrip_all_corpus(corpus):
