@@ -76,10 +76,10 @@ def _central_to_json(phi: CentralBlockMap) -> dict:
 # -- the report writer ---------------------------------------------------
 # json.dumps with an indent runs the pure-Python encoder, which makes a
 # string per item, a list of them all and then the whole report.  _emit
-# writes the same bytes in pieces: a batch of ints, of strings or of
-# equal-length int rows goes out as one join or one "%d" template, and a
-# generator (the blocks of `blocks`) is read a batch at a time, so the
-# memory a list costs beyond its items is that of one batch.
+# writes the same bytes in pieces: a batch of ints or strings as one join,
+# equal-length int rows one at a time through one "%d" template, and a
+# generator (the blocks of `blocks`) a batch at a time, so the memory a
+# list costs beyond its items is that of one batch or one row.
 
 _BATCH = 1024
 
@@ -152,7 +152,8 @@ def _put_items(write, items: list, nl: str) -> None:
           and items[0] and set(map(type, chain(*items))) == {int}):
         inner = nl + "  "
         row = f"[{inner}{f',{inner}'.join(['%d'] * len(items[0]))}{nl}]"
-        write(sep.join([row] * len(items)) % tuple(chain(*items)))
+        for i, item in enumerate(items):
+            write((sep if i else "") + row % tuple(item))
     else:
         for i, item in enumerate(items):
             if i:

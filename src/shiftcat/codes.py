@@ -10,7 +10,6 @@ the input is shorter than the window.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import SizeLimit
 from .shifts import LabeledGraph, ShiftPresentation, _array, trim_graph
@@ -251,10 +250,8 @@ def block_map_to_json(phi: BlockMap) -> dict:
                       for key, val in sorted(phi.table.items())}}
 
 
-def block_map_from_json(data: dict | str) -> BlockMap:
+def block_map_from_json(data: dict) -> BlockMap:
     """Read the JSON form; malformed input raises a one-line ValueError."""
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"a block map is a JSON object, not "
                          f"{type(data).__name__}")

@@ -26,8 +26,8 @@ from __future__ import annotations
 from .errors import MismatchBug, SizeLimit
 from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
                          green, groups_isomorphic, ideal_factors,
-                         inverse_pair, local_units, schutzenberger,
-                         translation_group)
+                         inverse_pair, local_units, right_factors,
+                         schutzenberger, translation_group)
 from .words import Record, _set
 
 TYPE_CHECKING = False
@@ -64,6 +64,11 @@ def _j_classes(k: KaroubiCategory) -> dict[int, list[int]]:
     return classes
 
 
+def _sandwich(t, e: int, l: int | None, f: int) -> int:
+    """e·l·f in the table t, where l = None is the adjoined identity."""
+    return t[e][f] if l is None else t[t[e][l]][f]
+
+
 def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
     """Pairs (e, f) such that e is a retract of f.
 
@@ -94,8 +99,8 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
             if lr is None:
                 continue
             l, r = lr
-            x0 = t[e][f0] if l is None else t[t[e][l]][f0]
-            y0 = t[f0][e] if r is None else t[t[f0][r]][e]
+            x0 = _sandwich(t, e, l, f0)
+            y0 = _sandwich(t, f0, r, e)
             below.append((e, x0, y0))
         for f in members:
             a, a_inv = (f0, f0) if f == f0 else inverse_pair(s, f0, f)
@@ -391,14 +396,10 @@ def _arrow_schutzenberger(s: FiniteSemigroup, g, u: int, f: int) -> SchutzGroup:
     """
     t = s.table
     h = tuple(sorted(g.H[g.h_of[u]]))
-    z_of: dict[int, int] = {}
-    for z, v in enumerate(t[u]):
-        z_of.setdefault(v, z)
+    z_of = right_factors(s, u, h)
     translators = []
     for v in h:
-        if v != u and v not in z_of:
-            raise MismatchBug("H-class element outside u·S")
-        y = f if v == u else t[t[f][z_of[v]]][f]
+        y = f if v == u else _sandwich(t, f, z_of[v], f)
         if t[u][y] != v:
             raise MismatchBug("arrow translation misses its H-class mate")
         translators.append(y)
@@ -450,8 +451,8 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
             raise MismatchBug("middles are not J-comparable despite the "
                               "base order")
         l, r = lr
-        x = t[e][gg] if l is None else t[t[e][l]][gg]
-        y = t[h][f] if r is None else t[t[h][r]][f]
+        x = _sandwich(t, e, l, gg)
+        y = _sandwich(t, h, r, f)
         if t[t[x][v]][y] != u:
             raise MismatchBug("composition certificate failed")
 

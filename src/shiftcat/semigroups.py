@@ -391,13 +391,26 @@ def translation_group(s: FiniteSemigroup, h: tuple[int, ...],
 def schutzenberger(s: FiniteSemigroup, hclass) -> SchutzGroup:
     """Right translations stabilizing the H-class, up to equal action.
 
-    Every y in S with H·y ⊆ H is a translator (translation_group).
+    With x the least element of H, each other v in H is x·z for the
+    least z read off row x (right_factors).  By Green's lemma the
+    translation by z maps H onto H, so these translators give the whole
+    group, which acts simply transitively (translation_group).
     """
     h = tuple(sorted(hclass))
-    hset = set(h)
-    t = s.table
-    return translation_group(s, h, (y for y in range(s.size)
-                                    if all(t[x][y] in hset for x in h)))
+    return translation_group(s, h, right_factors(s, h[0], h).values())
+
+
+def right_factors(s: FiniteSemigroup, u: int, h) -> dict[int, int]:
+    """For each v ≠ u in u's H-class h, the least z with u·z = v, read
+    off row u.  Such a z exists since v R u; a v without one raises
+    MismatchBug."""
+    z_of: dict[int, int] = {}
+    for z, v in enumerate(s.table[u]):
+        z_of.setdefault(v, z)
+    try:
+        return {v: z_of[v] for v in h if v != u}
+    except KeyError:
+        raise MismatchBug("H-class element outside u·S") from None
 
 
 def local_units(s: FiniteSemigroup, k) -> frozenset[int]:

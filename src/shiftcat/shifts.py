@@ -8,7 +8,6 @@ exactly the blocks of the subshift.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import (EmptyShift, MismatchBug, NonIntegralCoefficient,
@@ -39,14 +38,6 @@ class LabeledGraph:
             if e[0] not in self.out or e[2] not in self.out:
                 raise ValueError("edge endpoint not a vertex")
             self.out[e[0]].append(e)
-
-    def walk(self, starts: Iterable[Hashable],
-             letters: Iterable[str]) -> set[Hashable]:
-        """Vertices reachable from `starts` along a path labeled by `letters`."""
-        cur = set(starts)
-        for a in letters:
-            cur = {d for v in cur for _, b, d in self.out[v] if b == a}
-        return cur
 
 
 def trim_graph(g: LabeledGraph) -> LabeledGraph:
@@ -201,11 +192,9 @@ class ShiftPresentation:
     # -- serialization ------------------------------------------------
 
     @staticmethod
-    def from_json(data: dict | str) -> "ShiftPresentation":
+    def from_json(data: dict) -> "ShiftPresentation":
         """Read the JSON form; malformed input raises a one-line
         ValueError."""
-        if isinstance(data, str):
-            data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError("a shift presentation is a JSON object, not "
                              f"{type(data).__name__}")
@@ -380,8 +369,8 @@ def is_block(x: ShiftPresentation, w: Word) -> bool:
 class SubsetAutomaton:
     """The subset automaton of the path-label NFA of g, built on demand.
 
-    State 0 is the set of all vertices.  Each vertex set reached is
-    interned once, as states[i] in discovery order, and row(i), its
+    State 0 is the set of all vertices.  state() interns each vertex
+    set once, as states[i] in discovery order, and row(i), its
     successors in alphabet order (the empty set included), is computed
     once.  A word is a block iff it walks 0 to a nonempty state.
     """
@@ -390,10 +379,18 @@ class SubsetAutomaton:
         self.g = g
         self.symbols = alphabet.symbols
         self.position = {a: k for k, a in enumerate(self.symbols)}
-        start = frozenset(g.vertices)
-        self.states: list[frozenset] = [start]
-        self.index = {start: 0}
+        self.states: list[frozenset] = []
+        self.index: dict[frozenset, int] = {}
         self.rows: dict[int, list[int]] = {}
+        self.state(frozenset(g.vertices))
+
+    def state(self, vertices: frozenset) -> int:
+        """The id of a vertex set, interned on first sight."""
+        i = self.index.get(vertices)
+        if i is None:
+            i = self.index[vertices] = len(self.states)
+            self.states.append(vertices)
+        return i
 
     def row(self, i: int) -> list[int]:
         row = self.rows.get(i)
@@ -402,14 +399,8 @@ class SubsetAutomaton:
             for v in self.states[i]:
                 for _, a, d in self.g.out[v]:
                     ext.setdefault(a, set()).add(d)
-            row = self.rows[i] = []
-            for a in self.symbols:
-                nxt = frozenset(ext.get(a, ()))
-                j = self.index.get(nxt)
-                if j is None:
-                    j = self.index[nxt] = len(self.states)
-                    self.states.append(nxt)
-                row.append(j)
+            row = self.rows[i] = [self.state(frozenset(ext.get(a, ())))
+                                  for a in self.symbols]
         return row
 
     def read(self, i: int, letters: Iterable[str]) -> int | None:
@@ -631,21 +622,25 @@ def _crosscheck_irreducible(x: ShiftPresentation, comp: list[int]) -> None:
     strongly connected components (comp) those ends lie in, so each set
     of them is closed and searched once.  Only one direction is
     conclusive, so this runs on an irreducible verdict only: a
-    reducible shift may still connect all its short blocks.
+    reducible shift may still connect all its short blocks.  The words
+    are read on a fresh subset automaton, which interns the closures:
+    in x.subset_automaton() they would be states its state 0 cannot
+    reach, which minimal_automaton would complete and minimise too.
     """
     g = x.graph()
     comp_of = dict(zip(g.vertices, comp))
     short = ordered_blocks(x, min(4, len(g.vertices) + 2))
+    sub = SubsetAutomaton(g, x.alphabet)
     checked: set[frozenset[int]] = set()
     for u in short:
-        ends = g.walk(g.vertices, u.letters)
+        ends = sub.states[sub.read(0, u.letters)]
         key = frozenset(map(comp_of.__getitem__, ends))
         if key in checked:
             continue
         checked.add(key)
-        reach = _reach(g, ends)
+        reach = sub.state(frozenset(_reach(g, ends)))
         for v in short:
-            if not g.walk(reach, v.letters):
+            if sub.read(reach, v.letters) is None:
                 raise MismatchBug(
                     f"irreducible verdict but no w with {u}·w·{v} a block")
 
@@ -756,14 +751,6 @@ class ZetaSeries(Record):
     coefficients: tuple[int, ...]
     p: tuple[int, ...]
     q: tuple[int, ...]
-
-    def __str__(self) -> str:
-        terms = ["1"]
-        for n in range(1, self.order + 1):
-            c = self.coefficients[n]
-            if c:
-                terms.append(f"{c}t^{n}" if n > 1 else f"{c}t")
-        return " + ".join(terms)
 
 
 def zeta(x: ShiftPresentation, order: int) -> ZetaSeries:

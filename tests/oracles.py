@@ -226,6 +226,10 @@ def subset_irreducible(x) -> bool:
     states, trans = subset_dfa(g, x.alphabet)
     syms = x.alphabet.symbols
 
+    def step(vertices, a):
+        return frozenset(d for v in vertices for _, b, d in g.out[v]
+                         if b == a)
+
     def reads_everything(wset):
         start = (frozenset(g.vertices), wset)
         seen = {start}
@@ -233,8 +237,8 @@ def subset_irreducible(x) -> bool:
         while stack:
             full, part = stack.pop()
             for a in syms:
-                nf = frozenset(g.walk(set(full), (a,)))
-                np = frozenset(g.walk(set(part), (a,)))
+                nf = step(full, a)
+                np = step(part, a)
                 if not nf:
                     continue
                 if not np:

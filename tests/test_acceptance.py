@@ -32,8 +32,6 @@ from shiftcat.shifts import mirage_membership_k, periodic_counts, zeta
 from shiftcat.words import Alphabet, Word, prefix_k, suffix_k
 
 AB = Alphabet(("a", "b"))
-CORPUS = ("golden_mean", "even", "full2", "periodic_ab", "fixed_point",
-          "marker_cycle")
 
 
 def criterion(label):
@@ -191,7 +189,7 @@ def test_ac_06_zeta_against_independent_oracles():
     assert coeffs == oracles.GOLDEN_ZETA_12
     assert coeffs == oracles.transfer_matrix_zeta([[1, 1], [1, 0]], 12)
     assert coeffs == oracles.rational_series("1", "1 - t - t**2", 12)
-    for name in CORPUS:
+    for name in util.CORPUS:
         series = zeta(util.load(name), 12)
         assert all(isinstance(c, int) for c in series.coefficients)
 
@@ -315,7 +313,7 @@ def test_ac_11_periodic_counts_survive_recoding():
 
 @criterion("AC-12")
 def test_ac_12_envelope_matches_local_unit_poset():
-    for name in CORPUS:
+    for name in util.CORPUS:
         s, accept = syntactic_semigroup(util.load(name))
         assert s.size <= 60
         assert karoubi_vs_lu_comparison(s, accept).kind == "Iso"

@@ -124,6 +124,27 @@ def test_blocks_streams_its_report_in_bounded_memory(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_a_table_report_is_written_one_row_at_a_time(monkeypatch):
+    # formatting the 1000 rows as one batch peaks at about 15 MiB
+    written = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            written.update(text.encode())
+
+    report = {"table": [tuple(range(500))] * 1000}
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli._emit(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert written.digest() == hashlib.sha256(
+        (json.dumps(report, indent=2) + "\n").encode()).digest()
+
+
 def test_member_bound_enumerates_no_blocks(capsys):
     # full-2 has 2^20 blocks of length 20 and golden-mean over 10^6 of
     # length 30, far above shifts._MAX_BLOCKS; (ab)^ω has two windows
@@ -753,13 +774,14 @@ def test_failure_exit_code_for_bad_term(capsys):
 
 
 def test_cli_corpus_matches_the_data_files():
-    def text(x):
-        return json.dumps(x.to_json(), sort_keys=True)
-
-    files = sorted(util.DATA.glob("*.json"))
-    assert len(files) == len(cli._corpus()) == 6
-    assert (sorted(map(text, cli._corpus().values()))
-            == sorted(text(util.load(p.stem)) for p in files))
+    # each shift against its own file: golden-mean is golden_mean.json
+    corpus = cli._corpus()
+    assert (sorted(p.stem for p in util.DATA.glob("*.json"))
+            == sorted(util.CORPUS))
+    assert ([name.replace("-", "") for name in corpus]
+            == [stem.replace("_", "") for stem in util.CORPUS])
+    for x, stem in zip(corpus.values(), util.CORPUS):
+        assert x.to_json() == util.load(stem).to_json(), stem
 
 
 # -- determinism ----------------------------------------------------------
@@ -782,18 +804,16 @@ def test_reports_have_sorted_keys(capsys):
 
 
 def test_flowcheck_work_does_not_depend_on_the_hash_seed():
-    # the graph walks and automaton rows of one in-process flowcheck,
-    # counted, under three hash seeds
+    # the automaton rows of one in-process flowcheck, counted, under
+    # three hash seeds
     script = """
 import sys
 from shiftcat import cli, shifts
 calls = []
-for cls, name in ((shifts.LabeledGraph, "walk"),
-                  (shifts.SubsetAutomaton, "row")):
-    def spy(*args, _f=getattr(cls, name)):
-        calls.append(1)
-        return _f(*args)
-    setattr(cls, name, spy)
+def spy(*args, _f=shifts.SubsetAutomaton.row):
+    calls.append(1)
+    return _f(*args)
+shifts.SubsetAutomaton.row = spy
 code = cli.main(sys.argv[1:])
 print(code, len(calls), file=sys.stderr)
 """

@@ -18,8 +18,8 @@ from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
                               retraction_order)
 from shiftcat.pseudowords import (canonical, canonical_equal, parse_term,
                                   quotient_equal)
-from shiftcat.semigroups import (FiniteSemigroup, GreenData, battery,
-                                 certify_retraction, generate, green,
+from shiftcat.semigroups import (FiniteSemigroup, GreenData, SchutzGroup,
+                                 battery, certify_retraction, generate, green,
                                  ideal_factors, inverse_pair, local_units,
                                  random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup)
@@ -165,6 +165,43 @@ def test_poset_isomorphic_verdicts(even_sg, orbit_sg):
     assert diff.kind == "NotIso"
 
 
+def height_two(n, below, cyclic=()):
+    """Elements 0..n-1, each regular, ordered by x < y for (x, y) in
+    below, labeled by the cyclic group of order cyclic[x] (default 1)."""
+    def group(k):
+        return SchutzGroup(tuple(range(k)), frozenset(
+            tuple((i + j) % k for i in range(k)) for j in range(k)), k)
+
+    order = frozenset(below) | {(x, x) for x in range(n)}
+    return LabeledPoset(tuple(range(n)), order, tuple(
+        (x, True, group(dict(cyclic).get(x, 1))) for x in range(n)))
+
+
+def test_poset_isomorphic_backtracks():
+    # two chains 0 < 1 and 2 < 3, told apart only by their tops' groups:
+    # the first choice, 0 -> 0 and 2 -> 2, fails one level up
+    p = height_two(4, {(0, 1), (2, 3)}, {1: 2})
+    q = height_two(4, {(0, 1), (2, 3)}, {3: 2})
+    verdict = poset_isomorphic(p, q)
+    assert (verdict.kind, verdict.witness) == (
+        "Iso", ((0, 2), (1, 3), (2, 0), (3, 1)))
+
+
+def test_poset_isomorphic_refusals():
+    one, two = height_two(1, ()), height_two(2, ())
+    assert poset_isomorphic(one, two).reason == "different cardinalities"
+    # an 8-cycle and two 4-cycles between four minima and four maxima:
+    # every element covers or is covered by two, so only the search
+    # tells them apart
+    cycle = height_two(8, {(i, 4 + j) for i in range(4)
+                           for j in (i, (i + 1) % 4)})
+    squares = height_two(8, {(i, 4 + j) for i in range(4)
+                             for j in range(i // 2 * 2, i // 2 * 2 + 2)})
+    verdict = poset_isomorphic(cycle, squares)
+    assert (verdict.kind, verdict.reason) == (
+        "NotIso", "no label- and order-preserving bijection")
+
+
 def test_poset_isomorphic_size_limit():
     big = chain_semilattice(17)
     p = lu_labeled_poset(big, range(17))
@@ -208,22 +245,20 @@ def test_unit_pair_is_the_first_pair_of_the_double_loop():
 
 # -- certificates against hom-set oracles -------------------------------
 
-CORPUS = ("golden_mean", "even", "full2", "periodic_ab", "fixed_point",
-          "marker_cycle")
 RANDOM = [f"{seed}/{states}" for seed in range(30) for states in (3, 4, 5)]
 
 
 def case_semigroup(case: str) -> FiniteSemigroup:
     """A corpus syntactic semigroup, or "seed/states" for a seeded random
     transformation semigroup over {a, b}."""
-    if case in CORPUS:
+    if case in util.CORPUS:
         return syntactic_semigroup(util.load(case))[0]
     seed, states = map(int, case.split("/"))
     return random_transformation_semigroup(AB, states, random.Random(seed))
 
 
 # seeded randoms of at most 200 elements (the largest has 141)
-CASES = [*CORPUS, *(c for c in RANDOM if case_semigroup(c).size <= 200)]
+CASES = [*util.CORPUS, *(c for c in RANDOM if case_semigroup(c).size <= 200)]
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -19,19 +19,16 @@ from shiftcat.shifts import (ShiftPresentation, blocks, is_block,
                              zeta)
 from shiftcat.words import Alphabet, Word, factors_up_to
 
-CORPUS = ["golden_mean", "even", "full2", "periodic_ab", "fixed_point",
-          "marker_cycle"]
-
 
 @pytest.fixture(scope="module")
 def corpus():
-    return {name: util.load(name) for name in CORPUS}
+    return {name: util.load(name) for name in util.CORPUS}
 
 
 # -- block language vs rule oracles ---------------------------------------
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", util.CORPUS)
 def test_blocks_match_rule_oracle_exhaustively(corpus, name):
     x = corpus[name]
     alpha, rule = oracles.RULES[name]
@@ -78,7 +75,7 @@ def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
     # is what an unbounded enumeration holds; random sofic graphs have
     # words labeling several paths, so the path bound is not exact
     rng = random.Random(77)
-    cases = [util.load(name) for name in CORPUS]
+    cases = [util.load(name) for name in util.CORPUS]
     cases += [random_sofic(rng, v) for v in (2, 3, 4, 5, 6) for _ in range(3)]
     cases += [seeded_sofic(12, seed) for seed in (0, 1)]
     for x in cases:
@@ -229,14 +226,69 @@ def test_irreducibility_matches_the_subset_automaton_oracle(corpus):
 def test_the_cross_check_closes_each_set_of_components_once(monkeypatch):
     # the SFT avoiding a^15 has a strongly connected de Bruijn graph of
     # 2^14 vertices, so its 30 blocks of length at most 4 all end in one
-    # component, and one closure serves them all
+    # component, and one closure serves them all.  Read on a subset
+    # automaton, the blocks read each vertex's adjacency a bounded number
+    # of times: 109 when raw vertex sets were walked for every block.
+    class Counted(dict):
+        reads = 0
+
+        def __getitem__(self, v):
+            Counted.reads += 1
+            return dict.__getitem__(self, v)
+
     closed = []
     reach = shifts._reach
     monkeypatch.setattr(shifts, "_reach",
                         lambda g, starts: closed.append(1) or reach(g, starts))
     x = ShiftPresentation.sft(Alphabet(("a", "b")), ["a" * 15])
+    g = x.graph()
+    crosscheck = shifts._crosscheck_irreducible
+
+    def counted(x, comp):
+        plain, g.out = g.out, Counted(g.out)
+        try:
+            crosscheck(x, comp)
+        finally:
+            g.out = plain
+
+    monkeypatch.setattr(shifts, "_crosscheck_irreducible", counted)
     assert is_irreducible(x)
     assert len(closed) == 1
+    assert 0 < Counted.reads <= 16 * len(g.vertices)
+
+
+def test_the_cross_check_leaves_the_shared_automaton_alone(monkeypatch):
+    # a closure interned into x.subset_automaton() would be a state that
+    # its state 0 cannot reach, which minimal_automaton would complete
+    # and minimise too: every state must be 0 or on some row.  Seeded
+    # sofic shifts are strongly connected, so their closures are state
+    # 0; a few of the random graphs close onto new vertex sets.
+    from shiftcat.semigroups import syntactic_semigroup
+    crosscheck = shifts._crosscheck_irreducible
+
+    def reachable_only(x, comp):
+        crosscheck(x, comp)
+        sub = x.subset_automaton()
+        assert ({0}.union(*sub.rows.values())
+                == set(range(len(sub.states)))), x.to_json()
+
+    monkeypatch.setattr(shifts, "_crosscheck_irreducible", reachable_only)
+    rng = random.Random(14)
+    draws = [seeded_sofic(v, seed) for v in (3, 4) for seed in range(6)]
+    draws += [random_graph(rng) for _ in range(400)]
+    checked = 0
+    for x in draws:
+        try:
+            if not is_irreducible(x):
+                continue
+        except EmptyShift:
+            continue
+        s, accept = syntactic_semigroup(x)
+        fresh, fresh_accept = syntactic_semigroup(
+            ShiftPresentation.from_json(x.to_json()))
+        assert (s.to_json(), accept) == (fresh.to_json(), fresh_accept)
+        checked += 1
+    assert checked == 298
 
 
 def test_a_wrong_irreducible_verdict_fails_the_cross_check(monkeypatch):
@@ -266,7 +318,7 @@ def test_periodic_counts_match_brute_oracle(corpus, name, frozen_p, order):
     assert q[:len(brute_q)] == brute_q
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", util.CORPUS)
 def test_p_is_divisor_sum_of_q(corpus, name):
     p, q = periodic_counts(corpus[name], 10)
     for n in range(1, 11):
@@ -275,7 +327,7 @@ def test_p_is_divisor_sum_of_q(corpus, name):
 
 
 def test_is_periodic_point_matches_circular_oracle(corpus):
-    for name in CORPUS:
+    for name in util.CORPUS:
         x = corpus[name]
         alpha, _ = oracles.RULES[name]
         for n in range(1, 6):
@@ -298,7 +350,7 @@ def test_zeta_frozen_values(corpus):
 
 
 def test_zeta_equals_exponential_of_counts(corpus):
-    for name in CORPUS:
+    for name in util.CORPUS:
         z = zeta(corpus[name], 9)
         expected = oracles.zeta_from_counts(list(z.p), 9)
         assert [int(c) for c in expected] == list(z.coefficients)
@@ -568,7 +620,7 @@ def test_de_bruijn_graph_lists_the_allowed_words():
 
 
 def test_json_roundtrip_all_corpus(corpus):
-    for name in CORPUS:
+    for name in util.CORPUS:
         x = corpus[name]
         y = ShiftPresentation.from_json(x.to_json())
         assert y.to_json() == x.to_json()
@@ -577,7 +629,7 @@ def test_json_roundtrip_all_corpus(corpus):
 
 
 def test_to_dot_deterministic(corpus):
-    for name in CORPUS:
+    for name in util.CORPUS:
         assert corpus[name].to_dot() == corpus[name].to_dot()
         assert corpus[name].to_dot().startswith("digraph")
 

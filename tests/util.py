@@ -9,6 +9,9 @@ from shiftcat.shifts import ShiftPresentation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# the shifts of tests/data, in the order of cli._corpus()
+CORPUS = ("golden_mean", "even", "full2", "periodic_ab", "fixed_point",
+          "marker_cycle")
 
 
 def load(name: str) -> ShiftPresentation:
