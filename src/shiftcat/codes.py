@@ -222,7 +222,8 @@ def apply_to_presentation(phi: CentralBlockMap,
         paths = [(e,) for e in g.edges]
         for _ in range(2 * k):
             paths = [p + (e,) for p in paths for e in g.out[p[-1][2]]]
-        verts = sorted({p[:-1] for p in paths} | {p[1:] for p in paths})
+        # raw vertices need not be comparable: names come from str below
+        verts = list(dict.fromkeys(q for p in paths for q in (p[:-1], p[1:])))
         edges = []
         for p in paths:
             label = phi.inner.table[tuple(e[1] for e in p)]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import DiamondOnly, InvalidArrow, TooShort, UnassignedLetter
+from .errors import (DiamondOnly, InvalidArrow, SizeLimit, TooShort,
+                     UnassignedLetter)
 from .semigroups import FiniteSemigroup, omega_plus
 from .shifts import (ShiftPresentation, is_periodic_point,
                      mirage_membership_k, ordered_blocks, spell_blocks)
@@ -100,9 +101,6 @@ class OmegaTerm(Record):
         if other.alphabet != self.alphabet:
             raise ValueError("cannot concatenate terms over different alphabets")
         return OmegaTerm(self.alphabet, self.body + other.body)
-
-    def __str__(self) -> str:
-        return format_term(self)
 
 
 # -- canonical form ---------------------------------------------------
@@ -258,14 +256,29 @@ def canonical_equal(s: OmegaTerm, t: OmegaTerm) -> bool:
 # -- unfolding, prefixes, factors ------------------------------------
 
 
+# The most letters times k that unroll(t, k) will spell.  The product
+# bounds the unrolled word, the windows of length k that
+# mirage_membership_k holds (about 32 MiB of tuples at the cap), the
+# factor trie of term_factors and the per-level report of member.  The
+# test suite reaches under 10^6: a 22000-item stdin term at bound 4.
+_MAX_UNROLL = 4_000_000
+
+
 def unroll(t: OmegaTerm, k: int) -> Word:
     """Each u^(ω+q) written out k+2 times, whatever q is.
 
     A factor of length ≤ k meets at most k letters of each power, so the
     factors, prefix and suffix of length ≤ k are those of every deep
     unfolding, and the word's length does not grow with q.  A plain
-    term unrolls to its own word.
+    term unrolls to its own word.  The letters are counted first, and
+    SizeLimit is raised before any is written when their number times
+    k passes _MAX_UNROLL.
     """
+    size = sum(len(it) if isinstance(it, Word) else len(it.base) * (k + 2)
+               for it in t.body)
+    if size * k > _MAX_UNROLL:
+        raise SizeLimit(f"unrolling to {size} letters at level {k}: "
+                        f"letters times level exceeds {_MAX_UNROLL}")
     out: list[str] = []
     for it in t.body:
         out.extend(it.letters if isinstance(it, Word)
@@ -467,39 +480,35 @@ def term_expand(t: OmegaTerm, alpha: str, diamond: str = "o") -> OmegaTerm:
         raise ValueError(f"{alpha!r} is not in the alphabet")
     if diamond in t.alphabet:
         raise ValueError(f"diamond symbol {diamond!r} is not fresh")
-    target = Alphabet(t.alphabet.symbols + (diamond,))
-    items: list[Item] = []
-    for it in t.body:
-        if isinstance(it, Word):
-            items.append(expand_word(it, alpha, target, diamond))
-        else:
-            items.append(Power(expand_word(it.base, alpha, target, diamond),
-                                it.q))
-    return canonical(OmegaTerm(target, tuple(items)))
+    return _image(t, Alphabet(t.alphabet.symbols + (diamond,)),
+                  {a: (a, diamond) if a == alpha else (a,)
+                   for a in t.alphabet.symbols})
 
 
 def term_contract(t: OmegaTerm, diamond: str = "o") -> OmegaTerm:
     """Delete the diamond homomorphically; DiamondOnly for ◊-only terms."""
     if diamond not in t.alphabet:
         raise ValueError(f"{diamond!r} is not in the alphabet")
-    target = Alphabet(tuple(s for s in t.alphabet.symbols if s != diamond))
+    out = _image(t, Alphabet(tuple(s for s in t.alphabet.symbols
+                                   if s != diamond)),
+                 {a: () if a == diamond else (a,) for a in t.alphabet.symbols})
+    if not out.body:
+        raise DiamondOnly("term contracts to the empty pseudoword")
+    return out
 
-    def strip(w: Word) -> Word:
-        return Word(target, tuple(a for a in w.letters if a != diamond))
+
+def _image(t: OmegaTerm, target: Alphabet, letters: dict) -> OmegaTerm:
+    # t's canonical image under a ↦ letters[a]; a power of ε is dropped
+    def word(w: Word) -> Word:
+        return Word(target, tuple(c for a in w.letters for c in letters[a]))
 
     items: list[Item] = []
     for it in t.body:
         if isinstance(it, Word):
-            items.append(strip(it))
-        else:
-            base = strip(it.base)
-            if len(base) == 0:
-                continue  # ◊^(ω+q) contracts to the empty pseudoword
+            items.append(word(it))
+        elif base := word(it.base):
             items.append(Power(base, it.q))
-    out = canonical(OmegaTerm(target, tuple(items)))
-    if not out.body:
-        raise DiamondOnly("term contracts to the empty pseudoword")
-    return out
+    return canonical(OmegaTerm(target, tuple(items)))
 
 
 def image_E_membership(w: Word, alpha: str, diamond: str = "o") -> bool:

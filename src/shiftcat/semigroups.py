@@ -526,15 +526,19 @@ def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
     """'isomorphic', 'not-isomorphic', or 'invariant-equal'.
 
     An isomorphism search on the permutations up to order 64
-    (_isomorphism_exists); above that only the invariant vector (order, abelianness, element-order multiset) is
-    compared and a match is reported as the weaker verdict.
+    (_isomorphism_exists); above that the invariant vector (order,
+    abelianness, element-order multiset) is compared.  Finite abelian
+    groups with equal element-order counts are isomorphic, since the
+    counts determine the invariant factors, so only a match of
+    non-abelian groups is reported as the weaker verdict.
     """
     if g1.order != g2.order:
         return "not-isomorphic"
     if g1.order > _GROUP_BRUTE_LIMIT:
-        inv1 = (g1.order, g1.is_abelian(), g1.element_orders())
-        inv2 = (g2.order, g2.is_abelian(), g2.element_orders())
-        return "invariant-equal" if inv1 == inv2 else "not-isomorphic"
+        inv1 = (g1.is_abelian(), g1.element_orders())
+        if inv1 != (g2.is_abelian(), g2.element_orders()):
+            return "not-isomorphic"
+        return "isomorphic" if inv1[0] else "invariant-equal"
     return "isomorphic" if _isomorphism_exists(g1, g2) else "not-isomorphic"
 
 

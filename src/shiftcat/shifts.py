@@ -433,32 +433,40 @@ def subset_dfa(g: LabeledGraph, alphabet: Alphabet):
 def minimal_automaton(x: ShiftPresentation):
     """The minimal automaton of the block language of x.
 
-    x's subset automaton is completed and Moore-minimized on its rows.
-    Returns (maps, initial, sink): maps[i][s] is the state reached from
-    s by letter i of the alphabet, and sink is the class of the empty
-    vertex set, or None when every word is a block.  A word is a block
-    iff it walks initial to a state other than sink.  States are
-    numbered by their first subset-automaton state, so initial is 0.
+    The states of x's subset automaton that state 0 reaches are listed
+    breadth-first, successors in alphabet order, and Moore-minimized on
+    their rows; states other queries interned are left out, so the
+    result depends on x alone.  Returns (maps, initial, sink): maps[i][s]
+    is the state reached from s by letter i of the alphabet, and sink is
+    the class of the empty vertex set, or None when every word is a
+    block.  A word is a block iff it walks initial to a state other
+    than sink.
     """
     sub = x.subset_automaton()
-    states = sub.states
-    rows = [sub.row(i) for i, _ in enumerate(states)]  # reaches new states
-    part = [0 if st else 1 for st in states]
+    walk, at = [0], {0: 0}               # at[i]: i's position in walk
+    cols = [[] for _ in sub.symbols]     # cols[k][p]: at[row(walk[p])[k]]
+    for i in walk:                       # walk grows as rows are read
+        for col, j in zip(cols, sub.row(i)):
+            if j not in at:
+                at[j] = len(walk)
+                walk.append(j)
+            col.append(at[j])
+    part = [0 if sub.states[i] else 1 for i in walk]
     while True:
-        sigs = [(p, tuple(map(part.__getitem__, row)))
-                for p, row in zip(part, rows)]
+        sigs = zip(part, *[map(part.__getitem__, col) for col in cols])
         renum: dict = {}
         new = [renum.setdefault(s, len(renum)) for s in sigs]
         if new == part:
             break
         part = new
     maps = []
-    for k in range(len(sub.symbols)):
+    for col in cols:
         img = [0] * len(renum)
-        for p, row in zip(part, rows):
-            img[p] = part[row[k]]
+        for p, j in zip(part, col):
+            img[p] = part[j]
         maps.append(tuple(img))
-    sink = next((part[i] for i, st in enumerate(states) if not st), None)
+    sink = next((part[p] for p, i in enumerate(walk) if not sub.states[i]),
+                None)
     return maps, part[0], sink
 
 
@@ -622,15 +630,12 @@ def _crosscheck_irreducible(x: ShiftPresentation, comp: list[int]) -> None:
     strongly connected components (comp) those ends lie in, so each set
     of them is closed and searched once.  Only one direction is
     conclusive, so this runs on an irreducible verdict only: a
-    reducible shift may still connect all its short blocks.  The words
-    are read on a fresh subset automaton, which interns the closures:
-    in x.subset_automaton() they would be states its state 0 cannot
-    reach, which minimal_automaton would complete and minimise too.
+    reducible shift may still connect all its short blocks.
     """
     g = x.graph()
     comp_of = dict(zip(g.vertices, comp))
     short = ordered_blocks(x, min(4, len(g.vertices) + 2))
-    sub = SubsetAutomaton(g, x.alphabet)
+    sub = x.subset_automaton()
     checked: set[frozenset[int]] = set()
     for u in short:
         ends = sub.states[sub.read(0, u.letters)]

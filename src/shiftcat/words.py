@@ -145,9 +145,6 @@ class Word(Record):
             return Word(self.alphabet, self.letters[i])
         return self.letters[i]
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
@@ -190,14 +187,25 @@ def suffix_k(u: Word, k: int) -> Word:
 
 
 def factors_up_to(u: Word, k: int) -> set[Word]:
-    """All nonempty factors of u of length at most k."""
+    """All nonempty factors of u of length at most k.
+
+    The factors starting at each position are walked down a trie of the
+    factors found so far, so a Word is built once per distinct factor,
+    not once per position and length.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     out: set[Word] = set()
-    n = len(u)
+    trie: dict = {}
+    letters, n = u.letters, len(u)
     for i in range(n):
-        for j in range(i + 1, min(i + k, n) + 1):
-            out.add(Word(u.alphabet, u.letters[i:j]))
+        node = trie
+        for j in range(i, min(i + k, n)):
+            nxt = node.get(letters[j])
+            if nxt is None:
+                nxt = node[letters[j]] = {}
+                out.add(Word(u.alphabet, letters[i:j + 1]))
+            node = nxt
     return out
 
 

@@ -322,6 +322,17 @@ class GreenOracle:
         return x in self.two_ideal[y]
 
 
+# -- factors --------------------------------------------------------------
+
+
+def factors_up_to(letters: tuple, k: int) -> set[tuple]:
+    """The nonempty factors of length at most k, one slice per position
+    and length."""
+    n = len(letters)
+    return {letters[i:j] for i in range(n)
+            for j in range(i + 1, min(i + k, n) + 1)}
+
+
 # -- ω-terms unfolded to words --------------------------------------------
 
 

@@ -27,7 +27,7 @@ from shiftcat.flowops import classify_type, expand_shift
 from shiftcat.pseudowords import (closure_membership, format_term,
                                   mirage_membership, parse_term,
                                   term_block_code)
-from shiftcat.shifts import ShiftPresentation, periodic_counts
+from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts
 from shiftcat.words import Alphabet, Word
 
 GOLDEN = str(util.DATA / "golden_mean.json")
@@ -224,6 +224,27 @@ def test_code_commands(capsys, tmp_path):
     report = run_json(capsys, "code", "apply", str(central), GOLDEN)
     target = ShiftPresentation.from_json(report["target"])
     assert periodic_counts(target, 4)[0] == [1, 3, 4, 7]
+
+
+def test_code_apply_takes_vertices_of_any_json_type(capsys, tmp_path):
+    # path vertices hold the raw JSON vertices, which need not compare
+    central = tmp_path / "central.json"
+    central.write_text(json.dumps(block_map_to_json(higher_block_map(AB, 2))))
+    for names in ([None, True], [0, "0"]):
+        targets = []
+        for verts in (names, ["p", "q"]):
+            p, q = verts
+            shift = tmp_path / "shift.json"
+            shift.write_text(json.dumps(
+                {"alphabet": ["a", "b"], "kind": "sofic", "vertices": verts,
+                 "edges": [[p, "a", p], [p, "b", q], [q, "a", p],
+                           [q, "b", q], [q, "a", q]]}))
+            code, out, err = run(capsys, "code", "apply", str(central),
+                                 str(shift))
+            assert code == 0, err
+            targets.append(ShiftPresentation.from_json(
+                json.loads(out)["target"]))
+        assert blocks(targets[0], 4) == blocks(targets[1], 4), names
 
 
 def test_term_eval_builds_the_syntactic_semigroup_once(capsys, monkeypatch):
@@ -519,6 +540,19 @@ def test_blocks_over_the_size_limit_is_a_one_line_error(capsys, monkeypatch,
     assert (code, out) == (1, "")
     assert err == ("error: SizeLimit: more than 100 blocks of length at "
                    "most 40\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", str(util.DATA / "full2.json"), "(a b)^w"),
+    ("term", "factors", str(util.DATA / "full2.json"), "(a b)^w")])
+def test_a_large_bound_is_refused_before_unrolling(capsys, argv):
+    # (a b)^w would unroll to 2·10^8 letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--bound", "100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: SizeLimit: unrolling to 200000004 letters at "
+                   "level 100000000: letters times level exceeds 4000000\n")
 
 
 def test_code_apply_over_the_size_limit_is_a_one_line_error(capsys,

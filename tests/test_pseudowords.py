@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
+from shiftcat import pseudowords
 from shiftcat.codes import centralize, higher_block_map, word_code
 from shiftcat.flowops import expand_shift
 from shiftcat.errors import (DiamondOnly, InvalidArrow, MismatchBug,
-                             NotIdempotentWitness, TooShort)
+                             NotIdempotentWitness, SizeLimit, TooShort)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
                                   canonical_equal, check_arrow,
                                   check_equal_in_quotients,
@@ -243,6 +244,28 @@ def test_term_factors_match_deep_unfolding():
         deep = Word(AB, oracles.unfold(t, DEEP))
         for k in (1, 2, 3, 4):
             assert term_factors(t, k) == factors_up_to(deep, k)
+
+
+def test_unroll_refuses_exactly_above_its_cap(monkeypatch):
+    # (a b)^w b at level k spells 2(k + 2) + 1 letters
+    t = t_ab("(a b)^w b")
+    monkeypatch.setattr(pseudowords, "_MAX_UNROLL", 25 * 10)
+    assert len(unroll(t, 10)) == 25
+    assert term_factors(t, 10) == factors_up_to(
+        Word(AB, oracles.unfold(t, DEEP)), 10)
+    monkeypatch.setattr(pseudowords, "_MAX_UNROLL", 25 * 10 - 1)
+    for call in (lambda: unroll(t, 10), lambda: term_factors(t, 10),
+                 lambda: mirage_levels(t, util.load("full2"), 10)):
+        with pytest.raises(SizeLimit, match="^unrolling to 25 letters at "
+                                            "level 10: letters times level "
+                                            "exceeds 249$"):
+            call()
+    # a plain term does not grow with the level, but the level counts
+    w = t_ab("a b a")
+    monkeypatch.setattr(pseudowords, "_MAX_UNROLL", 3 * 7)
+    assert unroll(w, 7) == Word(AB, ("a", "b", "a"))
+    with pytest.raises(SizeLimit):
+        unroll(w, 8)
 
 
 @settings(max_examples=150, deadline=None)

@@ -356,9 +356,16 @@ def test_groups_isomorphic_verdicts():
 
 
 def test_groups_isomorphic_large_falls_back_to_invariants():
+    # abelian groups are determined by their element-order counts
     z65 = schutzenberger(cyclic(65), frozenset(range(65)))
     z65b = schutzenberger(cyclic(65), frozenset(range(65)))
-    assert groups_isomorphic(z65, z65b) == "invariant-equal"
+    assert groups_isomorphic(z65, z65b) == "isomorphic"
+    z128 = schutzenberger(cyclic(128), frozenset(range(128)))
+    z2z64 = _permutation_group([tuple(range(1, 64)) + (0, 64, 65),
+                                tuple(range(64)) + (65, 64)])
+    assert z2z64.order == 128 and z2z64.is_abelian()
+    assert groups_isomorphic(z128, z2z64) == "not-isomorphic"
+    assert groups_isomorphic(z2z64, z2z64) == "isomorphic"
 
 
 
@@ -403,7 +410,7 @@ def test_groups_isomorphic_matches_the_table_search():
                                                   tables[g2.carrier])
             if not iso:
                 expected = "not-isomorphic"
-            elif g1.order > 64:
+            elif g1.order > 64 and not g1.is_abelian():
                 expected = "invariant-equal"
             else:
                 expected = "isomorphic"

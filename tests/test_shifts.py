@@ -257,22 +257,47 @@ def test_the_cross_check_closes_each_set_of_components_once(monkeypatch):
     assert 0 < Counted.reads <= 16 * len(g.vertices)
 
 
-def test_the_cross_check_leaves_the_shared_automaton_alone(monkeypatch):
-    # a closure interned into x.subset_automaton() would be a state that
-    # its state 0 cannot reach, which minimal_automaton would complete
-    # and minimise too: every state must be 0 or on some row.  Seeded
-    # sofic shifts are strongly connected, so their closures are state
-    # 0; a few of the random graphs close onto new vertex sets.
-    from shiftcat.semigroups import syntactic_semigroup
+def test_the_cross_check_builds_no_subset_automaton(monkeypatch):
+    # is_irreducible builds x's automaton and one per component it
+    # walks; the cross-check reads x's and interns its closures there
+    built, walked = [], []
+    init = shifts.SubsetAutomaton.__init__
+    monkeypatch.setattr(shifts.SubsetAutomaton, "__init__",
+                        lambda self, g, a: built.append(g) or
+                        init(self, g, a))
+    reads_alike = shifts.reads_alike
+    monkeypatch.setattr(shifts, "reads_alike",
+                        lambda g, h, steps: walked.append(h.g) or
+                        reads_alike(g, h, steps))
     crosscheck = shifts._crosscheck_irreducible
 
-    def reachable_only(x, comp):
+    def counted(x, comp):
+        x.subset_automaton()
+        before = len(built)
         crosscheck(x, comp)
-        sub = x.subset_automaton()
-        assert ({0}.union(*sub.rows.values())
-                == set(range(len(sub.states)))), x.to_json()
+        assert len(built) == before
 
-    monkeypatch.setattr(shifts, "_crosscheck_irreducible", reachable_only)
+    monkeypatch.setattr(shifts, "_crosscheck_irreducible", counted)
+    rng = random.Random(14)
+    draws = [util.load(name) for name in util.CORPUS]
+    draws += [seeded_sofic(v, seed) for v in (3, 4) for seed in range(6)]
+    draws += [random_graph(rng) for _ in range(100)]
+    verdicts = []
+    for x in draws:
+        built.clear()
+        walked.clear()
+        try:
+            verdicts.append(is_irreducible(x))
+        except EmptyShift:
+            continue
+        g = x.graph()
+        assert built.count(g) == 1, x.to_json()
+        assert [h for h in built if h is not g] == walked
+    assert (verdicts.count(True), verdicts.count(False)) == (89, 12)
+
+
+def test_the_syntactic_semigroup_is_the_same_after_the_cross_check():
+    from shiftcat.semigroups import syntactic_semigroup
     rng = random.Random(14)
     draws = [seeded_sofic(v, seed) for v in (3, 4) for seed in range(6)]
     draws += [random_graph(rng) for _ in range(400)]
@@ -394,30 +419,46 @@ def seeded_sofic(v, seed):
     return ShiftPresentation.sofic(Alphabet(("a", "b", "c")), verts, edges)
 
 
-def test_the_syntactic_semigroup_ignores_the_automaton_order():
-    # minimal_automaton numbers its states in the order x's subset
-    # automaton interned them, which earlier block queries decide; the
-    # syntactic semigroup numbers elements by equal maps only
+def warmed_like_fresh(v, seed, warm) -> bool:
+    """Whether warm(x, rng) reorders the subset automaton of x =
+    seeded_sofic(v, seed); either way minimal_automaton(x), and up to
+    V = 5 syntactic_semigroup(x), must equal those of a fresh copy (at
+    V = 8 the semigroup can run past _MAX_SIZE)."""
     from shiftcat.semigroups import syntactic_semigroup
-    reordered = 0
-    for v in (3, 4, 5):
-        for seed in range(6):
-            s, accept = syntactic_semigroup(seeded_sofic(v, seed))
-            # block tests read deep states first, the store then fills
-            # in breadth-first order
-            x = seeded_sofic(v, seed)
-            rng = random.Random(seed)
-            for _ in range(50):
-                is_block(x, x.word([rng.choice("abc")
-                                    for _ in range(rng.randint(1, 8))]))
-            shifts.ordered_blocks(x, 5)
-            warm, warm_accept = syntactic_semigroup(x)
-            assert (warm.to_json(), warm_accept) == (s.to_json(), accept)
-            fresh = shifts.SubsetAutomaton(x.graph(), x.alphabet)
-            for i, _ in enumerate(fresh.states):
-                fresh.row(i)
-            reordered += fresh.states != x.subset_automaton().states
-    assert reordered == 10               # the others keep BFS order
+    fresh, x = seeded_sofic(v, seed), seeded_sofic(v, seed)
+    warm(x, random.Random(seed))
+    assert shifts.minimal_automaton(x) == shifts.minimal_automaton(fresh)
+    if v <= 5:
+        s, accept = syntactic_semigroup(fresh)
+        warm_s, warm_accept = syntactic_semigroup(x)
+        assert (warm_s.to_json(), warm_accept) == (s.to_json(), accept)
+    return fresh.subset_automaton().states != x.subset_automaton().states
+
+
+def test_the_syntactic_semigroup_ignores_the_automaton_order():
+    # block tests read deep states first, the store then fills in
+    # breadth-first order, and the cross-check interns closures
+    def queries(x, rng):
+        for _ in range(50):
+            is_block(x, x.word([rng.choice("abc")
+                                for _ in range(rng.randint(1, 8))]))
+        shifts.ordered_blocks(x, 5)
+        is_irreducible(x)
+
+    assert sum(warmed_like_fresh(v, seed, queries) for v in (3, 4, 5, 8)
+               for seed in range(6)) == 15    # the others keep BFS order
+
+
+def test_interned_vertex_sets_change_no_minimal_automaton():
+    # any caller may intern a vertex set into the shared automaton
+    def intern(x, rng):
+        sub, verts = x.subset_automaton(), x.graph().vertices
+        for _ in range(10):
+            sub.row(sub.state(frozenset(rng.sample(
+                verts, rng.randint(1, len(verts))))))
+
+    assert sum(warmed_like_fresh(v, seed, intern) for v in (3, 4, 5, 8)
+               for seed in range(6)) == 24
 
 
 def test_a_foreign_letter_is_not_a_block():

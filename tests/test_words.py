@@ -1,6 +1,7 @@
 """Words, primitivity, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,25 @@ def test_factors_up_to_exact():
     u = w("abba")
     fs = {v.as_str() for v in factors_up_to(u, 2)}
     assert fs == {"a", "b", "ab", "bb", "ba"}
+
+
+def test_factors_up_to_match_every_slice(monkeypatch):
+    # one Word per distinct factor, and the factors of every slice
+    from shiftcat import words
+    built = []
+    monkeypatch.setattr(words, "Word",
+                        lambda *args: built.append(1) or Word(*args))
+    abc = Alphabet(("a", "b", "cc"))
+    rng = random.Random(8)
+    for _ in range(200):
+        letters = tuple(rng.choice(abc.symbols[:rng.randint(1, 3)])
+                        for _ in range(rng.randint(0, 40)))
+        k = rng.randint(1, 12)
+        built.clear()
+        got = factors_up_to(Word(abc, letters), k)
+        assert len(built) == len(got)
+        assert {f.letters for f in got} == oracles.factors_up_to(letters, k)
+        assert all(f.alphabet == abc for f in got)
 
 
 def test_primitivity_matches_oracle_exhaustively():
