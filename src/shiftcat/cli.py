@@ -209,11 +209,15 @@ def cmd_blocks(args) -> int:
     from .shifts import spell_blocks
     _check_positive(args.order, "--order")
     x = _load_shift(args.shift)
-    # the store is filled, or refused, here, before any byte is written
-    blocks = spell_blocks(x, args.order, x.alphabet.symbols, "")
+    # the store is filled, or refused, here, before any byte is written;
+    # a longer symbol makes each block a list of symbols, as
+    # words.word_to_json writes it, spaced out in text
+    single = x.alphabet.is_single_char()
+    images = x.alphabet.symbols if single else [[a] for a in x.alphabet]
+    blocks = spell_blocks(x, args.order, images, "" if single else [])
     if args.format == "text":
         write = _stdout().write
-        for batch in _batches(blocks):
+        for batch in _batches(blocks if single else map(" ".join, blocks)):
             write("\n".join(batch) + "\n")
     else:
         _emit(_report("blocks", order=args.order, blocks=blocks))
@@ -361,13 +365,14 @@ def cmd_term(args) -> int:
     elif args.action == "factors":
         from .pseudowords import term_factors
         from .shifts import is_block
+        from .words import word_to_json
         _check_positive(args.bound, "--bound")
         x = _load_shift(args.source)
         t = parse_term(x.alphabet, _term_text(args.term))
         fs = sorted(term_factors(t, args.bound),
                     key=lambda w: (len(w), w.lex_key()))
         _emit(_report("term-factors", term=format_term(t), bound=args.bound,
-                      factors=[{"word": w.as_str(),
+                      factors=[{"word": word_to_json(w),
                                 "is_block": is_block(x, w)} for w in fs]))
     else:  # code
         from .pseudowords import term_block_code

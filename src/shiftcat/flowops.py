@@ -13,7 +13,8 @@ makes the family η a natural isomorphism.
 from __future__ import annotations
 
 from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
-                     MismatchBug, NotIdempotentWitness, NotInMirage2)
+                     MismatchBug, NotIdempotentWitness, NotInMirage2,
+                     SizeLimit)
 from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
                           check_equal_in_quotients, connector, format_term,
                           idempotent_terms, image_E_membership,
@@ -246,6 +247,14 @@ def _case(eta_arrow) -> str:
     return "ImageE" if eta_arrow[1] == eta_arrow[0] else "DiamondImageEAlpha"
 
 
+# The most ordered pairs of idempotent terms naturality_rows checks.  A
+# pair costs about 0.3 ms and 160 bytes of report: on full-2 expanded
+# at a, bound 8 gives 10 000 pairs (3.4 s, 1.6 MB) and passes, bound 9
+# gives 29 584 and is refused.  The benchmark and the tests check at
+# most 100 pairs.
+_MAX_PAIRS = 1 << 14
+
+
 def naturality_rows(ctx: ExpansionContext, bound: int,
                     seed: int | None = None):
     """Naturality verdicts on sampled arrows of the expanded shift.
@@ -253,12 +262,16 @@ def naturality_rows(ctx: ExpansionContext, bound: int,
     For each ordered pair (e, f) of idempotent_terms(target, bound) that
     has a connector u, yields {"dom", "cod", "kind", "case"} for
     verify_naturality((e, u, f)).  The tests are the target's syntactic
-    semigroup followed by the battery for the seed.
+    semigroup followed by the battery for the seed.  More than
+    _MAX_PAIRS ordered pairs raise SizeLimit before any test is built.
     """
+    idems = idempotent_terms(ctx.target, bound)
+    if len(idems) ** 2 > _MAX_PAIRS:
+        raise SizeLimit(f"{len(idems) ** 2} pairs of idempotent terms "
+                        f"exceed {_MAX_PAIRS}")
     s_tgt, _ = syntactic_semigroup(ctx.target)
     tests = battery(ctx.target.alphabet, seed,
                     extra=[(s_tgt, dict(s_tgt.gen_of))])
-    idems = idempotent_terms(ctx.target, bound)
     etas: dict = {}
     for e in idems:
         for f in idems:

@@ -10,6 +10,7 @@ over the declared alphabet that the generating morphism sends to it.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 
 from .errors import MismatchBug
@@ -337,26 +338,43 @@ class SchutzGroup(Record):
         """First p, then q (matching translation by s then by t)."""
         return tuple(q[i] for i in p)
 
-    def elements(self) -> list[tuple[int, ...]]:
-        return sorted(self.carrier)
-
     def element_orders(self) -> list[int]:
         return sorted(_perm_order(p) for p in self.carrier)
 
     def is_abelian(self) -> bool:
-        els = self.elements()
+        gens = _generators(self.carrier)[0]
         return all(SchutzGroup.compose(p, q) == SchutzGroup.compose(q, p)
-                   for p in els for q in els)
+                   for p in gens for q in gens)
 
 
 def _perm_order(p: tuple[int, ...]) -> int:
-    """The order of the permutation p."""
-    ident = tuple(range(len(p)))
-    k, cur = 1, p
-    while cur != ident:
-        cur = SchutzGroup.compose(cur, p)
-        k += 1
-    return k
+    """The order of the permutation p, the lcm of its cycle lengths."""
+    order, seen = 1, set()
+    for i in p:
+        k = 0
+        while i not in seen:
+            seen.add(i)
+            i = p[i]
+            k += 1
+        order = math.lcm(order, k or 1)
+    return order
+
+
+def _generators(perms) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The elements of a set of permutations, in sorted order, that the
+    ones before them do not generate, and the group they generate.
+
+    Each closure is the right Cayley graph of the generators so far
+    (shifts.right_cayley_graph); the identity is never a generator, so
+    the trivial group has none.
+    """
+    gens: list[tuple[int, ...]] = []
+    reached = {tuple(range(len(next(iter(perms)))))}
+    for p in sorted(perms):
+        if p not in reached:
+            gens.append(p)
+            reached = set(right_cayley_graph(gens)[0])
+    return gens, reached
 
 
 def translation_group(s: FiniteSemigroup, h: tuple[int, ...],
@@ -379,10 +397,8 @@ def translation_group(s: FiniteSemigroup, h: tuple[int, ...],
         if len(set(p)) != len(h):
             raise MismatchBug("translation is not a permutation")
         perms.add(p)
-    for p in perms:
-        for q in perms:
-            if SchutzGroup.compose(p, q) not in perms:
-                raise MismatchBug("translations are not closed")
+    if _generators(perms)[1] != perms:
+        raise MismatchBug("translations are not closed")
     if len(perms) != len(h):
         raise MismatchBug("translation group is not simply transitive")
     return SchutzGroup(h, frozenset(perms), len(perms))
@@ -497,41 +513,22 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
 # -- abstract group comparison ---------------------------------------
 
 
-def _generators(g: SchutzGroup) -> list[tuple[int, ...]]:
-    """The elements of g, in sorted order, that the ones before them do
-    not generate."""
-    reached = {tuple(range(len(g.hclass)))}
-    gens: list[tuple[int, ...]] = []
-    for p in g.elements():
-        if len(reached) == g.order:
-            break
-        if p in reached:
-            continue
-        gens.append(p)
-        frontier = list(reached)
-        while frontier:
-            a = frontier.pop()
-            for q in gens:
-                b = SchutzGroup.compose(a, q)
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-    return gens
-
-
 _GROUP_BRUTE_LIMIT = 64
 
 
 def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
     """'isomorphic', 'not-isomorphic', or 'invariant-equal'.
 
-    An isomorphism search on the permutations up to order 64
+    Equal carriers are isomorphic by the identity.  Otherwise an
+    isomorphism search on the permutations up to order 64
     (_isomorphism_exists); above that the invariant vector (order,
     abelianness, element-order multiset) is compared.  Finite abelian
     groups with equal element-order counts are isomorphic, since the
     counts determine the invariant factors, so only a match of
     non-abelian groups is reported as the weaker verdict.
     """
+    if g1.carrier == g2.carrier:
+        return "isomorphic"
     if g1.order != g2.order:
         return "not-isomorphic"
     if g1.order > _GROUP_BRUTE_LIMIT:
@@ -543,40 +540,32 @@ def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
 
 
 def _isomorphism_exists(g1: SchutzGroup, g2: SchutzGroup) -> bool:
-    """Search the images of a generating set of g1 among the elements of
-    g2 of equal order.
+    """Search the images of a generating set of g1 (_generators) among
+    the elements of g2 of equal order.
 
-    Each try extends the map along the generator edges a ↦ a·g from the
-    identity and is accepted when it respects every edge and is a
+    g1's right Cayley graph on those generators is built once.  Each
+    try maps every element along its parent edge y = y'·g and is
+    accepted when the map respects every edge x ↦ x·g and is a
     bijection.  Such a bijection is a homomorphism, by induction on the
     length of a product of generators (the argument of Light's test in
     FiniteSemigroup._check_associativity), so no product table is built.
     """
-    compose = SchutzGroup.compose
-    o1 = {p: _perm_order(p) for p in g1.carrier}
-    o2 = {p: _perm_order(p) for p in g2.carrier}
-    if sorted(o1.values()) != sorted(o2.values()):
+    if g1.element_orders() != g2.element_orders():
         return False
-    gens = _generators(g1)
-    els2 = g2.elements()
-    cands = [[q for q in els2 if o2[q] == o1[p]] for p in gens]
-    ident1 = tuple(range(len(g1.hclass)))
-    ident2 = tuple(range(len(g2.hclass)))
+    compose = SchutzGroup.compose
+    gens = _generators(g1.carrier)[0]
+    _, _, right, parent = right_cayley_graph(gens)
+    o2 = {q: _perm_order(q) for q in g2.carrier}
+    cands = [[q for q in sorted(g2.carrier) if o2[q] == _perm_order(p)]
+             for p in gens]
     for images in itertools.product(*cands):
-        phi = {ident1: ident2}
-        frontier = [ident1]
-        ok = True
-        while frontier and ok:
-            a = frontier.pop()
-            for p, img in zip(gens, images):
-                b = compose(a, p)
-                fb = compose(phi[a], img)
-                if b not in phi:
-                    phi[b] = fb
-                    frontier.append(b)
-                elif phi[b] != fb:
-                    ok = False
-                    break
-        if ok and len(phi) == g1.order == len(set(phi.values())):
+        phi: list[tuple[int, ...]] = []
+        for y_prev, i in parent:
+            phi.append(images[i] if y_prev < 0
+                       else compose(phi[y_prev], images[i]))
+        if (all(compose(phi[x], img) == phi[y]
+                for x, row in enumerate(right)
+                for y, img in zip(row, images))
+                and len(set(phi)) == g1.order):
             return True
     return False

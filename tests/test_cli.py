@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 import util
-from shiftcat import __version__, cli, shifts
+from shiftcat import __version__, cli, flowops, shifts
 from shiftcat.codes import (block_map_to_json, centralize,
                             higher_block_map, lambda_first_letter)
 from shiftcat.errors import NonIntegralCoefficient
@@ -27,8 +27,9 @@ from shiftcat.flowops import classify_type, expand_shift
 from shiftcat.pseudowords import (closure_membership, format_term,
                                   mirage_membership, parse_term,
                                   term_block_code)
-from shiftcat.shifts import ShiftPresentation, blocks, periodic_counts
-from shiftcat.words import Alphabet, Word
+from shiftcat.shifts import (ShiftPresentation, blocks, ordered_blocks,
+                             periodic_counts)
+from shiftcat.words import Alphabet, Word, word_from_json, word_to_json
 
 GOLDEN = str(util.DATA / "golden_mean.json")
 EVEN = str(util.DATA / "even.json")
@@ -305,6 +306,75 @@ def test_flowcheck_passes(capsys):
     assert all(row["kind"] == "EqualInAll" for row in report["arrows"])
     assert all(row["case"].startswith("case dom=")
                for row in report["arrows"])
+
+
+def test_flowcheck_refuses_too_many_pairs_at_once(capsys):
+    # full-2 expanded at a has 172 idempotent terms up to length 9
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flowcheck", FULL2, "--letter", "a",
+                         "--bound", "9")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: SizeLimit: 29584 pairs of idempotent terms "
+                   "exceed 16384\n")
+
+
+def test_flowcheck_refuses_exactly_above_the_pair_limit(capsys,
+                                                        monkeypatch):
+    # even expanded at a has 3 idempotent terms up to length 3: 9 pairs
+    monkeypatch.setattr(flowops, "_MAX_PAIRS", 9)
+    assert run_json(capsys, "flowcheck", EVEN, "--letter", "a",
+                    "--bound", "3")["passed"] is True
+    monkeypatch.setattr(flowops, "_MAX_PAIRS", 8)
+    built = []
+    monkeypatch.setattr(flowops, "syntactic_semigroup", built.append)
+    monkeypatch.setattr(flowops, "connector", built.append)
+    code, out, err = run(capsys, "flowcheck", EVEN, "--letter", "a",
+                         "--bound", "3")
+    assert (code, out, built) == (1, "", [])
+    assert err == "error: SizeLimit: 9 pairs of idempotent terms exceed 8\n"
+
+
+# a longer symbol: a word spelled as one string would be ambiguous
+A_AA = {"alphabet": ["a", "aa"], "kind": "sft", "forbidden": [["aa", "a"]]}
+
+
+def test_multi_character_blocks_are_spelled_symbol_by_symbol(capsys,
+                                                              tmp_path):
+    path = tmp_path / "a_aa.json"
+    path.write_text(json.dumps(A_AA))
+    blocks = [["a"], ["aa"], ["a", "a"], ["a", "aa"], ["aa", "aa"]]
+    assert run_json(capsys, "blocks", str(path),
+                    "--order", "2")["blocks"] == blocks
+    code, out, _ = run(capsys, "blocks", str(path), "--order", "2",
+                       "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["a", "aa", "a a", "a aa", "aa aa"]
+
+
+def test_multi_character_factors_are_spelled_symbol_by_symbol(capsys,
+                                                               tmp_path):
+    path = tmp_path / "a_aa.json"
+    path.write_text(json.dumps(A_AA))
+    report = run_json(capsys, "term", "factors", str(path), "(a aa)^w",
+                      "--bound", "2")
+    assert report["factors"] == [
+        {"word": ["a"], "is_block": True},
+        {"word": ["aa"], "is_block": True},
+        {"word": ["a", "aa"], "is_block": True},
+        {"word": ["aa", "a"], "is_block": False}]
+
+
+def test_multi_character_sft_round_trips(capsys, tmp_path):
+    x = ShiftPresentation.from_json(A_AA)
+    assert x.forbidden == (Word(x.alphabet, ("aa", "a")),)
+    assert x.to_json() == A_AA
+    path = tmp_path / "a_aa.json"
+    path.write_text(json.dumps(x.to_json()))
+    report = run_json(capsys, "blocks", str(path), "--order", "3")
+    words = [word_from_json(x.alphabet, w) for w in report["blocks"]]
+    assert words == ordered_blocks(x, 3)
+    assert [word_to_json(w) for w in words] == report["blocks"]
 
 
 # -- exit codes -----------------------------------------------------------

@@ -165,6 +165,19 @@ def test_poset_isomorphic_verdicts(even_sg, orbit_sg):
     assert diff.kind == "NotIso"
 
 
+def test_poset_isomorphic_on_symmetric_groups():
+    # a one-element poset labeled by S_5, of order 120 > 64: the same
+    # label is isomorphic by the identity, while the other numbering of
+    # S_5 has another carrier and is compared by its invariants only
+    p = lu_labeled_poset(util.symmetric_5(), range(120))
+    q = lu_labeled_poset(util.symmetric_5(swap=True), range(120))
+    assert p.label_of(p.elements[0])[1].carrier != \
+        q.label_of(q.elements[0])[1].carrier
+    assert poset_isomorphic(p, p).kind == "Iso"
+    assert poset_isomorphic(p, q).kind == "InvariantEqual"
+    assert poset_isomorphic(q, p).kind == "InvariantEqual"
+
+
 def height_two(n, below, cyclic=()):
     """Elements 0..n-1, each regular, ordered by x < y for (x, y) in
     below, labeled by the cyclic group of order cyclic[x] (default 1)."""
@@ -218,6 +231,25 @@ def test_karoubi_vs_lu_small_examples(even_sg, orbit_sg):
             v = karoubi_vs_lu_comparison(s, carrier)
             assert isinstance(v, ComparisonVerdict)
             assert v.kind == "Iso", v.reason
+
+
+def test_karoubi_vs_lu_on_symmetric_groups():
+    # the arrow group and the base label of S_5 are one permutation group
+    s5 = util.symmetric_5()
+    assert karoubi_vs_lu_comparison(s5, range(120)).kind == "Iso"
+    # on 6 points, S_5 and a map merging 5 into 0 make the 600 maps of
+    # rank 5 one J-class of 5 H-classes, each a copy of S_5; without the
+    # H-class of its least element, the arrows' middles lie in another
+    # H-class, whose group has another carrier than the base label
+    s = generate([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 0, 5),
+                  (0, 1, 2, 3, 4, 0)], Alphabet(("a", "b", "c")))
+    g = green(s)
+    rank5 = max(g.J, key=len)
+    assert (s.size, len(rank5), len({g.h_of[x] for x in rank5})) == \
+        (720, 600, 5)
+    least = g.H[g.h_of[min(rank5)]]
+    k = [x for x in range(s.size) if x not in least]
+    assert karoubi_vs_lu_comparison(s, k).kind == "InvariantEqual"
 
 
 def test_karoubi_vs_lu_on_randoms():

@@ -3,6 +3,7 @@ relations, omega powers, Schützenberger groups, local units."""
 
 import itertools
 import random
+import time
 import tracemalloc
 from operator import itemgetter
 
@@ -369,6 +370,35 @@ def test_groups_isomorphic_large_falls_back_to_invariants():
 
 
 
+def test_abelian_groups_of_order_400_compare_in_well_under_a_second():
+    # Z_400, and Z_16 × Z_25 on 41 points, another carrier of the same
+    # group: closures of generators (right_cayley_graph), not products
+    # of all pairs, which took 3.75 s and 16.3 s on Z_400
+    z400 = cyclic(400)
+    z16z25 = generate([tuple(range(1, 16)) + (0,) + tuple(range(16, 41)),
+                       tuple(range(16)) + tuple(range(17, 41)) + (16,)],
+                      AB)
+    start = time.perf_counter()
+    g = schutzenberger(z400, range(400))
+    assert groups_isomorphic(g, g) == "isomorphic"
+    h = schutzenberger(z16z25, range(400))
+    assert h.carrier != g.carrier
+    assert groups_isomorphic(g, h) == "isomorphic"
+    assert time.perf_counter() - start < 1
+
+
+def test_equal_carriers_are_isomorphic_at_every_order():
+    g = schutzenberger(util.symmetric_5(), range(120))
+    g_swapped = schutzenberger(util.symmetric_5(swap=True), range(120))
+    assert g.order == 120 and not g.is_abelian()
+    assert groups_isomorphic(g, g) == "isomorphic"
+    # numbered from the other generator, the same group has another
+    # carrier, and only its invariants are compared above order 64
+    assert g_swapped.carrier != g.carrier
+    assert groups_isomorphic(g, g_swapped) == "invariant-equal"
+    assert groups_isomorphic(g_swapped, g) == "invariant-equal"
+
+
 def random_group_h_class_groups() -> list:
     """The Schützenberger groups of the group H-classes of seeded random
     transformation semigroups on 2-5 states, over three letters each a
@@ -404,13 +434,21 @@ def test_groups_isomorphic_matches_the_table_search():
     assert {6, 24, 60} <= orders and max(orders) > 64
     tables = {grp.carrier: oracles.perm_group_table(grp.carrier)
               for grp in groups}
+    for grp in groups:
+        table = tables[grp.carrier]
+        assert grp.element_orders() == \
+            sorted(oracles._table_element_orders(table))
+        assert grp.is_abelian() == all(
+            row[y] == table[y][x] for x, row in enumerate(table)
+            for y in range(x))
     for g1 in groups:
         for g2 in groups:
             iso = oracles.table_groups_isomorphic(tables[g1.carrier],
                                                   tables[g2.carrier])
             if not iso:
                 expected = "not-isomorphic"
-            elif g1.order > 64 and not g1.is_abelian():
+            elif g1.order > 64 and not g1.is_abelian() and g1 is not g2:
+                # one group per carrier: equal carriers are g1 is g2
                 expected = "invariant-equal"
             else:
                 expected = "isomorphic"
@@ -469,6 +507,10 @@ def test_translation_group_rejects_what_is_not_a_group():
                           s3.product(x, x))]
     with pytest.raises(MismatchBug, match="not closed"):
         translation_group(s3, tuple(range(6)), transpositions[:2])
+    # two translations and the identity, whose closure is all 120
+    s5 = util.symmetric_5()
+    with pytest.raises(MismatchBug, match="not closed"):
+        translation_group(s5, tuple(range(120)), s5.generators)
     right_zero = FiniteSemigroup([[0, 1], [0, 1]], [0, 1],
                                  {0: Word(AB, ("a",)), 1: Word(AB, ("b",))},
                                  AB)
