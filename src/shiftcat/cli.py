@@ -176,10 +176,6 @@ def _term_text(arg: str) -> str:
     return sys.stdin.buffer.read().decode("utf-8").strip()
 
 
-def _is_term_text(text: str) -> bool:
-    return any(c in text for c in "()^")
-
-
 def _green_summary(s) -> list[dict]:
     from .semigroups import green
     g = green(s)
@@ -228,7 +224,7 @@ def cmd_member(args) -> int:
     _check_positive(args.bound, "--bound")
     x = _load_shift(args.shift)
     text = _term_text(args.text)
-    if _is_term_text(text):
+    if any(c in text for c in "()^"):
         from .pseudowords import (closure_membership, format_term,
                                   mirage_levels, parse_term)
         t = parse_term(x.alphabet, text)
@@ -238,8 +234,10 @@ def cmd_member(args) -> int:
                       mirage_membership=mir))
     else:
         from .shifts import is_block
+        from .words import word_to_json
         w = x.word(text)
-        _emit(_report("member", word=w.as_str(), is_block=is_block(x, w)))
+        _emit(_report("member", word=word_to_json(w),
+                      is_block=is_block(x, w)))
     return EXIT_OK
 
 
@@ -402,10 +400,8 @@ def cmd_classify(args) -> int:
     x = _load_shift(args.shift)
     ctx = expand_shift(x, args.letter, args.diamond)
     text = _term_text(args.text)
-    w = (parse_term(ctx.target.alphabet, text) if _is_term_text(text)
-         else ctx.target.word(text))
-    _emit(_report("classify", input=text,
-                  type=classify_type(w, ctx)))
+    t = parse_term(ctx.target.alphabet, text)
+    _emit(_report("classify", input=text, type=classify_type(t, ctx)))
     return EXIT_OK
 
 
@@ -485,19 +481,15 @@ def _suite_census_coherence(seed: int) -> tuple[bool, dict]:
     from .words import Alphabet
     rng = random.Random(seed)
     ab = Alphabet(("a", "b"))
-    rows = []
-    for name, x in _corpus().items():
-        s, _ = syntactic_semigroup(x)
-        census = iso_class_census(build(s))
-        rows.append({"name": name, "census": {str(k): v
-                                              for k, v in census.items()}})
+    pairs = [(name, syntactic_semigroup(x)[0])
+             for name, x in _corpus().items()]
     for i in range(4):
         s = random_transformation_semigroup(ab, rng.randrange(2, 5), rng)
-        if s.size > 60:
-            continue
-        census = iso_class_census(build(s))
-        rows.append({"name": f"random-{i}", "census":
-                     {str(k): v for k, v in census.items()}})
+        if s.size <= 60:
+            pairs.append((f"random-{i}", s))
+    rows = [{"name": name, "census": {str(k): v for k, v in
+                                      iso_class_census(build(s)).items()}}
+            for name, s in pairs]
     return True, {"semigroups": rows}
 
 
@@ -520,12 +512,9 @@ def _suite_mirage_preservation(seed: int | None) -> tuple[bool, dict]:
 
 def _suite_flow_naturality(seed: int | None) -> tuple[bool, dict]:
     from .flowops import expand_shift, naturality_rows
-    rows = []
-    for row in naturality_rows(expand_shift(_corpus()["even"], "a"), 4, seed):
-        rows.append(row)
-        if row["kind"] != "EqualInAll":
-            return False, {"arrows": rows}
-    return True, {"arrows": rows}
+    ctx = expand_shift(_corpus()["even"], "a")
+    rows = list(naturality_rows(ctx, 4, seed))
+    return all(row["kind"] == "EqualInAll" for row in rows), {"arrows": rows}
 
 
 _SUITES = {

@@ -240,13 +240,14 @@ class LabeledPoset(Record):
     def __init__(self, elements: tuple[int, ...],
                  order: frozenset[tuple[int, int]],
                  labels: tuple[tuple[int, bool, SchutzGroup], ...]) -> None:
+        down: dict[int, set[int]] = {}
         for (i, j) in order:
             if (j, i) in order and i != j:
                 raise ValueError("order is not antisymmetric")
-        for (i, j) in order:
-            for (j2, k) in order:
-                if j == j2 and (i, k) not in order:
-                    raise ValueError("order is not transitive")
+            down.setdefault(j, set()).add(i)
+        # with i ≤ j, transitivity asks that all below i lie below j
+        if any(not down[j].issuperset(down.get(i, ())) for (i, j) in order):
+            raise ValueError("order is not transitive")
         if {lbl[0] for lbl in labels} != set(elements):
             raise ValueError("labels must cover exactly the elements")
         _set(self, "elements", elements)

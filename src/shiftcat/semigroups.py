@@ -199,10 +199,9 @@ class GreenData(Record):
     holds the pairs (i, j) with J_i ≤_J J_j.
     """
 
-    __slots__ = ("R", "L", "J", "H", "r_of", "l_of", "j_of", "h_of",
-                 "j_below", "regular")
+    __slots__ = ("R", "J", "H", "r_of", "l_of", "j_of", "h_of", "j_below",
+                 "regular")
     R: tuple[frozenset[int], ...]
-    L: tuple[frozenset[int], ...]
     J: tuple[frozenset[int], ...]
     H: tuple[frozenset[int], ...]
     r_of: tuple[int, ...]
@@ -248,7 +247,7 @@ def green(s: FiniteSemigroup) -> GreenData:
     both = sccs(n, lambda x: itertools.chain((t[x][g] for g in gens),
                                               (t[g][x] for g in gens)))
     R, r_of = _partition_from_comp(right)
-    L, l_of = _partition_from_comp(left)
+    _, l_of = _partition_from_comp(left)
     J, j_of = _partition_from_comp(both)
     H, h_of = _partition_from_comp(list(zip(r_of, l_of)))
 
@@ -275,8 +274,8 @@ def green(s: FiniteSemigroup) -> GreenData:
     regular = tuple(any(t[x][x] == x for x in cl) for cl in J)
     _assert_j_equals_d(s, J, r_of, l_of)
 
-    data = GreenData(R, L, J, H, r_of, l_of, j_of, h_of,
-                     frozenset(below), regular)
+    data = GreenData(R, J, H, r_of, l_of, j_of, h_of, frozenset(below),
+                     regular)
     s._green = data
     return data
 

@@ -132,10 +132,11 @@ class Word(Record):
 
     @staticmethod
     def from_str(alphabet: Alphabet, text: str) -> "Word":
-        """Parse a word written as one character per symbol."""
-        if not alphabet.is_single_char():
-            raise ValueError("from_str needs a single-character alphabet")
-        return Word(alphabet, tuple(text))
+        """Parse a word: one symbol per character over a single-character
+        alphabet, symbols separated by white space over any other."""
+        if alphabet.is_single_char():
+            return Word(alphabet, tuple(text))
+        return Word(alphabet, tuple(text.split()))
 
     def __len__(self) -> int:
         return len(self.letters)

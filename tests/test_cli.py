@@ -365,6 +365,40 @@ def test_multi_character_factors_are_spelled_symbol_by_symbol(capsys,
         {"word": ["aa", "a"], "is_block": False}]
 
 
+def test_multi_character_words_are_read_between_spaces(capsys, tmp_path):
+    path = tmp_path / "no_aa_aa.json"
+    path.write_text(json.dumps({"alphabet": ["a", "aa"], "kind": "sft",
+                                "forbidden": [["aa", "aa"]]}))
+    for text, is_block in (("a aa", True), ("aa aa", False)):
+        report = run_json(capsys, "member", str(path), text)
+        assert (report["word"], report["is_block"]) == (text.split(),
+                                                        is_block)
+    # the expansion at a writes a·aa as a o aa
+    report = run_json(capsys, "classify", str(path), "a o aa", "--letter", "a")
+    assert report["type"] == "ImageE"
+
+
+def test_blocks_in_text_read_back_as_words(capsys, tmp_path):
+    rng = random.Random(27)
+    path = tmp_path / "x.json"
+    for symbols in (("a", "b"), ("a", "b", "c"), ("a", "aa"),
+                    ("[ab]", "[ba]", "b")):
+        alphabet = Alphabet(symbols)
+        for _ in range(4):
+            # a word with another symbol than the first: a^∞ stays a point
+            words = [tuple(rng.choice(symbols)
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 3))]
+            x = ShiftPresentation.sft(alphabet, [
+                Word(alphabet, w) for w in words if set(w) != {symbols[0]}])
+            path.write_text(json.dumps(x.to_json()))
+            code, out, err = run(capsys, "blocks", str(path), "--order", "3",
+                                 "--format", "text")
+            assert code == 0, err
+            assert [Word.from_str(alphabet, line)
+                    for line in out.splitlines()] == ordered_blocks(x, 3)
+
+
 def test_multi_character_sft_round_trips(capsys, tmp_path):
     x = ShiftPresentation.from_json(A_AA)
     assert x.forbidden == (Word(x.alphabet, ("aa", "a")),)

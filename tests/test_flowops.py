@@ -495,6 +495,22 @@ def test_naturality_on_mixed_idempotent_pairs():
     assert "case dom=DiamondImageEAlpha, cod=DiamondImageEAlpha" in cases
 
 
+def test_naturality_rows_skip_pairs_without_a_connector():
+    # an a-loop and a b-loop on two vertices: no block leads from one
+    # loop to the other, so of the 9 ordered pairs of idempotents only
+    # the 5 within a loop have a connector
+    two_loops = ShiftPresentation.sofic(Alphabet(("a", "b")), ["0", "1"],
+                                        [("0", "a", "0"), ("1", "b", "1")])
+    ctx = expand_shift(two_loops, "a")
+    idems = idempotent_terms(ctx.target, 3)
+    assert list(map(format_term, idems)) == ["(b)^w", "(a o)^w", "(o a)^w"]
+    assert connector(ctx.target, idems[0], idems[1]) is None
+    rows = list(naturality_rows(ctx, 3))
+    assert [(row["dom"], row["cod"]) for row in rows] == [
+        ("(b)^w", "(b)^w"), ("(a o)^w", "(a o)^w"), ("(a o)^w", "(o a)^w"),
+        ("(o a)^w", "(a o)^w"), ("(o a)^w", "(o a)^w")]
+
+
 def test_naturality_rows_classify_each_idempotent_once(monkeypatch):
     # one classification per idempotent, inside η, however many arrows
     # it ends; the case label is read off η

@@ -51,10 +51,10 @@ def test_importing_the_cli_loads_no_library_module():
 
 def test_zeta_loads_only_shifts_and_words():
     # irreducible too: its Tarjan routine, which Green's relations share,
-    # lives in shifts, so it must not pull in semigroups; and blocks,
-    # whose store lives in shifts
+    # lives in shifts, so it must not pull in semigroups; blocks, whose
+    # store lives in shifts; and member on a word, which needs no term
     for argv in (["zeta", EVEN, "--order", "5"], ["irreducible", EVEN],
-                 ["blocks", EVEN, "--order", "5"]):
+                 ["blocks", EVEN, "--order", "5"], ["member", EVEN, "abba"]):
         loaded = modules_after(argv)
         assert not loaded & HEAVY, argv
         assert shiftcat_modules(loaded) == {"cli", "errors", "shifts",

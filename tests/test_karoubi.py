@@ -1,6 +1,7 @@
 """Karoubi envelope, retraction order, labeled posets, induced functors."""
 
 import random
+import time
 
 import pytest
 
@@ -136,11 +137,23 @@ def test_lu_poset_carrier_is_local_units(even_sg):
 def test_labeled_poset_validation(even_sg):
     s, accept = even_sg
     p = lu_labeled_poset(s, accept)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not antisymmetric"):
         LabeledPoset(p.elements, frozenset({(0, 1), (1, 0), (0, 0), (1, 1)}),
-                     p.labels)  # not antisymmetric
-    with pytest.raises(ValueError):
+                     p.labels)
+    with pytest.raises(ValueError, match="cover exactly"):
         LabeledPoset((0, 1), frozenset({(0, 0), (1, 1)}), p.labels[:1])
+    with pytest.raises(ValueError, match="not transitive"):
+        height_two(3, {(0, 1), (1, 2)})     # 0 ≤ 1 ≤ 2 without 0 ≤ 2
+
+
+def test_a_160_chain_checks_its_order_in_under_a_second():
+    # 12 880 order pairs; checking transitivity on every two of them
+    # took over 5 s
+    p = lu_labeled_poset(chain_semilattice(160), range(160))
+    assert len(p.order) == 160 * 161 // 2
+    start = time.perf_counter()
+    LabeledPoset(p.elements, p.order, p.labels)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_to_dot_hasse_reduction(even_sg):

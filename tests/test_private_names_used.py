@@ -3,8 +3,9 @@
 Private functions, classes and constants must be read by the package;
 public ones, and public methods, by the package or by the benchmark's
 replay (bench/replay.py, which only reads the library), unless
-LIBRARY_API names them as library surface kept on purpose.  The
-replay's own imports must resolve.
+LIBRARY_API names them as library surface kept on purpose.  Each field
+of a Record class must be read by the package, the tests or the
+replay.  The replay's own imports must resolve.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 FILES = sorted((ROOT / "src" / "shiftcat").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 REPLAY = ROOT / "bench" / "replay.py"
 
 # public names that nothing in the package or the replay reads, each
@@ -85,7 +87,8 @@ def _referenced(tree: ast.AST, classes: frozenset,
             owner = node.name
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Store)):
             base = getattr(node.value, "id", None)
             if base in classes:
                 out[f"{base}.{node.attr}"] += 1
@@ -144,6 +147,40 @@ def orphans(sources: dict[str, str],
                 uses += sum(read_by_readers[k] for k in keys)
             if uses <= 0:
                 out.append(f"{module}: {name}")
+    return out
+
+
+def _slots(stmt: ast.ClassDef) -> list[str]:
+    """The fields a class body names in __slots__."""
+    return [name for node in stmt.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__slots__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def unread_fields(sources: dict[str, str],
+                  readers: tuple[str, ...] = ()) -> list[str]:
+    """Fields of the classes derived from Record in the sources that
+    neither the sources nor the readers read.  A field f of C is read
+    by an attribute read of f that is unbound, or bound to C or to a
+    class derived from C; an assignment is no read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    ancestry = _ancestry(trees.values())
+    classes = frozenset(ancestry)
+    read = sum((_referenced(tree, classes)
+                for tree in (*trees.values(), *map(ast.parse, readers))),
+               Counter())
+    out = []
+    for module, tree in sorted(trees.items()):
+        for stmt in tree.body:
+            if (not isinstance(stmt, ast.ClassDef)
+                    or "Record" not in ancestry[stmt.name] - {stmt.name}):
+                continue
+            for field in _slots(stmt):
+                keys = [f".{field}"] + [f"{c}.{field}" for c in classes
+                                        if stmt.name in ancestry[c]]
+                if not any(read[k] for k in keys):
+                    out.append(f"{module}: {stmt.name}.{field}")
     return out
 
 
@@ -231,6 +268,42 @@ def test_scanner_flags_only_unreferenced_names():
         "a: _UNUSED_CONST", "a: _recursive", "a: _Orphan", "a: Api.unread",
         "a: Api.shadowed", "a: Api.hidden", "a: Twin.named", "a: orphaned",
         "b: _attr_only"]
+
+
+RECORDS = '''
+class Record:
+    __slots__ = ()
+
+class Pair(Record):
+    __slots__ = ("left", "right", "spare")
+
+    def swap(self):
+        return Pair(self.right, self.right, None)
+
+class Triple(Pair):
+    __slots__ = ("third",)
+
+class Plain:
+    __slots__ = ("unread",)
+
+def make(p: Pair):
+    p.spare = 1
+    return Triple.third
+'''
+
+
+def test_scanner_flags_only_unread_record_fields():
+    # Pair.left is read only by the reader; Pair.spare is only assigned;
+    # Plain is no Record
+    assert unread_fields({"r": RECORDS}, ("def f(p): return p.left",)) == [
+        "r: Pair.spare"]
+    assert unread_fields({"r": RECORDS}) == ["r: Pair.left", "r: Pair.spare"]
+
+
+def test_no_unread_record_fields():
+    assert not unread_fields(
+        {path.name: path.read_text(encoding="utf-8") for path in FILES},
+        tuple(path.read_text(encoding="utf-8") for path in (*TESTS, REPLAY)))
 
 
 def _package_orphans() -> tuple[list[str], set[str]]:

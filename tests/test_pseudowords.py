@@ -15,7 +15,8 @@ from shiftcat import pseudowords
 from shiftcat.codes import centralize, higher_block_map, word_code
 from shiftcat.flowops import expand_shift
 from shiftcat.errors import (DiamondOnly, InvalidArrow, MismatchBug,
-                             NotIdempotentWitness, SizeLimit, TooShort)
+                             NotIdempotentWitness, SizeLimit, TooShort,
+                             UnassignedLetter)
 from shiftcat.pseudowords import (OmegaTerm, Power, canonical,
                                   canonical_equal, check_arrow,
                                   check_equal_in_quotients,
@@ -206,6 +207,12 @@ def test_eval_term_matches_deep_unfolding():
         for s, assign in tests:
             assert eval_term(t, s, assign) == s.eval_word(
                 Word(AB, oracles.unfold(t, DEEP)))
+
+
+def test_eval_term_refuses_an_unassigned_letter():
+    s, assign = battery(AB)[0]
+    with pytest.raises(UnassignedLetter, match="letter 'c'"):
+        eval_term(parse_term(ABC, "a (c b)^w"), s, assign)
 
 
 def test_eval_term_omega_is_idempotent_image():

@@ -593,6 +593,11 @@ def test_word_mirage_equals_factor_sets_on_random_shifts():
             mirage_membership_k(x, x.word(()), 2)
         with pytest.raises(ValueError, match="positive"):
             mirage_membership_k(x, u, 0)
+        # a block's letters over a larger alphabet make no block
+        block = (next(iter(g.edges))[1],)
+        other = Alphabet((*x.alphabet.symbols, "z"))
+        assert mirage_membership_k(x, x.word(block), 1)
+        assert not mirage_membership_k(x, Word(other, block), 1)
 
 
 # -- trim, serialization ---------------------------------------------------
