@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from json.encoder import encode_basestring_ascii as _quote
 from types import GeneratorType, SimpleNamespace
 
@@ -647,6 +647,8 @@ def _flag(name: str, value: str | None, text: str) -> SimpleNamespace:
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
+    for tok in takewhile("--".__ne__, argv):     # argparse's top level
+        _option(tok, (*_HELP, "--version"))     # reads every token first
     extras: list[str] = []
     for i, tok in enumerate(argv):
         opt = None if tok == "--" else _option(tok, (*_HELP, "--version"))

@@ -301,9 +301,8 @@ def lu_labeled_poset(s: FiniteSemigroup, k) -> LabeledPoset:
 class ComparisonVerdict(Record):
     """Outcome of a labeled-poset comparison.
 
-    kind is "Iso" (witness holds a bijection), "NotIso" (reason says
-    why), or "InvariantEqual" (a matching exists but at least one group
-    pair was compared through invariants only).
+    kind is "Iso" (witness holds a bijection) or "NotIso" (reason says
+    why).
     """
 
     __slots__ = ("kind", "witness", "reason")
@@ -334,13 +333,8 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
             != sorted(signature(q, y) for y in q.elements)):
         return ComparisonVerdict("NotIso", None,
                                  "label or order signatures differ")
-    group_compare: dict[tuple[int, int], str] = {}
-    for x in p.elements:
-        for y in q.elements:
-            group_compare[(x, y)] = groups_isomorphic(p.label_of(x)[1],
-                                                      q.label_of(y)[1])
+    group_iso: dict[tuple[int, int], bool] = {}   # signature-matched pairs
     used: dict[int, int] = {}
-    invariant_only = [False]
 
     def extend(i: int) -> bool:
         if i == len(ps):
@@ -351,17 +345,18 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
                 continue
             if signature(p, x) != signature(q, y):
                 continue
-            if group_compare[(x, y)] == "not-isomorphic":
-                continue
             ok = all(p.leq(x, x2) == q.leq(y, y2)
                      and p.leq(x2, x) == q.leq(y2, y)
                      for x2, y2 in used.items())
             if not ok:
                 continue
+            if (x, y) not in group_iso:
+                group_iso[(x, y)] = groups_isomorphic(p.label_of(x)[1],
+                                                      q.label_of(y)[1])
+            if not group_iso[(x, y)]:
+                continue
             used[x] = y
             if extend(i + 1):
-                if group_compare[(x, y)] == "invariant-equal":
-                    invariant_only[0] = True
                 return True
             del used[x]
         return False
@@ -369,9 +364,7 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
     if not extend(0):
         return ComparisonVerdict("NotIso", None,
                                  "no label- and order-preserving bijection")
-    witness = tuple(sorted(used.items()))
-    kind = "InvariantEqual" if invariant_only[0] else "Iso"
-    return ComparisonVerdict(kind, witness, None)
+    return ComparisonVerdict("Iso", tuple(sorted(used.items())), None)
 
 
 # -- arrow J-poset versus local-unit poset -----------------------------
@@ -478,7 +471,6 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
                     certify_leq((e, u, f), rep, ideals[jid])
                     certify_leq(rep, (e, u, f), factors)
 
-    invariant_only = False
     witness = []
     for jid in base_poset.elements:
         reg_base, grp_base = base_poset.label_of(jid)
@@ -491,12 +483,8 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
             if t[t[e][v]][f] != v:
                 raise MismatchBug("H-class middle escapes the hom-set")
         grp_arrow = _arrow_schutzenberger(s, g, u, f)
-        cmp = groups_isomorphic(grp_arrow, grp_base)
-        if cmp == "not-isomorphic":
+        if not groups_isomorphic(grp_arrow, grp_base):
             raise MismatchBug("group labels disagree")
-        if cmp == "invariant-equal":
-            invariant_only = True
         witness.append((jid, jid))
 
-    kind = "InvariantEqual" if invariant_only else "Iso"
-    return ComparisonVerdict(kind, tuple(witness), None)
+    return ComparisonVerdict("Iso", tuple(witness), None)

@@ -13,7 +13,7 @@ import itertools
 import math
 from operator import itemgetter
 
-from .errors import MismatchBug
+from .errors import MismatchBug, SizeLimit
 from .shifts import (ShiftPresentation, minimal_automaton,
                      right_cayley_graph, sccs)
 from .words import Alphabet, Record, Word, word_to_json
@@ -195,8 +195,9 @@ class GreenData(Record):
     """Green's relations of a finite semigroup.
 
     Partitions are tuples of frozensets of element ids, numbered by
-    least member; *_of maps an element to its class index.  j_below
-    holds the pairs (i, j) with J_i ≤_J J_j.
+    least member; *_of maps an element to its class index, except l_of,
+    whose ids are arbitrary (no L partition is kept).  j_below holds
+    the pairs (i, j) with J_i ≤_J J_j.
     """
 
     __slots__ = ("R", "J", "H", "r_of", "l_of", "j_of", "h_of", "j_below",
@@ -247,7 +248,7 @@ def green(s: FiniteSemigroup) -> GreenData:
     both = sccs(n, lambda x: itertools.chain((t[x][g] for g in gens),
                                               (t[g][x] for g in gens)))
     R, r_of = _partition_from_comp(right)
-    _, l_of = _partition_from_comp(left)
+    l_of = tuple(left)
     J, j_of = _partition_from_comp(both)
     H, h_of = _partition_from_comp(list(zip(r_of, l_of)))
 
@@ -332,18 +333,8 @@ class SchutzGroup(Record):
     carrier: frozenset[tuple[int, ...]]
     order: int
 
-    @staticmethod
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        """First p, then q (matching translation by s then by t)."""
-        return tuple(q[i] for i in p)
-
     def element_orders(self) -> list[int]:
         return sorted(_perm_order(p) for p in self.carrier)
-
-    def is_abelian(self) -> bool:
-        gens = _generators(self.carrier)[0]
-        return all(SchutzGroup.compose(p, q) == SchutzGroup.compose(q, p)
-                   for p in gens for q in gens)
 
 
 def _perm_order(p: tuple[int, ...]) -> int:
@@ -512,59 +503,79 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
 # -- abstract group comparison ---------------------------------------
 
 
-_GROUP_BRUTE_LIMIT = 64
+_MAX_GROUP_STEPS = 1 << 22      # edge checks per isomorphism search
 
 
-def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> str:
-    """'isomorphic', 'not-isomorphic', or 'invariant-equal'.
-
-    Equal carriers are isomorphic by the identity.  Otherwise an
-    isomorphism search on the permutations up to order 64
-    (_isomorphism_exists); above that the invariant vector (order,
-    abelianness, element-order multiset) is compared.  Finite abelian
-    groups with equal element-order counts are isomorphic, since the
-    counts determine the invariant factors, so only a match of
-    non-abelian groups is reported as the weaker verdict.
-    """
+def groups_isomorphic(g1: SchutzGroup, g2: SchutzGroup) -> bool:
+    """Exact at every order: equal carriers are isomorphic by the
+    identity; otherwise the orders and element-order counts must agree,
+    and the search (_isomorphism_exists) decides."""
     if g1.carrier == g2.carrier:
-        return "isomorphic"
-    if g1.order != g2.order:
-        return "not-isomorphic"
-    if g1.order > _GROUP_BRUTE_LIMIT:
-        inv1 = (g1.is_abelian(), g1.element_orders())
-        if inv1 != (g2.is_abelian(), g2.element_orders()):
-            return "not-isomorphic"
-        return "isomorphic" if inv1[0] else "invariant-equal"
-    return "isomorphic" if _isomorphism_exists(g1, g2) else "not-isomorphic"
+        return True
+    if g1.order != g2.order or g1.element_orders() != g2.element_orders():
+        return False
+    return _isomorphism_exists(g1, g2)
+
+
+def _by_position(g: SchutzGroup) -> list[tuple[int, ...]]:
+    """g's elements by their image of position 0, a bijection since g
+    acts simply transitively (else MismatchBug): the identity is at 0,
+    and a·b ("first a, then b") at at[b][a]."""
+    at = {p[0]: p for p in g.carrier}
+    if len(at) != g.order:
+        raise MismatchBug("group does not act simply transitively")
+    return [at[a] for a in range(g.order)]
 
 
 def _isomorphism_exists(g1: SchutzGroup, g2: SchutzGroup) -> bool:
-    """Search the images of a generating set of g1 (_generators) among
-    the elements of g2 of equal order.
+    """Search an isomorphism g1 -> g2, picking the image of one
+    generator of g1 (_generators) at a time among the unused elements
+    of g2 of its order, and extending the map breadth-first from the
+    identity along every edge x ↦ x·g of the generators picked so far;
+    a pick is dropped at the first edge whose image conflicts or
+    repeats.  A map that covers g1, respects every edge and is injective
+    is an isomorphism, by induction on the length of a product of
+    generators (Light's test, FiniteSemigroup._check_associativity).
+    More than _MAX_GROUP_STEPS edge checks raise SizeLimit."""
+    at1, at2 = _by_position(g1), _by_position(g2)
+    gens = [p[0] for p in _generators(g1.carrier)[0]]
+    order2 = [_perm_order(q) for q in at2]
+    phi = [0] + [-1] * (g1.order - 1)
+    hit = [True] + [False] * (g1.order - 1)
+    mapped, edges = [0], []     # phi's domain in BFS order; (g, image)
+    steps = 0
 
-    g1's right Cayley graph on those generators is built once.  Each
-    try maps every element along its parent edge y = y'·g and is
-    accepted when the map respects every edge x ↦ x·g and is a
-    bijection.  Such a bijection is a homomorphism, by induction on the
-    length of a product of generators (the argument of Light's test in
-    FiniteSemigroup._check_associativity), so no product table is built.
-    """
-    if g1.element_orders() != g2.element_orders():
-        return False
-    compose = SchutzGroup.compose
-    gens = _generators(g1.carrier)[0]
-    _, _, right, parent = right_cayley_graph(gens)
-    o2 = {q: _perm_order(q) for q in g2.carrier}
-    cands = [[q for q in sorted(g2.carrier) if o2[q] == _perm_order(p)]
-             for p in gens]
-    for images in itertools.product(*cands):
-        phi: list[tuple[int, ...]] = []
-        for y_prev, i in parent:
-            phi.append(images[i] if y_prev < 0
-                       else compose(phi[y_prev], images[i]))
-        if (all(compose(phi[x], img) == phi[y]
-                for x, row in enumerate(right)
-                for y, img in zip(row, images))
-                and len(set(phi)) == g1.order):
+    def extend() -> bool:
+        nonlocal steps
+        old = len(mapped)       # these need only the edge picked last
+        for k, x in enumerate(mapped):
+            for g, img in edges if k >= old else edges[-1:]:
+                steps += 1
+                if steps > _MAX_GROUP_STEPS:
+                    raise SizeLimit("group isomorphism search exceeds "
+                                    f"{_MAX_GROUP_STEPS} steps")
+                y, fy = at1[g][x], at2[img][phi[x]]
+                if phi[y] < 0 and not hit[fy]:
+                    phi[y], hit[fy] = fy, True
+                    mapped.append(y)
+                elif phi[y] != fy:
+                    return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(gens):
             return True
-    return False
+        old, k = len(mapped), _perm_order(at1[gens[i]])
+        for img in range(g2.order):
+            if not hit[img] and order2[img] == k:
+                edges.append((gens[i], img))
+                if extend() and search(i + 1):
+                    return True
+                edges.pop()
+                for y in mapped[old:]:
+                    hit[phi[y]] = False
+                    phi[y] = -1
+                del mapped[old:]
+        return False
+
+    return search(0)

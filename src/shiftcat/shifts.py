@@ -202,8 +202,7 @@ class ShiftPresentation:
             alphabet = Alphabet(tuple(_array(data["alphabet"], "alphabet")))
             kind = data["kind"]
             if kind == "sft":
-                forb = [w if isinstance(w, Word) else
-                        word_from_json(alphabet, w)
+                forb = [word_from_json(alphabet, w)
                         for w in _array(data.get("forbidden", []),
                                         "forbidden")]
                 return ShiftPresentation(alphabet, "sft", forbidden=forb)

@@ -295,7 +295,7 @@ def test_ac_10_naturality_and_poset_invariance():
     report = _flow_invariance_report()
     assert len(report["naturality"]) == 49
     assert all(row["kind"] == "EqualInAll" for row in report["naturality"])
-    assert report["poset_verdict"] in ("Iso", "InvariantEqual")
+    assert report["poset_verdict"] == "Iso"
     with open(util.GOLDEN_DIR / "flow_invariance.json",
               encoding="utf-8") as fh:
         assert report == json.load(fh)

@@ -476,6 +476,29 @@ def test_usage_exit_codes(capsys):
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
+def test_check_suites_report_their_failures(capsys, monkeypatch):
+    from shiftcat import codes
+    word_code = codes.word_code
+
+    def broken(phi, u):
+        # the window-1 inverse λ sends every word to the empty word
+        return word_code(phi, u) if phi.window > 1 else Word(phi.target, ())
+    monkeypatch.setattr(codes, "word_code", broken)
+    code, out, err = run(capsys, "check", "word-code-identities",
+                         "--seed", "1")
+    report = json.loads(out)
+    assert (code, err, report["passed"]) == (1, "", False)
+    failure = report["details"]["failure"]
+    assert sorted(failure) == ["n", "u", "v"] and failure["n"] == 2
+    assert len(failure["v"]) == 1
+
+    monkeypatch.setattr(shifts, "is_block", lambda x, w: False)
+    code, out, err = run(capsys, "check", "mirage-preservation")
+    report = json.loads(out)
+    assert (code, err, report["passed"]) == (1, "", False)
+    assert report["details"] == {"failure": "a"}
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "blocks", "no-such-file.json",
                          "--order", "2")
@@ -1134,6 +1157,9 @@ PARSE_EDGES = [
     ["expand", "x.json", "--letter", "--format", "dot"],
     ["--help=x"],
     ["zeta", "x.json", "--order", "3", "-hx"],
+    # argparse's top level reads these first, against -h and --version
+    ["blocks", "x.json", "--=1"],
+    ["flowcheck", "x.json", "--letter", "a", "--="],
 ]
 
 

@@ -56,6 +56,12 @@ def test_higher_block_map_shape_and_action():
     assert (ups3.memory, ups3.anticipation) == (1, 1)
 
 
+def test_block_symbols_over_multi_character_letters():
+    # commas keep the blocks of "a" "aa" and "aa" "a" apart
+    ups = higher_block_map(Alphabet(("a", "aa")), 2)
+    assert ups.target.symbols == ("[aa]", "[a,aa]", "[aa,a]", "[aa,aa]")
+
+
 def test_lambda_first_letter_inverts_higher_block():
     for n in (2, 3, 4):
         ups = higher_block_map(AB, n)
@@ -179,6 +185,17 @@ def test_block_map_json_roundtrip():
         assert block_map_from_json(block_map_to_json(phi)) == phi
     cen = centralize(higher_block_map(AB, 3))
     assert block_map_from_json(block_map_to_json(cen.inner)) == cen.inner
+
+
+def test_block_map_json_refuses_a_bar_in_a_source_symbol():
+    # "|" separates the letters of a multi-character table key
+    with pytest.raises(ValueError, match="may not contain"):
+        block_map_to_json(higher_block_map(Alphabet(("a|", "b")), 2))
+    # so such a map cannot be read either: its keys split at the bar
+    with pytest.raises(ValueError, match="bad table key"):
+        block_map_from_json({"window": 1, "source": ["a|", "b"],
+                             "target": ["a", "b"],
+                             "table": {"a|": "a", "b": "b"}})
 
 
 def test_block_map_validation():

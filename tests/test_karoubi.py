@@ -179,16 +179,16 @@ def test_poset_isomorphic_verdicts(even_sg, orbit_sg):
 
 
 def test_poset_isomorphic_on_symmetric_groups():
-    # a one-element poset labeled by S_5, of order 120 > 64: the same
-    # label is isomorphic by the identity, while the other numbering of
-    # S_5 has another carrier and is compared by its invariants only
+    # a one-element poset labeled by S_5, of order 120: the same label
+    # is isomorphic by the identity, while the other numbering of S_5
+    # has another carrier and the group search finds the isomorphism
     p = lu_labeled_poset(util.symmetric_5(), range(120))
     q = lu_labeled_poset(util.symmetric_5(swap=True), range(120))
     assert p.label_of(p.elements[0])[1].carrier != \
         q.label_of(q.elements[0])[1].carrier
     assert poset_isomorphic(p, p).kind == "Iso"
-    assert poset_isomorphic(p, q).kind == "InvariantEqual"
-    assert poset_isomorphic(q, p).kind == "InvariantEqual"
+    assert poset_isomorphic(p, q).kind == "Iso"
+    assert poset_isomorphic(q, p).kind == "Iso"
 
 
 def height_two(n, below, cyclic=()):
@@ -211,6 +211,35 @@ def test_poset_isomorphic_backtracks():
     verdict = poset_isomorphic(p, q)
     assert (verdict.kind, verdict.witness) == (
         "Iso", ((0, 2), (1, 3), (2, 0), (3, 1)))
+
+
+def test_poset_isomorphic_rejects_a_pair_by_its_group():
+    # Z4 and Z2×Z2 on four positions: equal signatures, other groups
+    z4 = height_two(1, (), {0: 4})
+    klein = LabeledPoset((0,), frozenset({(0, 0)}), ((0, True, SchutzGroup(
+        (0, 1, 2, 3), frozenset({(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                                 (3, 2, 1, 0)}), 4)),))
+    verdict = poset_isomorphic(z4, klein)
+    assert (verdict.kind, verdict.reason) == (
+        "NotIso", "no label- and order-preserving bijection")
+    assert poset_isomorphic(klein, klein).kind == "Iso"
+
+
+def test_poset_isomorphic_compares_groups_of_matching_signatures_only(
+        monkeypatch):
+    # an antichain of four, two elements labeled Z2 on each side: only
+    # the 2·2 + 2·2 pairs of equal group order reach the group search
+    compared = []
+
+    def spy(g1, g2):
+        compared.append((g1.order, g2.order))
+        return True
+    monkeypatch.setattr(karoubi, "groups_isomorphic", spy)
+    p = height_two(4, (), {0: 2, 1: 2})
+    q = height_two(4, (), {2: 2, 3: 2})
+    assert poset_isomorphic(p, q).kind == "Iso"
+    assert compared and all(a == b for a, b in compared)
+    assert len(compared) < 16
 
 
 def test_poset_isomorphic_refusals():
@@ -262,7 +291,7 @@ def test_karoubi_vs_lu_on_symmetric_groups():
         (720, 600, 5)
     least = g.H[g.h_of[min(rank5)]]
     k = [x for x in range(s.size) if x not in least]
-    assert karoubi_vs_lu_comparison(s, k).kind == "InvariantEqual"
+    assert karoubi_vs_lu_comparison(s, k).kind == "Iso"
 
 
 def test_karoubi_vs_lu_on_randoms():

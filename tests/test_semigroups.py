@@ -12,9 +12,9 @@ import pytest
 import oracles
 import util
 from shiftcat import semigroups
-from shiftcat.errors import MismatchBug
-from shiftcat.semigroups import (FiniteSemigroup, generate, green,
-                                 groups_isomorphic, index_and_period,
+from shiftcat.errors import MismatchBug, SizeLimit
+from shiftcat.semigroups import (FiniteSemigroup, SchutzGroup, generate,
+                                 green, groups_isomorphic, index_and_period,
                                  inverse_pair, local_units, omega_plus,
                                  omega_power, random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup,
@@ -343,7 +343,6 @@ def test_schutzenberger_on_group_h_class_is_the_group():
     grp = schutzenberger(s, frozenset(range(4)))
     assert grp.order == 4
     assert sorted(grp.element_orders()) == [1, 2, 4, 4]
-    assert grp.is_abelian()
 
 
 def test_groups_isomorphic_verdicts():
@@ -351,22 +350,22 @@ def test_groups_isomorphic_verdicts():
     z2b = schutzenberger(cyclic(2, AB), frozenset(range(2)))
     z3 = schutzenberger(cyclic(3), frozenset(range(3)))
     z4 = schutzenberger(cyclic(4), frozenset(range(4)))
-    assert groups_isomorphic(z2, z2b) == "isomorphic"
-    assert groups_isomorphic(z2, z3) == "not-isomorphic"
-    assert groups_isomorphic(z3, z4) == "not-isomorphic"
+    assert groups_isomorphic(z2, z2b) is True
+    assert groups_isomorphic(z2, z3) is False
+    assert groups_isomorphic(z3, z4) is False
 
 
 def test_groups_isomorphic_large_falls_back_to_invariants():
     # abelian groups are determined by their element-order counts
     z65 = schutzenberger(cyclic(65), frozenset(range(65)))
     z65b = schutzenberger(cyclic(65), frozenset(range(65)))
-    assert groups_isomorphic(z65, z65b) == "isomorphic"
+    assert groups_isomorphic(z65, z65b) is True
     z128 = schutzenberger(cyclic(128), frozenset(range(128)))
     z2z64 = _permutation_group([tuple(range(1, 64)) + (0, 64, 65),
                                 tuple(range(64)) + (65, 64)])
-    assert z2z64.order == 128 and z2z64.is_abelian()
-    assert groups_isomorphic(z128, z2z64) == "not-isomorphic"
-    assert groups_isomorphic(z2z64, z2z64) == "isomorphic"
+    assert z2z64.order == 128
+    assert groups_isomorphic(z128, z2z64) is False
+    assert groups_isomorphic(z2z64, z2z64) is True
 
 
 
@@ -380,23 +379,23 @@ def test_abelian_groups_of_order_400_compare_in_well_under_a_second():
                       AB)
     start = time.perf_counter()
     g = schutzenberger(z400, range(400))
-    assert groups_isomorphic(g, g) == "isomorphic"
+    assert groups_isomorphic(g, g) is True
     h = schutzenberger(z16z25, range(400))
     assert h.carrier != g.carrier
-    assert groups_isomorphic(g, h) == "isomorphic"
+    assert groups_isomorphic(g, h) is True
     assert time.perf_counter() - start < 1
 
 
 def test_equal_carriers_are_isomorphic_at_every_order():
     g = schutzenberger(util.symmetric_5(), range(120))
     g_swapped = schutzenberger(util.symmetric_5(swap=True), range(120))
-    assert g.order == 120 and not g.is_abelian()
-    assert groups_isomorphic(g, g) == "isomorphic"
+    assert g.order == 120
+    assert groups_isomorphic(g, g) is True
     # numbered from the other generator, the same group has another
-    # carrier, and only its invariants are compared above order 64
+    # carrier, and the search finds the isomorphism
     assert g_swapped.carrier != g.carrier
-    assert groups_isomorphic(g, g_swapped) == "invariant-equal"
-    assert groups_isomorphic(g_swapped, g) == "invariant-equal"
+    assert groups_isomorphic(g, g_swapped) is True
+    assert groups_isomorphic(g_swapped, g) is True
 
 
 def random_group_h_class_groups() -> list:
@@ -438,21 +437,11 @@ def test_groups_isomorphic_matches_the_table_search():
         table = tables[grp.carrier]
         assert grp.element_orders() == \
             sorted(oracles._table_element_orders(table))
-        assert grp.is_abelian() == all(
-            row[y] == table[y][x] for x, row in enumerate(table)
-            for y in range(x))
     for g1 in groups:
         for g2 in groups:
             iso = oracles.table_groups_isomorphic(tables[g1.carrier],
                                                   tables[g2.carrier])
-            if not iso:
-                expected = "not-isomorphic"
-            elif g1.order > 64 and not g1.is_abelian() and g1 is not g2:
-                # one group per carrier: equal carriers are g1 is g2
-                expected = "invariant-equal"
-            else:
-                expected = "isomorphic"
-            assert groups_isomorphic(g1, g2) == expected, (g1, g2)
+            assert groups_isomorphic(g1, g2) is iso, (g1, g2)
 
 
 def _quaternion_product(p, q):
@@ -467,7 +456,7 @@ def _quaternion_product(p, q):
 def _permutation_group(gens):
     """The group a list of permutations generates, as the Schützenberger
     group of its only H-class."""
-    s = generate(gens, Alphabet(tuple("abc"[:len(gens)])))
+    s = generate(gens, Alphabet(tuple("abcdefg"[:len(gens)])))
     assert green(s).H == (frozenset(range(s.size)),)
     return schutzenberger(s, range(s.size))
 
@@ -488,10 +477,127 @@ def test_groups_isomorphic_tells_apart_equal_element_orders():
     assert not oracles.table_groups_isomorphic(
         oracles.perm_group_table(z4z4.carrier),
         oracles.perm_group_table(z2q8.carrier))
-    assert groups_isomorphic(z4z4, z2q8) == "not-isomorphic"
-    assert groups_isomorphic(z2q8, z4z4) == "not-isomorphic"
-    assert groups_isomorphic(z4z4, z4z4) == "isomorphic"
-    assert groups_isomorphic(z2q8, z2q8) == "isomorphic"
+    assert groups_isomorphic(z4z4, z2q8) is False
+    assert groups_isomorphic(z2q8, z4z4) is False
+    assert groups_isomorphic(z4z4, z4z4) is True
+    assert groups_isomorphic(z2q8, z2q8) is True
+
+
+def _renumbered(gens):
+    """The group of gens, and the same group generated with the product
+    of its first two generators prepended: another numbering of its
+    elements, so another carrier."""
+    p, q = gens[:2]
+    first = _permutation_group(gens)
+    second = _permutation_group([tuple(q[i] for i in p), *gens])
+    assert first.carrier != second.carrier
+    return first, second
+
+
+def _cycle(m, offset, points):
+    """The m-cycle on offset..offset+m-1, fixing the other points."""
+    return tuple(offset + (i - offset + 1) % m if offset <= i < offset + m
+                 else i for i in range(points))
+
+
+def _regular(elements, product, offset, points):
+    """Right multiplications x ↦ x·g by each g of a group given by its
+    elements and product, on the points offset..offset+|G|-1."""
+    def right(g):
+        moved = {offset + i: offset + elements.index(product(x, g))
+                 for i, x in enumerate(elements)}
+        return tuple(moved.get(i, i) for i in range(points))
+    return right
+
+
+def _q8_times_cyclic(m):
+    """Q8 × Z_m, Q8 by right multiplication on 8 points."""
+    units = [tuple(sign if i == k else 0 for i in range(4))
+             for k in range(4) for sign in (1, -1)]
+    right = _regular(units, _quaternion_product, 0, 8 + m)
+    return _permutation_group([right(units[2]), right(units[4]),
+                               _cycle(m, 8, 8 + m)])
+
+
+def _z4_semidirect_z4_times_cyclic(m):
+    """(Z4 ⋊ Z4) × Z_m, with (i, j)·(k, l) = (i + (−1)^j·k, j + l) mod 4,
+    by right multiplication on 16 points."""
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+
+    def product(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)
+    right = _regular(pairs, product, 0, 16 + m)
+    return _permutation_group([right((1, 0)), right((0, 1)),
+                               _cycle(m, 16, 16 + m)])
+
+
+def _swaps(k, points, start=0):
+    """The k transpositions (start start+1), (start+2 start+3), …, for
+    an even start, on points points."""
+    return [tuple(i ^ 1 if i // 2 == start // 2 + j else i
+                  for i in range(points)) for j in range(k)]
+
+
+def _timed_verdict(g1, g2):
+    start = time.perf_counter()
+    verdict = groups_isomorphic(g1, g2)
+    return verdict, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name", ["Z2^5", "Z2^6", "D4xZ2^3"])
+def test_groups_isomorphic_finds_another_numbering_fast(name):
+    # a product search over every image of every generator took 10 s or
+    # more on Z_2^5 and did not end within 60 s on Z_2^6
+    gens = {"Z2^5": _swaps(5, 10), "Z2^6": _swaps(6, 12),
+            "D4xZ2^3": [(1, 2, 3, 0, *range(4, 10)),
+                        (0, 3, 2, 1, *range(4, 10)),
+                        *_swaps(3, 10, 4)]}[name]
+    g, h = _renumbered(gens)
+    assert g.order == {"Z2^5": 32}.get(name, 64)
+    verdict, seconds = _timed_verdict(g, h)
+    assert verdict is True and seconds < 0.1
+    assert groups_isomorphic(h, g) is True
+
+
+def test_symmetric_groups_compare_exactly():
+    verdict, seconds = _timed_verdict(
+        schutzenberger(util.symmetric_5(), range(120)),
+        schutzenberger(util.symmetric_5(swap=True), range(120)))
+    assert verdict is True and seconds < 0.1
+    s6, s6b = _renumbered([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    assert s6.order == 720
+    verdict, seconds = _timed_verdict(s6, s6b)
+    assert verdict is True and seconds < 1
+
+
+@pytest.mark.parametrize("m", [5, 49])
+def test_non_abelian_groups_with_equal_element_orders(m):
+    # Q8 × Z_2m and (Z4 ⋊ Z4) × Z_m: non-abelian, with equal
+    # element-order counts, and not isomorphic
+    g = _q8_times_cyclic(2 * m)
+    h = _z4_semidirect_z4_times_cyclic(m)
+    assert g.order == h.order == 16 * m
+    assert g.element_orders() == h.element_orders()
+    verdict, seconds = _timed_verdict(g, h)
+    assert verdict is False
+    if m == 5:
+        assert seconds < 0.1
+    assert groups_isomorphic(h, g) is False
+
+
+def test_group_search_over_its_step_limit_is_refused(monkeypatch):
+    g, h = _q8_times_cyclic(10), _z4_semidirect_z4_times_cyclic(5)
+    monkeypatch.setattr(semigroups, "_MAX_GROUP_STEPS", 100)
+    with pytest.raises(SizeLimit, match="exceeds 100 steps"):
+        groups_isomorphic(g, h)
+
+
+def test_group_search_rejects_a_carrier_that_is_not_simply_transitive():
+    # two permutations fixing position 0: not a Schützenberger group
+    fake = SchutzGroup((0, 1, 2), frozenset({(0, 1, 2), (0, 2, 1)}), 2)
+    z2 = schutzenberger(cyclic(2), frozenset(range(2)))
+    with pytest.raises(MismatchBug, match="simply transitively"):
+        groups_isomorphic(fake, z2)
 
 
 def test_translation_group_rejects_what_is_not_a_group():
