@@ -238,10 +238,18 @@ def apply_to_presentation(phi: CentralBlockMap,
                key=lambda e: (int(e[0]), e[1], int(e[2]))))
 
 
-def block_map_to_json(phi: BlockMap) -> dict:
-    sep = "" if phi.source.is_single_char() else "|"
-    if sep and any("|" in s for s in phi.source.symbols):
+def _key_separator(source: Alphabet) -> str:
+    """What joins the letters of a table key: nothing over single
+    characters, else "|", which no source symbol may then contain."""
+    if source.is_single_char():
+        return ""
+    if any("|" in s for s in source.symbols):
         raise ValueError("source symbols may not contain '|'")
+    return "|"
+
+
+def block_map_to_json(phi: BlockMap) -> dict:
+    sep = _key_separator(phi.source)
     return {"window": phi.window,
             "source": list(phi.source.symbols),
             "target": list(phi.target.symbols),
@@ -262,10 +270,10 @@ def block_map_from_json(data: dict) -> BlockMap:
         window = _integer(data["window"], "window")
         if not isinstance(data["table"], dict):
             raise ValueError("the 'table' field must be a JSON object")
+        sep = _key_separator(source)
         table = {}
         for key, val in data["table"].items():
-            letters = tuple(key) if source.is_single_char() else tuple(key.split("|"))
-            table[letters] = val
+            table[tuple(key.split(sep)) if sep else tuple(key)] = val
         memory = _integer(data.get("memory", 0), "memory")
         return BlockMap(source, target, window, table, memory,
                         _integer(data.get("anticipation", window - 1 - memory),

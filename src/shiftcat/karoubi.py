@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from .errors import MismatchBug, SizeLimit
 from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
-                         green, groups_isomorphic, ideal_factors,
-                         inverse_pair, local_units, right_factors,
-                         schutzenberger, translation_group)
+                         d_class_factors, green, groups_isomorphic,
+                         ideal_factors, inverse_pair, local_units,
+                         right_factors, schutzenberger, translation_group)
 from .words import Record, _set
 
 TYPE_CHECKING = False
@@ -409,31 +409,35 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
     must give a bijection onto the classes meeting the local units that
     preserves the order and the (regular, group) labels.
 
-    Order and equivalence claims on the arrow side are certified by
-    composition witnesses: from u = l·v·r (semigroups.ideal_factors,
-    a search of the two-sided Cayley graph from v) with e·u·f = u and
-    g·v·h = v, the arrows (e, e·l·g, g) and (h, r·f, f) compose with
-    (g, v, h) to (e, u, f).  Every arrow of every class is certified
-    equivalent to its class representative both ways.  A pair of
-    classes the base order does not relate is refuted by the search
-    itself: u lies outside S¹vS¹, so no composite reaches (e, u, f).
-    Any failed certificate raises MismatchBug.
+    No arrow is enumerated.  Order claims are certified by composition
+    witnesses: from u = l·v·r with e·u·f = u and g·v·h = v, the arrows
+    (e, e·l·g, g) and (h, r·f, f) compose with (g, v, h) to (e, u, f).
+    One search of the two-sided Cayley graph per class, from the middle
+    u₀ of its representative (semigroups.ideal_factors), relates the
+    classes and puts one arrow a = (e, u, f) per middle u below the
+    representative; the D-class gives u₀ = l·u·r the other way
+    (semigroups.d_class_factors).  Any (e', u, f') is then equivalent
+    to a with no lookup: it is (e', e'·e, e) ∘ a ∘ (f, f·f', f'), and a
+    is (e, e·e', e') ∘ (e', u, f') ∘ (f', f'·f, f).  A pair of classes
+    the base order does not relate is refuted by the search itself: u
+    lies outside S¹vS¹, so no composite reaches (e, u, f).  Any failed
+    certificate raises MismatchBug.
     """
     t = s.table
     g = green(s)
-    lu_k = local_units(s, k)
     base_poset = lu_labeled_poset(s, k)
     if not base_poset.elements:
         return ComparisonVerdict("Iso", (), None)
 
-    kset = set(k)
-    reps: dict[int, Arrow] = {}
-    for jid in base_poset.elements:
-        u = min(g.J[jid] & lu_k)
+    def arrow_at(u: int) -> Arrow:
         pair = _unit_pair(s, u)
         if pair is None:
             raise MismatchBug("local unit has no unit pair")
-        reps[jid] = (pair[0], u, pair[1])
+        return (pair[0], u, pair[1])
+
+    kset = set(k)
+    reps = {jid: arrow_at(min(g.J[jid] & kset))
+            for jid in base_poset.elements}
     ideals = {jid: ideal_factors(s, reps[jid][1])
               for jid in base_poset.elements}
 
@@ -459,18 +463,13 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
             elif reps[i][1] in ideals[j]:
                 raise MismatchBug("arrow order exceeds the base order")
 
-    idems = s.idempotents()
-    for jid in base_poset.elements:
-        rep = reps[jid]
-        for u in sorted(g.J[jid] & kset):
-            factors = ideal_factors(s, u)
-            lefts = [e for e in idems if t[e][u] == u]
-            rights = [f for f in idems if t[u][f] == u]
-            for e in lefts:
-                for f in rights:
-                    certify_leq((e, u, f), rep, ideals[jid])
-                    certify_leq(rep, (e, u, f), factors)
+    for jid, rep in reps.items():
+        for u in g.J[jid] & kset:
+            a = arrow_at(u)
+            certify_leq(a, rep, ideals[jid])
+            certify_leq(rep, a, {rep[1]: d_class_factors(s, rep[1], u)})
 
+    idems = s.idempotents()
     witness = []
     for jid in base_poset.elements:
         reg_base, grp_base = base_poset.label_of(jid)

@@ -488,8 +488,7 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
     """
     g = green(s)
     t = s.table
-    a = min((x for x in g.R[g.r_of[e]] if g.l_of[x] == g.l_of[f]),
-            default=None)
+    a = _least_meet(g, e, f)
     a_inv = None if a is None else next(
         (y for y in g.R[g.r_of[f]] if g.l_of[y] == g.l_of[e] and t[a][y] == e),
         None)
@@ -498,6 +497,32 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
     certify_retraction(t, e, f, a, a_inv)
     certify_retraction(t, f, e, a_inv, a)
     return a, a_inv
+
+
+def _least_meet(g: GreenData, x: int, y: int) -> int | None:
+    """The least element of R_x ∩ L_y, or None if it is empty."""
+    return min((z for z in g.R[g.r_of[x]] if g.l_of[z] == g.l_of[y]),
+               default=None)
+
+
+def d_class_factors(s: FiniteSemigroup, u0: int,
+                    u: int) -> tuple[int | None, int | None]:
+    """(l, r) over S¹ with l·u·r = u₀, for D-related u₀ and u.
+
+    v, the least element of R_{u₀} ∩ L_u, gives r with v·r = u₀ off
+    row v and l with l·u = v off column u; None stands for the adjoined
+    identity (v = u₀, v = u).  Missing factors raise MismatchBug.
+    """
+    t = s.table
+    v = _least_meet(green(s), u0, u)
+    if v is not None and (v == u0 or u0 in t[v]):
+        r = None if v == u0 else t[v].index(u0)
+        l = None if v == u else next(
+            (x for x in range(s.size) if t[x][u] == v), -1)
+        if l != -1:
+            return l, r
+    raise MismatchBug("D-related elements admit no factors through "
+                      "their D-class")
 
 
 # -- abstract group comparison ---------------------------------------

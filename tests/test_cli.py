@@ -573,6 +573,19 @@ def test_malformed_json_is_a_one_line_error(capsys, tmp_path, command, data):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("window", [1, 2])
+def test_a_bar_in_a_source_symbol_is_refused_on_reading(capsys, tmp_path,
+                                                         window):
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps(
+        {"window": window, "source": ["a|", "b"], "target": ["a", "b"],
+         "table": {"|".join(w): w[0][0] for w in
+                   itertools.product(["a|", "b"], repeat=window)}}))
+    code, out, err = run(capsys, "code", "centralize", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: source symbols may not contain '|'\n"
+
+
 # malformed inputs written to files; "<directory>" stands for a
 # directory and "<even>" for the even shift
 MALFORMED = {

@@ -191,8 +191,8 @@ def test_block_map_json_refuses_a_bar_in_a_source_symbol():
     # "|" separates the letters of a multi-character table key
     with pytest.raises(ValueError, match="may not contain"):
         block_map_to_json(higher_block_map(Alphabet(("a|", "b")), 2))
-    # so such a map cannot be read either: its keys split at the bar
-    with pytest.raises(ValueError, match="bad table key"):
+    # nor read, before its keys are split at the bar
+    with pytest.raises(ValueError, match="source symbols may not contain"):
         block_map_from_json({"window": 1, "source": ["a|", "b"],
                              "target": ["a", "b"],
                              "table": {"a|": "a", "b": "b"}})

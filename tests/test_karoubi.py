@@ -306,7 +306,7 @@ def test_karoubi_vs_lu_on_randoms():
         done += 1
 
 
-def test_unit_pair_is_the_first_pair_of_the_double_loop():
+def test_unit_pair_is_the_first_pair_of_idempotents_fixing_the_middle():
     rng = random.Random(7)
     for _ in range(8):
         s = random_transformation_semigroup(AB, rng.randrange(2, 5), rng)
@@ -315,6 +315,139 @@ def test_unit_pair_is_the_first_pair_of_the_double_loop():
             first = next(((e, f) for e in idems for f in idems
                           if t[t[e][u]][f] == u), None)
             assert karoubi._unit_pair(s, u) == first
+
+
+def test_karoubi_vs_lu_certifies_each_middle_once(monkeypatch):
+    # the |S| = 2225 shift: one arrow per middle, one search per class;
+    # a search per middle over every arrow took 1.7-2.2 s per carrier
+    s, accept = syntactic_semigroup(util.sofic_2225())
+    searches = []
+
+    def counted(s, f):
+        searches.append(f)
+        return ideal_factors(s, f)
+
+    monkeypatch.setattr(karoubi, "ideal_factors", counted)
+    witness = ((2, 2), (6, 6), (7, 7), (12, 12))
+    for carrier, expected in ((accept, witness),
+                              (range(s.size), (*witness, (13, 13)))):
+        searches.clear()
+        start = time.perf_counter()
+        v = karoubi_vs_lu_comparison(s, carrier)
+        assert time.perf_counter() - start < 0.5
+        assert (v.kind, v.witness) == ("Iso", expected)
+        assert len(searches) == len(expected)
+
+
+# -- refutations: one corrupted input per MismatchBug ------------------
+
+
+def null_pair() -> FiniteSemigroup:
+    """{g, g·g}, g·g a zero: g is no local unit."""
+    return generate([(1, 2, 2)], Alphabet(("a",)))
+
+
+def z3() -> FiniteSemigroup:
+    return generate([(1, 2, 0)], Alphabet(("a",)))
+
+
+def with_green(monkeypatch, s, **fields):
+    """Green's relations of s with the given fields replaced."""
+    g = green(s)
+    monkeypatch.setattr(s, "_green", GreenData(
+        *(fields.get(name, getattr(g, name)) for name in GreenData.__slots__)))
+
+
+def test_comparison_refutes_a_local_unit_without_unit_pair(monkeypatch):
+    s = null_pair()
+    monkeypatch.setattr(karoubi, "local_units", lambda s, k: frozenset(k))
+    with pytest.raises(MismatchBug, match="local unit has no unit pair"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_a_search_that_misses_the_middle(monkeypatch,
+                                                            even_sg):
+    s, _ = even_sg
+    monkeypatch.setattr(karoubi, "ideal_factors", lambda s, f: {})
+    with pytest.raises(MismatchBug, match="middles are not J-comparable"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_wrong_ideal_factors(monkeypatch, even_sg):
+    s, _ = even_sg
+    monkeypatch.setattr(karoubi, "ideal_factors",
+                        lambda s, f: dict.fromkeys(range(s.size),
+                                                   (None, None)))
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_wrong_d_class_factors(monkeypatch, even_sg):
+    s, _ = even_sg
+    monkeypatch.setattr(karoubi, "d_class_factors",
+                        lambda s, u0, u: (None, None))
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_a_middle_outside_the_d_class(monkeypatch,
+                                                         even_sg):
+    # with every element its own L-class, R_{u0} ∩ L_u is empty for the
+    # middles u of the 2x2 D-class outside the R-class of u0
+    s, _ = even_sg
+    with_green(monkeypatch, s, l_of=tuple(range(s.size)))
+    with pytest.raises(MismatchBug, match="no factors through their D-class"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_a_dropped_j_order_pair(monkeypatch, even_sg):
+    # the classes form the chain 2 < 0 < 1; (0, 1) is a covering pair
+    s, _ = even_sg
+    g = green(s)
+    assert lu_labeled_poset(s, range(s.size)).order == {
+        (0, 0), (1, 1), (2, 2), (2, 0), (2, 1), (0, 1)}
+    with_green(monkeypatch, s, j_below=g.j_below - {(0, 1)})
+    with pytest.raises(MismatchBug, match="arrow order exceeds the base"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_a_flipped_regularity_label(monkeypatch,
+                                                       even_sg):
+    s, _ = even_sg
+    g = green(s)
+    with_green(monkeypatch, s, regular=(not g.regular[0], *g.regular[1:]))
+    with pytest.raises(MismatchBug, match="regularity labels disagree"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_an_h_class_outside_the_hom_set(monkeypatch,
+                                                           even_sg):
+    # the least middle of class 0 takes the H-class of an element that
+    # its unit pair does not fix
+    s, _ = even_sg
+    t, g = s.table, green(s)
+    u0 = min(g.J[0])
+    e, f = karoubi._unit_pair(s, u0)
+    h_of = list(g.h_of)
+    h_of[u0] = next(g.h_of[w] for w in range(s.size) if t[t[e][w]][f] != w)
+    with_green(monkeypatch, s, h_of=tuple(h_of))
+    with pytest.raises(MismatchBug, match="H-class middle escapes"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_a_translation_off_its_h_class(monkeypatch):
+    s = z3()
+    monkeypatch.setattr(karoubi, "right_factors",
+                        lambda s, u, h: dict.fromkeys(v for v in h if v != u))
+    with pytest.raises(MismatchBug, match="misses its H-class mate"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_comparison_refutes_unequal_group_labels(monkeypatch):
+    s = z3()
+    monkeypatch.setattr(karoubi, "groups_isomorphic", lambda g1, g2: False)
+    with pytest.raises(MismatchBug, match="group labels disagree"):
+        karoubi_vs_lu_comparison(s, range(s.size))
 
 
 # -- certificates against hom-set oracles -------------------------------

@@ -19,7 +19,7 @@ from shiftcat.semigroups import (FiniteSemigroup, SchutzGroup, generate,
                                  omega_power, random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup,
                                  translation_group)
-from shiftcat.shifts import ShiftPresentation, is_block, right_cayley_graph
+from shiftcat.shifts import is_block, right_cayley_graph
 from shiftcat.words import Alphabet, Word
 
 AB = Alphabet(("a", "b"))
@@ -57,16 +57,9 @@ def null_two() -> FiniteSemigroup:
 
 
 def test_syntactic_semigroup_holds_one_copy_of_its_table():
-    # the 26th draw of bench/workloads.random_sofic from random.Random(7);
     # its table holds about 38 MiB, and filling it as lists before
     # copying it into tuples doubled the peak
-    edges = [("0", "a", "1"), ("1", "a", "2"), ("2", "a", "3"),
-             ("3", "a", "4"), ("4", "a", "0"), ("1", "b", "3"),
-             ("0", "c", "3"), ("4", "c", "1"), ("0", "a", "3"),
-             ("3", "c", "1"), ("2", "b", "0"), ("4", "a", "1"),
-             ("3", "b", "2"), ("2", "b", "2"), ("2", "b", "1")]
-    x = ShiftPresentation.sofic(Alphabet(("a", "b", "c")),
-                                [str(i) for i in range(5)], edges)
+    x = util.sofic_2225()
     x.graph()
     tracemalloc.start()
     try:
