@@ -12,12 +12,11 @@ when it is called, so a process loads only those.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
+from _json import encode_basestring_ascii as _quote
+from _json import make_scanner
 from itertools import chain, islice, takewhile
-from json.encoder import encode_basestring_ascii as _quote
 from types import GeneratorType, SimpleNamespace
 
 from . import __version__
@@ -35,17 +34,46 @@ EXIT_NONINTEGRAL = 3
 EXIT_USAGE = 64
 
 
+# -- reading JSON --------------------------------------------------------
+# The json package compiles six regular expressions on import, which no
+# well-formed input needs.  Its C scanner, with JSONDecoder's defaults,
+# reads the same values; a text it does not take whole goes to json.loads
+# for json's own message.
+
+_JSON_SPACE = " \t\n\r"
+_scan = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None,
+    parse_float=float, parse_int=int, parse_constant=float))
+
+
+def _parse_json(text: str, path: str):
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
+    try:
+        value, end = _scan(text, start)
+        if end == len(text.rstrip(_JSON_SPACE)):
+            return value
+    except (StopIteration, ValueError, SystemError):
+        # before Python 3.12 the scanner raises its JSONDecodeError only
+        # once json.decoder is loaded, and a SystemError until then
+        pass
+    import json
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+
+
 def _load_json(path: str):
     # ValueError, which main reports as "error: <message>", exit 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    try:
+        return _parse_json(text, path)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -77,9 +105,9 @@ def _central_to_json(phi: CentralBlockMap) -> dict:
 # json.dumps with an indent runs the pure-Python encoder, which makes a
 # string per item, a list of them all and then the whole report.  _emit
 # writes the same bytes in pieces: a batch of ints or strings as one join,
-# equal-length int rows one at a time through one "%d" template, and a
-# generator (the blocks of `blocks`) a batch at a time, so the memory a
-# list costs beyond its items is that of one batch or one row.
+# equal-length int rows through one "%r" template per batch's worth of
+# ints, and a generator (the blocks of `blocks`) a batch at a time, so the
+# memory a list costs beyond its items is that of one batch or one row.
 
 _BATCH = 1024
 
@@ -113,6 +141,11 @@ def _scalar(v) -> str:
         return _quote(v)
     if type(v) is int:
         return int.__repr__(v)
+    if type(v) is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    import json     # a float, which no report holds today
     return json.dumps(v)    # a scalar renders alike with or without indent
 
 
@@ -149,16 +182,46 @@ def _put_items(write, items: list, nl: str) -> None:
     elif kinds == {str}:
         write(sep.join(map(_quote, items)))
     elif (kinds <= {list, tuple} and len(set(map(len, items))) == 1
-          and items[0] and set(map(type, chain(*items))) == {int}):
-        inner = nl + "  "
-        row = f"[{inner}{f',{inner}'.join(['%d'] * len(items[0]))}{nl}]"
-        for i, item in enumerate(items):
-            write((sep if i else "") + row % tuple(item))
+          and items[0] and type(items[0][0]) is int):
+        _put_int_rows(write, items, nl)
     else:
-        for i, item in enumerate(items):
-            if i:
-                write(sep)
-            _put(write, item, nl)
+        _put_each(write, items, nl)
+
+
+def _put_each(write, items: list, nl: str) -> None:
+    for i, item in enumerate(items):
+        if i:
+            write("," + nl)
+        _put(write, item, nl)
+
+
+def _put_int_rows(write, rows: list, nl: str) -> None:
+    """Write equal-length rows through one "%r" template per group of
+    rows holding about _BATCH items; a group holding anything but ints
+    is written item by item.
+
+    The repr of an int is its JSON text.  That of any other value a
+    report can hold has a character no int's repr has: a float has ".",
+    "e" or "n" (inf, nan), True, False and None have "e", a string has
+    a quote, a tuple, dict or generator "(", "{" or "<", and a list
+    adds a "[" to the rows' own.
+    """
+    sep = "," + nl
+    inner = nl + "  "
+    row = f"[{inner}{f',{inner}'.join(['%r'] * len(rows[0]))}{nl}]"
+    step = max(1, _BATCH // len(rows[0]))
+    for i in range(0, len(rows), step):
+        group = rows[i:i + step]
+        if i:
+            write(sep)
+        # tuple() of a tuple, such as a row of a semigroup table, is free
+        values = tuple(group[0] if step == 1 else chain(*group))
+        text = sep.join([row] * len(group)) % values
+        if (text.count("[") == len(group)
+                and not any(map(text.__contains__, ".en'\"({<"))):
+            write(text)
+        else:
+            _put_each(write, group, nl)
 
 
 def _report(schema: str, **fields) -> dict:
@@ -620,8 +683,17 @@ def _option(tok: str, names) -> tuple[str | None, str | None] | None:
                               f"{', '.join(found)}")
         if found:
             return found[0], value if eq else None
-    negative = re.match(r"^-\d+$|^-\d*\.\d+$", tok)
-    return None if negative or " " in tok else (None, None)
+    return None if _negative_number(tok) or " " in tok else (None, None)
+
+
+def _negative_number(tok: str) -> bool:
+    r"""Whether tok, which starts with "-", matches argparse's
+    ^-\d+$|^-\d*\.\d+$, where \d is a decimal digit and $ also matches
+    before one final newline."""
+    whole, dot, frac = tok[1:].removesuffix("\n").partition(".")
+    if dot:
+        return frac.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
 def _value(name: str, kind, text: str):

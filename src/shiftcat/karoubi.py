@@ -27,7 +27,8 @@ from .errors import MismatchBug, SizeLimit
 from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
                          d_class_factors, green, groups_isomorphic,
                          ideal_factors, inverse_pair, local_units,
-                         right_factors, schutzenberger, translation_group)
+                         right_factors, schutzenberger, translation_group,
+                         unit_pairs)
 from .words import Record, _set
 
 TYPE_CHECKING = False
@@ -87,10 +88,12 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
     s = k.base
     t = s.table
     g = green(s)
-    via_j = frozenset((e, f) for e in k.objects for f in k.objects
-                      if g.j_leq(g.j_of[e], g.j_of[f]))
+    classes = _j_classes(k)
+    via_j = frozenset((e, f) for i, below_i in classes.items()
+                      for j, members in classes.items() if g.j_leq(i, j)
+                      for e in below_i for f in members)
     found: set[tuple[int, int]] = set()
-    for members in _j_classes(k).values():
+    for members in classes.values():
         f0 = members[0]
         factors = ideal_factors(s, f0)
         below = []
@@ -370,15 +373,6 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
 # -- arrow J-poset versus local-unit poset -----------------------------
 
 
-def _unit_pair(s: FiniteSemigroup, u: int):
-    """The first idempotents e and f with e·u = u and u·f = u (so that
-    e·u·f = u), or None."""
-    t = s.table
-    e = next((e for e in s.idempotents() if t[e][u] == u), None)
-    f = next((f for f in s.idempotents() if t[u][f] == u), None)
-    return None if e is None or f is None else (e, f)
-
-
 def _arrow_schutzenberger(s: FiniteSemigroup, g, u: int, f: int) -> SchutzGroup:
     """Right translations of the H-class of an arrow middle u by arrows
     f -> f, where u·f = u.
@@ -430,7 +424,7 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
         return ComparisonVerdict("Iso", (), None)
 
     def arrow_at(u: int) -> Arrow:
-        pair = _unit_pair(s, u)
+        pair = unit_pairs(s).get(u)
         if pair is None:
             raise MismatchBug("local unit has no unit pair")
         return (pair[0], u, pair[1])

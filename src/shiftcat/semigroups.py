@@ -43,6 +43,7 @@ class FiniteSemigroup:
                                        zip(alphabet.symbols, self.generators)}
         self._green: GreenData | None = None
         self._idem: tuple[int, ...] | None = None
+        self._units: dict[int, tuple[int, int]] | None = None
         self._check_associativity()
         self._check_witnesses()
 
@@ -419,19 +420,53 @@ def right_factors(s: FiniteSemigroup, u: int, h) -> dict[int, int]:
         raise MismatchBug("H-class element outside u·S") from None
 
 
-def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
-    """{x in K : x = e·x·f for some idempotents e, f}.
+def unit_pairs(s: FiniteSemigroup) -> dict[int, tuple[int, int]]:
+    """Each local unit x, mapped to the first idempotent e with e·x = x
+    and the first idempotent f with x·f = x, in idempotents() order.
 
-    That holds exactly when e·x = x for some idempotent e and x·f = x
-    for some idempotent f, which costs O(n·|E|).  The full local-unit
-    set must be a union of J-classes; that is checked before slicing
-    with K.
+    For an idempotent e, e·x = x holds exactly when x ∈ eS¹.  So each
+    idempotent in turn sweeps its right ideal along x ↦ x·a over the
+    generators, stopping at elements an earlier one reached: their
+    ideals lie inside that one's, which it swept whole.  Every element
+    is then taken by the first e fixing it, and dually along x ↦ a·x by
+    the first f.  Costs O(|S|·|A|); cached on s.
     """
-    e_list = s.idempotents()
-    t = s.table
-    lu_all = {x for x in range(s.size)
-              if any(t[e][x] == x for e in e_list)
-              and any(t[x][f] == x for f in e_list)}
+    if s._units is None:
+        t = s.table
+        gens = sorted(set(s.generators))
+        cols = [t[a] for a in gens]
+        first_e = _first_sweep(s, lambda x: map(t[x].__getitem__, gens))
+        first_f = _first_sweep(s, lambda x: [col[x] for col in cols])
+        s._units = {x: (e, first_f[x]) for x, e in first_e.items()
+                    if x in first_f}
+    return s._units
+
+
+def _first_sweep(s: FiniteSemigroup, step) -> dict[int, int]:
+    """Each element reached from an idempotent along step, mapped to the
+    first idempotent that reaches it."""
+    first: dict[int, int] = {}
+    for e in s.idempotents():
+        if e in first:
+            continue
+        first[e] = e
+        queue = [e]
+        for x in queue:
+            for y in step(x):
+                if y not in first:
+                    first[y] = e
+                    queue.append(y)
+    return first
+
+
+def local_units(s: FiniteSemigroup, k) -> frozenset[int]:
+    """{x in K : x = e·x·f for some idempotents e, f}, read off
+    unit_pairs.
+
+    The full local-unit set must be a union of J-classes; that is
+    checked before slicing with K.
+    """
+    lu_all = set(unit_pairs(s))
     g = green(s)
     for cl in g.J:
         inside = cl & lu_all

@@ -645,6 +645,20 @@ def brute_idempotent_pairs_local_units(table, carrier):
     return out
 
 
+def scan_unit_pairs(table):
+    """Each x with e·x = x and x·f = x for some idempotents e and f,
+    mapped to the first such e and the first such f in index order."""
+    n = len(table)
+    idems = [e for e in range(n) if table[e][e] == e]
+    out = {}
+    for x in range(n):
+        e = next((e for e in idems if table[e][x] == x), None)
+        f = next((f for f in idems if table[x][f] == x), None)
+        if e is not None and f is not None:
+            out[x] = (e, f)
+    return out
+
+
 # -- Karoubi envelope by hom-sets -----------------------------------------
 # The arrows e -> f of the envelope are the triples (e, s, f) with
 # s = e·s·f, so hom(e, f) has the middles e·S·f.  These oracles

@@ -10,6 +10,7 @@ import json
 import os
 import pstats
 import random
+import re
 import subprocess
 import sys
 import time
@@ -1038,6 +1039,100 @@ def test_flowcheck_builds_one_subset_automaton_per_shift(capsys,
     assert [a.symbols for _, a in built] == [("a", "b"), ("a", "b", "o")]
 
 
+# -- the JSON reader and the negative-number test --------------------------
+
+
+JSON_SPACE = ["", " ", "\n", "\t", "\r\n  "]
+JSON_SCALARS = ["0", "-0", "12", "-7", "1.5", "-2e-3", "1E+400", "6.02e23",
+                "NaN", "Infinity", "-Infinity", "true", "false", "null"]
+JSON_CHARS = ["a", "é", "😀", "\\n", "\\t", "\\u00e9", "\\ud83d\\ude00",
+              "\\u2028", '\\"', "\\\\", "\\/", "\\b\\f\\r"]
+
+
+def random_json_text(rng: random.Random, depth: int = 0) -> str:
+    """A JSON text with white space around each token: nested containers,
+    escapes, non-ASCII text, big ints, NaN and ±Infinity, and objects
+    that repeat a key."""
+    def ws():
+        return rng.choice(JSON_SPACE)
+
+    def string():
+        return '"' + "".join(rng.choice(JSON_CHARS)
+                             for _ in range(rng.randrange(4))) + '"'
+
+    kind = rng.randrange(5 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice([*JSON_SCALARS,
+                           str(rng.randrange(-10**40, 10**40))])
+    if kind == 1:
+        return string()
+    if kind == 2:
+        return rng.choice(JSON_SCALARS)
+    n = rng.randrange(5)
+    if kind == 3:
+        items = [ws() + random_json_text(rng, depth + 1) + ws()
+                 for _ in range(n)]
+        return "[" + ",".join(items) + "]" if items else "[" + ws() + "]"
+    keys = [string() for _ in range(n)]
+    keys += rng.sample(keys, min(n, 2))          # repeated keys: last wins
+    items = [f"{ws()}{k}{ws()}:{ws()}{random_json_text(rng, depth + 1)}{ws()}"
+             for k in keys]
+    return "{" + ",".join(items) + "}" if items else "{" + ws() + "}"
+
+
+def test_the_reader_reads_what_json_load_does(tmp_path):
+    rng = random.Random(0)
+    paths = sorted(util.DATA.glob("*.json")) + sorted(
+        util.GOLDEN_DIR.glob("*.json"))
+    for i in range(300):
+        path = tmp_path / f"{i}.json"
+        path.write_text(rng.choice(JSON_SPACE) + random_json_text(rng)
+                        + rng.choice(JSON_SPACE), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            expected = json.load(fh)
+        # repr tells 1 from 1.0 and shows nan, which equals nothing
+        assert repr(cli._load_json(str(path))) == repr(expected), path
+
+
+@pytest.mark.parametrize("text", [
+    '{"alphabet": ["a", "b"], "kind": ', '{"a": 1} x', "[1]\n]",
+    "\ufeff{}", '["a\x01b"]', "", " \n\t", "[1,]", "{'a': 1}", "[1 2]",
+    "[" * 5 + "]" * 4, '"\\x"', "nan", "1" * 5000],
+    ids=["truncated", "extra-data", "extra-bracket", "bom", "raw-control",
+         "empty", "white-space", "trailing-comma", "single-quotes",
+         "no-comma", "unclosed", "bad-escape", "lower-nan", "long-int"])
+def test_malformed_json_gets_the_message_json_gives(capsys, tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        expected = f"{path}:{e.lineno}:{e.colno}: {e.msg}"
+    except ValueError as e:                   # over int's digit limit
+        expected = str(e)
+    argv = ["zeta", str(path), "--order", "2"]
+    assert run(capsys, *argv) == (1, "", f"error: {expected}\n")
+    # a fresh process, where the json package is not loaded yet
+    proc = fresh(argv)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: {expected}\n"
+
+
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")     # argparse's
+
+
+@pytest.mark.parametrize("tok", [
+    "-1", "-1\n", "-1\n\n", "-\n", "-.5", "-.5\n", "-1.", "-1.5", "-1.5.5",
+    "-", "-.", "-١٢", "-١.٢", "-²", "-1²", "-1a", "-a", "--1", "-1 ", "-0"])
+def test_the_negative_number_test_is_argparses(tok):
+    assert cli._negative_number(tok) == bool(NEGATIVE_NUMBER.match(tok))
+    # a negative number is read as a positional, as argparse reads it
+    assert (cli._option(tok, ("--order",)) is None) == (
+        bool(NEGATIVE_NUMBER.match(tok)) or tok == "-" or " " in tok)
+
+
 # -- the report writer ----------------------------------------------------
 
 
@@ -1104,6 +1199,10 @@ def test_the_report_writer_writes_what_json_dumps_does(capsys, monkeypatch,
              ({"blocks": shifts.spell_blocks(x, 6, ("a", "b"), "")},
               {"blocks": list(shifts.spell_blocks(x, 6, ("a", "b"), ""))})]
     cases += [(thaw(v), v) for v in (random_value(rng) for _ in range(400))]
+    # an int row beside a row holding one value of each other kind
+    odd = [2.5, 1e16, float("nan"), -float("inf"), True, None, "e", "7",
+           [7], [], (8,), {"k": 9}, Lazy([1]), -(2**70)]
+    cases += [(thaw(v), v) for v in ([[0, 0], [13, x]] for x in odd)]
     for given, expected in cases:
         cli._emit(given)
         assert capsys.readouterr().out == json.dumps(

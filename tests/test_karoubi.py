@@ -23,7 +23,8 @@ from shiftcat.semigroups import (FiniteSemigroup, GreenData, SchutzGroup,
                                  battery, certify_retraction, generate, green,
                                  ideal_factors, inverse_pair, local_units,
                                  random_transformation_semigroup,
-                                 schutzenberger, syntactic_semigroup)
+                                 schutzenberger, syntactic_semigroup,
+                                 unit_pairs)
 from shiftcat.words import Alphabet, Word
 
 AB = Alphabet(("a", "b"))
@@ -314,7 +315,7 @@ def test_unit_pair_is_the_first_pair_of_idempotents_fixing_the_middle():
         for u in range(s.size):
             first = next(((e, f) for e in idems for f in idems
                           if t[t[e][u]][f] == u), None)
-            assert karoubi._unit_pair(s, u) == first
+            assert unit_pairs(s).get(u) == first
 
 
 def test_karoubi_vs_lu_certifies_each_middle_once(monkeypatch):
@@ -427,7 +428,7 @@ def test_comparison_refutes_an_h_class_outside_the_hom_set(monkeypatch,
     s, _ = even_sg
     t, g = s.table, green(s)
     u0 = min(g.J[0])
-    e, f = karoubi._unit_pair(s, u0)
+    e, f = unit_pairs(s)[u0]
     h_of = list(g.h_of)
     h_of[u0] = next(g.h_of[w] for w in range(s.size) if t[t[e][w]][f] != w)
     with_green(monkeypatch, s, h_of=tuple(h_of))

@@ -18,7 +18,7 @@ from shiftcat.semigroups import (FiniteSemigroup, SchutzGroup, generate,
                                  inverse_pair, local_units, omega_plus,
                                  omega_power, random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup,
-                                 translation_group)
+                                 translation_group, unit_pairs)
 from shiftcat.shifts import is_block, right_cayley_graph
 from shiftcat.words import Alphabet, Word
 
@@ -640,6 +640,17 @@ def test_local_units_match_brute_on_corpus(corpus_semigroups):
             assert local_units(s, carrier) == \
                 oracles.brute_idempotent_pairs_local_units(
                     s.table, list(carrier))
+
+
+def test_unit_pairs_are_the_first_scanned_pairs(corpus_semigroups):
+    # the sweep of each idempotent's one-sided ideals against the scan of
+    # every idempotent for every element
+    rng = random.Random(400)
+    inputs = [s for s, _ in corpus_semigroups.values()]
+    inputs += [random_transformation_semigroup(AB, rng.randrange(2, 6), rng)
+               for _ in range(40)]
+    for s in inputs:
+        assert unit_pairs(s) == oracles.scan_unit_pairs(s.table)
 
 
 # -- conjugation witnesses ---------------------------------------------------
