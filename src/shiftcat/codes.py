@@ -33,14 +33,14 @@ class BlockMap(Record):
         if memory < 0 or anticipation < 0 \
                 or memory + anticipation + 1 != window:
             raise ValueError("memory + anticipation + 1 must equal window")
-        expected = len(source) ** window
-        if len(table) != expected:
-            raise ValueError("table must be total on all windows")
         for key, val in table.items():
             if len(key) != window or any(x not in source for x in key):
                 raise ValueError(f"bad table key {key!r}")
             if val not in target:
                 raise ValueError(f"table value {val!r} not in target alphabet")
+        # only now is the window bounded, by the length of the keys
+        if not table or len(table) != len(source) ** window:
+            raise ValueError("table must be total on all windows")
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "window", window)

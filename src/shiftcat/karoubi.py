@@ -57,11 +57,20 @@ def build(s: FiniteSemigroup) -> KaroubiCategory:
 
 
 def _j_classes(k: KaroubiCategory) -> dict[int, list[int]]:
-    """The objects grouped by J-class, in object order."""
+    """The objects grouped by J-class, in object order.
+
+    Each object f is certified isomorphic to the first object e of its
+    class: the inverse pair a·a' = e, a'·a = f of the D-class makes
+    (e, a, f) and (f, a', e) mutually inverse arrows
+    (semigroups.inverse_pair checks it by lookups).
+    """
     g = green(k.base)
     classes: dict[int, list[int]] = {}
     for e in k.objects:
         classes.setdefault(g.j_of[e], []).append(e)
+    for e, *others in classes.values():
+        for f in others:
+            inverse_pair(k.base, e, f)
     return classes
 
 
@@ -75,46 +84,37 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
 
     e is a retract of f when some arrows x: e -> f and y: f -> e
     compose to the identity of e, which happens exactly when e ≤_J f.
-    The pairs are returned from the J-order of the base and certified
-    one by one.  One breadth-first search per J-class of objects, from
-    its least object f₀, writes every e in S¹f₀S¹ as e = l·f₀·r; then
-    x₀ = e·l·f₀ and y₀ = f₀·r·e give x₀·y₀ = e.  Another object f of
-    the class takes the inverse pair a·a' = f₀, a'·a = f of the D-class
-    and the arrows x = x₀·a, y = a'·y₀.  Each retraction is checked by
-    lookups (certify_retraction), and the certified pairs must be
-    exactly the J-order pairs: the search reaches no e outside the
-    ideal, so this also refutes every missing pair.
+    One retraction is certified per pair of J-classes: one
+    breadth-first search from the first object f₀ of a class writes
+    the first object e₀ of each class in S¹f₀S¹ as e₀ = l·f₀·r, and
+    x₀ = e₀·l·f₀, y₀ = f₀·r·e₀ give x₀·y₀ = e₀ (certify_retraction).
+    The certified class pairs must be exactly the J-order pairs: the
+    search reaches no e₀ outside the ideal, which J-equivalent objects
+    share, so this also refutes every missing pair.  Other objects e
+    and f of the two classes take the inverse pairs a·a' = e₀, a'·a = e
+    and b·b' = f₀, b'·b = f that _j_classes certifies; the arrows
+    a'·x₀·b: e -> f and b'·y₀·a: f -> e compose to a'·e₀·a = e with no
+    lookup.
     """
     s = k.base
     t = s.table
     g = green(s)
     classes = _j_classes(k)
-    via_j = frozenset((e, f) for i, below_i in classes.items()
-                      for j, members in classes.items() if g.j_leq(i, j)
-                      for e in below_i for f in members)
-    found: set[tuple[int, int]] = set()
-    for members in classes.values():
-        f0 = members[0]
+    certified = set()
+    for j, (f0, *_) in classes.items():
         factors = ideal_factors(s, f0)
-        below = []
-        for e in k.objects:
-            lr = factors.get(e)
-            if lr is None:
-                continue
-            l, r = lr
-            x0 = _sandwich(t, e, l, f0)
-            y0 = _sandwich(t, f0, r, e)
-            below.append((e, x0, y0))
-        for f in members:
-            a, a_inv = (f0, f0) if f == f0 else inverse_pair(s, f0, f)
-            t_inv = t[a_inv]
-            for e, x0, y0 in below:
-                certify_retraction(t, e, f, t[x0][a], t_inv[y0])
-                found.add((e, f))
-    if frozenset(found) != via_j:
+        for i, (e0, *_) in classes.items():
+            if e0 in factors:
+                l, r = factors[e0]
+                certify_retraction(t, e0, f0, _sandwich(t, e0, l, f0),
+                                   _sandwich(t, f0, r, e0))
+                certified.add((i, j))
+    if certified != {(i, j) for i in classes for j in classes
+                     if g.j_leq(i, j)}:
         raise MismatchBug("retraction order disagrees with the J-order "
                           "of idempotents")
-    return via_j
+    return frozenset((e, f) for (i, j) in certified
+                     for e in classes[i] for f in classes[j])
 
 
 def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
@@ -149,18 +149,13 @@ def iso_class_census(k: KaroubiCategory) -> dict[int, int]:
     """Map class-size n to the number of objects in size-n classes.
 
     Isomorphic objects are J-equivalent: e = x·y and f = y·x give
-    e = x·f·y and f = y·e·x.  Conversely every object f is certified
-    isomorphic to the least object e of its J-class by the inverse pair
-    a·a' = e, a'·a = f of the D-class, which makes (e, a, f) and
-    (f, a', e) mutually inverse arrows (semigroups.inverse_pair checks
-    it by lookups).  So the classes are the J-classes of idempotents;
-    they are tabulated by size.
+    e = x·f·y and f = y·e·x.  Conversely _j_classes certifies every
+    object isomorphic to the first object of its J-class.  So the
+    classes are the J-classes of idempotents; they are tabulated by
+    size.
     """
-    s = k.base
     census: dict[int, int] = {}
     for members in _j_classes(k).values():
-        for f in members[1:]:
-            inverse_pair(s, members[0], f)
         n = len(members)
         census[n] = census.get(n, 0) + n
     return census

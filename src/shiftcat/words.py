@@ -238,6 +238,9 @@ def word_to_json(u: Word) -> str | list[str]:
 
 
 def word_from_json(alphabet: Alphabet, data: str | list[str]) -> Word:
+    # any other JSON value, an object say, would iterate as its keys
     if isinstance(data, str):
         return Word.from_str(alphabet, data)
+    if not isinstance(data, list):
+        raise ValueError("a word is a JSON string or array")
     return Word(alphabet, tuple(data))

@@ -532,6 +532,9 @@ DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
     # a string is not read as the words "b" and "b"
     (["blocks", "--order", "2", "--format", "text", INPUT],
      {"alphabet": ["a", "b"], "kind": "sft", "forbidden": "bb"}),
+    # nor an object as its keys, the word "b"
+    (["blocks", "--order", "2", "--format", "text", INPUT],
+     {"alphabet": ["a", "b"], "kind": "sft", "forbidden": [{"b": 1}]}),
     (["blocks", "--order", "2", INPUT],
      {"alphabet": [1, 2], "kind": "sft", "forbidden": []}),
     (["syntactic", INPUT], {"alphabet": [1, 2], "kind": "sft",
@@ -559,6 +562,14 @@ DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
     (["code", "centralize", INPUT],
      {"window": True, "source": ["a", "b"], "target": ["a", "b"],
       "table": {"a": "a", "b": "b"}}),
+    # a window far longer than the table's keys, and an empty table, are
+    # refused before 2^window is computed
+    (["code", "centralize", INPUT],
+     {"window": 10**12, "source": ["a", "b"], "target": ["a", "b"],
+      "table": {"a": "a", "b": "b"}}),
+    (["code", "centralize", INPUT],
+     {"window": 10**12, "source": ["a", "b"], "target": ["a", "b"],
+      "table": {}}),
     # JSON text nested deeper than the parser's recursion limit
     *(pytest.param(command, DEEP, id=f"{command[0]}-deep")
       for command in (["zeta", INPUT, "--order", "2"],

@@ -542,8 +542,56 @@ def test_retraction_order_refutes_a_wrong_j_order(monkeypatch, even_sg):
     wrong = GreenData(*(getattr(g, name) for name in GreenData.__slots__[:-2]),
                       g.j_below - {dropped}, g.regular)
     monkeypatch.setattr(s, "_green", wrong)
-    with pytest.raises(MismatchBug):
+    with pytest.raises(MismatchBug, match="disagrees with the J-order"):
         retraction_order(build(s))
+
+
+def test_retraction_order_refutes_wrong_ideal_factors(monkeypatch):
+    # the ideal is kept, but every element is given the factors (None,
+    # None); in this semigroup e₀·f₀·e₀ ≠ e₀ for a strict class pair, so
+    # x₀ = e₀·f₀ and y₀ = f₀·e₀ compose to no retraction
+    s = case_semigroup("23/4")
+    g = green(s)
+    t = s.table
+    firsts = {g.j_of[e]: e for e in reversed(s.idempotents())}.values()
+    assert any(g.j_of[e] != g.j_of[f] and g.j_leq(g.j_of[e], g.j_of[f])
+               and t[t[e][f]][e] != e for e in firsts for f in firsts)
+    monkeypatch.setattr(karoubi, "ideal_factors", lambda s, f: dict.fromkeys(
+        ideal_factors(s, f), (None, None)))
+    with pytest.raises(MismatchBug, match="retraction certificate"):
+        retraction_order(build(s))
+
+
+def test_a_j_class_without_inverse_pairs_is_refuted(monkeypatch, even_sg):
+    # with every element its own L-class, the two idempotents of the 2x2
+    # D-class, in different R-classes, meet in no element
+    s, _ = even_sg
+    with_green(monkeypatch, s, l_of=tuple(range(s.size)))
+    for certified in (iso_class_census, retraction_order):
+        with pytest.raises(MismatchBug, match="admit no inverse pair"):
+            certified(build(s))
+
+
+def test_retraction_order_certifies_each_class_pair_once(monkeypatch):
+    # the |S| = 2225 shift: 518 objects in 5 J-classes, one search per
+    # class and one retraction per related class pair, of 14, for the
+    # 188 792 pairs of objects
+    s, _ = syntactic_semigroup(util.sofic_2225())
+    searches, retractions = [], []
+
+    def counted_search(s, f):
+        searches.append(f)
+        return ideal_factors(s, f)
+
+    def counted_retraction(*args):
+        retractions.append(args)
+        certify_retraction(*args)
+
+    monkeypatch.setattr(karoubi, "ideal_factors", counted_search)
+    monkeypatch.setattr(karoubi, "certify_retraction", counted_retraction)
+    cat = build(s)
+    assert len(retraction_order(cat)) == 188_792
+    assert (len(cat.objects), len(searches), len(retractions)) == (518, 5, 14)
 
 
 # -- induced functors ------------------------------------------------------
