@@ -362,7 +362,7 @@ def cmd_karoubi(args) -> int:
         "karoubi", size=s.size, objects=list(cat.objects),
         green=_green_summary(s),
         census={str(k): v for k, v in sorted(census.items())},
-        retraction_pairs=sorted(retraction_order(cat)),
+        retraction_pairs=retraction_order(cat),
         lu_poset_dot=poset.to_dot()))
     return EXIT_OK
 

@@ -33,6 +33,8 @@ from .words import Record, _set
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .pseudowords import OmegaTerm
 
 Arrow = tuple[int, int, int]
@@ -43,12 +45,23 @@ class KaroubiCategory:
 
     No hom-set is enumerated; `tests/oracles.py` keeps the search.  The
     objects are the idempotents of the base, and every fact about the
-    arrows is certified from the base by the functions below.
+    arrows is certified from the base.  `classes` maps each J-class id
+    to its objects, in object order, and each object f is certified
+    once, here, isomorphic to the first object e of its class: the
+    inverse pair a·a' = e, a'·a = f of the D-class makes (e, a, f) and
+    (f, a', e) mutually inverse arrows (semigroups.inverse_pair).
     """
 
     def __init__(self, base: FiniteSemigroup):
         self.base = base
         self.objects: tuple[int, ...] = base.idempotents()
+        j_of = green(base).j_of
+        self.classes: dict[int, list[int]] = {}
+        for e in self.objects:
+            self.classes.setdefault(j_of[e], []).append(e)
+        for e, *others in self.classes.values():
+            for f in others:
+                inverse_pair(base, e, f)
 
 
 def build(s: FiniteSemigroup) -> KaroubiCategory:
@@ -56,31 +69,13 @@ def build(s: FiniteSemigroup) -> KaroubiCategory:
     return KaroubiCategory(s)
 
 
-def _j_classes(k: KaroubiCategory) -> dict[int, list[int]]:
-    """The objects grouped by J-class, in object order.
-
-    Each object f is certified isomorphic to the first object e of its
-    class: the inverse pair a·a' = e, a'·a = f of the D-class makes
-    (e, a, f) and (f, a', e) mutually inverse arrows
-    (semigroups.inverse_pair checks it by lookups).
-    """
-    g = green(k.base)
-    classes: dict[int, list[int]] = {}
-    for e in k.objects:
-        classes.setdefault(g.j_of[e], []).append(e)
-    for e, *others in classes.values():
-        for f in others:
-            inverse_pair(k.base, e, f)
-    return classes
-
-
 def _sandwich(t, e: int, l: int | None, f: int) -> int:
     """e·l·f in the table t, where l = None is the adjoined identity."""
     return t[e][f] if l is None else t[t[e][l]][f]
 
 
-def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
-    """Pairs (e, f) such that e is a retract of f.
+def retraction_order(k: KaroubiCategory) -> Iterator[tuple[int, int]]:
+    """Pairs (e, f) such that e is a retract of f, in sorted order.
 
     e is a retract of f when some arrows x: e -> f and y: f -> e
     compose to the identity of e, which happens exactly when e ≤_J f.
@@ -92,14 +87,15 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
     search reaches no e₀ outside the ideal, which J-equivalent objects
     share, so this also refutes every missing pair.  Other objects e
     and f of the two classes take the inverse pairs a·a' = e₀, a'·a = e
-    and b·b' = f₀, b'·b = f that _j_classes certifies; the arrows
+    and b·b' = f₀, b'·b = f that the category certified; the arrows
     a'·x₀·b: e -> f and b'·y₀·a: f -> e compose to a'·e₀·a = e with no
-    lookup.
+    lookup.  Every certificate is checked before the generator is
+    returned, so it cannot fail, and no set of object pairs is built.
     """
     s = k.base
     t = s.table
     g = green(s)
-    classes = _j_classes(k)
+    classes = k.classes
     certified = set()
     for j, (f0, *_) in classes.items():
         factors = ideal_factors(s, f0)
@@ -113,8 +109,10 @@ def retraction_order(k: KaroubiCategory) -> frozenset[tuple[int, int]]:
                      if g.j_leq(i, j)}:
         raise MismatchBug("retraction order disagrees with the J-order "
                           "of idempotents")
-    return frozenset((e, f) for (i, j) in certified
-                     for e in classes[i] for f in classes[j])
+    j_of = g.j_of
+    above = {i: [f for f in k.objects if (i, j_of[f]) in certified]
+             for i in classes}
+    return ((e, f) for e in k.objects for f in above[j_of[e]])
 
 
 def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
@@ -149,13 +147,11 @@ def iso_class_census(k: KaroubiCategory) -> dict[int, int]:
     """Map class-size n to the number of objects in size-n classes.
 
     Isomorphic objects are J-equivalent: e = x·y and f = y·x give
-    e = x·f·y and f = y·e·x.  Conversely _j_classes certifies every
-    object isomorphic to the first object of its J-class.  So the
-    classes are the J-classes of idempotents; they are tabulated by
-    size.
+    e = x·f·y and f = y·e·x.  The category certifies the converse, so
+    its J-classes of objects are tabulated by size.
     """
     census: dict[int, int] = {}
-    for members in _j_classes(k).values():
+    for members in k.classes.values():
         n = len(members)
         census[n] = census.get(n, 0) + n
     return census

@@ -126,13 +126,24 @@ def generate(transformations, alphabet: Alphabet) -> FiniteSemigroup:
     return _fill_table(gen_ids, right, parent, alphabet)
 
 
+# The most elements a product table is filled for.  The table holds |S|²
+# entries: at |S| = 7599 the process peaks at 467 MiB, and a table at
+# shifts._MAX_SIZE would need a few GiB.  Counting periodic points reads
+# the Cayley graph alone and is not bound by this.
+_MAX_TABLE_SIZE = 2**13
+
+
 def _fill_table(gen_ids, right, parent, alphabet: Alphabet) -> FiniteSemigroup:
     """The semigroup of a right Cayley graph (shifts.right_cayley_graph).
 
     The table is filled by x·(y'a) = (x·y')·a along each element's
     parent (y', a), one tuple per row, and is proved associative by
-    FiniteSemigroup.
+    FiniteSemigroup.  More than _MAX_TABLE_SIZE elements raise SizeLimit
+    before the fill.
     """
+    if len(right) > _MAX_TABLE_SIZE:
+        raise SizeLimit(f"product table of {len(right)} elements exceeds "
+                        f"{_MAX_TABLE_SIZE}")
     witness: dict[int, Word] = {}
     for y, (y_prev, i) in enumerate(parent):
         prefix = () if y_prev < 0 else witness[y_prev].letters

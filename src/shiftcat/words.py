@@ -80,6 +80,11 @@ class Alphabet(Record):
             raise ValueError("alphabet symbols must be strings")
         if "" in symbols:
             raise ValueError("alphabet symbols must be nonempty")
+        # a text form spells words with white space between symbols and
+        # terms with ( ) ^, so a symbol holding one could not be named
+        if any(c.isspace() or c in "()^" for a in symbols for c in a):
+            raise ValueError("alphabet symbols may not contain white space, "
+                             "'(', ')' or '^'")
         _set(self, "symbols", symbols)
 
     def __eq__(self, other: object) -> bool:

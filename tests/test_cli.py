@@ -20,7 +20,7 @@ import pytest
 
 import oracles
 import util
-from shiftcat import __version__, cli, flowops, shifts
+from shiftcat import __version__, cli, flowops, semigroups, shifts
 from shiftcat.codes import (block_map_to_json, centralize,
                             higher_block_map, lambda_first_letter)
 from shiftcat.errors import NonIntegralCoefficient
@@ -446,6 +446,35 @@ def test_closure_over_the_size_limit_is_a_one_line_error(capsys,
         assert err == "error: SizeLimit: closure exceeds 4 elements\n"
 
 
+def test_an_order_over_the_cap_is_refused_before_counting(capsys,
+                                                         monkeypatch):
+    for command in ("periodic", "zeta"):
+        code, out, err = run(capsys, command, FULL2, "--order", "1025")
+        assert (code, out) == (1, "")
+        assert err == "error: SizeLimit: order 1025 exceeds 1024\n"
+    monkeypatch.setattr(shifts, "_MAX_ORDER", 3)
+    assert run_json(capsys, "zeta", EVEN, "--order", "3")["p"] == [2, 2, 5]
+    built = []
+    monkeypatch.setattr(shifts, "minimal_automaton", built.append)
+    for command in ("periodic", "zeta"):
+        code, out, err = run(capsys, command, EVEN, "--order", "4")
+        assert (code, out, built) == (1, "", [])
+        assert err == "error: SizeLimit: order 4 exceeds 3\n"
+
+
+def test_a_product_table_over_the_cap_is_refused(capsys, monkeypatch):
+    # even's semigroup has 7 elements; zeta reads its Cayley graph alone
+    monkeypatch.setattr(semigroups, "_MAX_TABLE_SIZE", 7)
+    assert run_json(capsys, "syntactic", EVEN)["semigroup"]["size"] == 7
+    monkeypatch.setattr(semigroups, "_MAX_TABLE_SIZE", 6)
+    for command in ("syntactic", "green", "karoubi"):
+        code, out, err = run(capsys, command, EVEN)
+        assert (code, out) == (1, ""), command
+        assert err == ("error: SizeLimit: product table of 7 elements "
+                       "exceeds 6\n")
+    assert run_json(capsys, "zeta", EVEN, "--order", "3")["p"] == [2, 2, 5]
+
+
 def test_a_de_bruijn_graph_over_the_size_limit_is_refused(capsys,
                                                           monkeypatch,
                                                           tmp_path):
@@ -570,6 +599,15 @@ DEEP = ('{"alphabet": ["a", "b"], "kind": "sft", "forbidden": '
     (["code", "centralize", INPUT],
      {"window": 10**12, "source": ["a", "b"], "target": ["a", "b"],
       "table": {}}),
+    # a symbol no text form can spell: "a b" would print as two letters
+    # and could not be named, and ( ) ^ belong to terms
+    (["blocks", "--order", "2", "--format", "text", INPUT],
+     {"alphabet": ["a b", "c"], "kind": "sft", "forbidden": []}),
+    (["member", INPUT, "a b"],
+     {"alphabet": ["a b", "c"], "kind": "sft", "forbidden": []}),
+    (["member", INPUT, "(a^)^w"],
+     {"alphabet": ["a^", "b"], "kind": "sofic", "vertices": ["0"],
+      "edges": [["0", "a^", "0"], ["0", "b", "0"]]}),
     # JSON text nested deeper than the parser's recursion limit
     *(pytest.param(command, DEEP, id=f"{command[0]}-deep")
       for command in (["zeta", INPUT, "--order", "2"],
@@ -634,6 +672,8 @@ MALFORMED_ARGVS = [
     (["classify", "<even>", "(ab)^w)", "--letter", "a"], 1),
     (["classify", "<even>", "ab", "--letter", "z"], 1),
     (["expand", "<even>", "--letter", "a", "--diamond="], 1),
+    (["expand", "<even>", "--letter", "a", "--diamond", "o o"], 1),
+    (["expand", "<even>", "--letter", "a", "--diamond", "o)"], 1),
     (["member", "<even>", "(a)^w", "--bound", "0"], 1),
     (["member", "<even>", "(a)^w", "--bound", "-1"], 1),
     (["member", "<even>", "ab", "--bound", "0"], 1),

@@ -1,13 +1,17 @@
 """Karoubi envelope, retraction order, labeled posets, induced functors."""
 
+import json
+import os
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 
 import oracles
 import util
-from shiftcat import karoubi
+from shiftcat import cli, karoubi
 from shiftcat.codes import centralize, higher_block_map
 from shiftcat.errors import InvalidArrow, MismatchBug, SizeLimit
 from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
@@ -77,7 +81,7 @@ def test_retraction_order_is_j_order(orbit_sg, even_sg):
     for s, _ in (orbit_sg, even_sg):
         cat = build(s)
         g = green(s)
-        rel = retraction_order(cat)
+        rel = set(retraction_order(cat))
         for e in cat.objects:
             for f in cat.objects:
                 assert ((e, f) in rel) == g.j_leq(g.j_of[e], g.j_of[f])
@@ -474,7 +478,9 @@ def test_karoubi_layer_matches_hom_set_oracles(case):
     s = case_semigroup(case)
     t = s.table
     cat = build(s)
-    assert retraction_order(cat) == oracles.brute_retraction_order(t)
+    # in sorted order: the karoubi report prints the pairs as they come
+    assert (list(retraction_order(cat))
+            == sorted(oracles.brute_retraction_order(t)))
     assert iso_class_census(cat) == oracles.brute_iso_census(t)
     g = green(s)
     for e in cat.objects:
@@ -564,7 +570,8 @@ def test_retraction_order_refutes_wrong_ideal_factors(monkeypatch):
 
 def test_a_j_class_without_inverse_pairs_is_refuted(monkeypatch, even_sg):
     # with every element its own L-class, the two idempotents of the 2x2
-    # D-class, in different R-classes, meet in no element
+    # D-class, in different R-classes, meet in no element; the category
+    # certifies its classes when it is built, for both functions
     s, _ = even_sg
     with_green(monkeypatch, s, l_of=tuple(range(s.size)))
     for certified in (iso_class_census, retraction_order):
@@ -572,11 +579,17 @@ def test_a_j_class_without_inverse_pairs_is_refuted(monkeypatch, even_sg):
             certified(build(s))
 
 
-def test_retraction_order_certifies_each_class_pair_once(monkeypatch):
+@pytest.fixture(scope="module")
+def sofic_2225_sg():
+    return syntactic_semigroup(util.sofic_2225())[0]
+
+
+def test_retraction_order_certifies_each_class_pair_once(monkeypatch,
+                                                         sofic_2225_sg):
     # the |S| = 2225 shift: 518 objects in 5 J-classes, one search per
     # class and one retraction per related class pair, of 14, for the
     # 188 792 pairs of objects
-    s, _ = syntactic_semigroup(util.sofic_2225())
+    s = sofic_2225_sg
     searches, retractions = [], []
 
     def counted_search(s, f):
@@ -590,8 +603,41 @@ def test_retraction_order_certifies_each_class_pair_once(monkeypatch):
     monkeypatch.setattr(karoubi, "ideal_factors", counted_search)
     monkeypatch.setattr(karoubi, "certify_retraction", counted_retraction)
     cat = build(s)
-    assert len(retraction_order(cat)) == 188_792
+    assert len(list(retraction_order(cat))) == 188_792
     assert (len(cat.objects), len(searches), len(retractions)) == (518, 5, 14)
+
+
+def test_retraction_order_holds_no_pair_set(sofic_2225_sg):
+    # before the first of the 188 792 pairs, all certificates checked;
+    # a set of the pairs and its sorted copy took 18.1 MiB
+    cat = build(sofic_2225_sg)
+    tracemalloc.start()
+    try:
+        pairs = retraction_order(cat)
+        next(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_karoubi_report_certifies_each_object_once(monkeypatch, tmp_path):
+    # one inverse pair per object after the first of its J-class: 513 for
+    # the 518 objects in 5 classes at |S| = 2225, where the census and the
+    # order each certified them all
+    path = tmp_path / "sofic.json"
+    path.write_text(json.dumps(util.sofic_2225().to_json()))
+    calls = []
+
+    def counted(s, e, f):
+        calls.append((e, f))
+        return inverse_pair(s, e, f)
+
+    monkeypatch.setattr(karoubi, "inverse_pair", counted)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        assert cli.main(["karoubi", str(path)]) == 0
+    assert len(calls) == len(set(calls)) == 513
 
 
 # -- induced functors ------------------------------------------------------
