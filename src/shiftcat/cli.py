@@ -233,9 +233,12 @@ def _report(schema: str, **fields) -> dict:
 def _term_text(arg: str) -> str:
     """The term or word argument, or standard input less its surrounding
     whitespace when it is "-": Linux caps one argv argument at 128 KiB,
-    shorter than a long term."""
+    shorter than a long term.  Python sets sys.stdin to None when the
+    process starts with stdin closed."""
     if arg != "-":
         return arg
+    if sys.stdin is None:
+        raise ValueError("stdin is closed")
     return sys.stdin.buffer.read().decode("utf-8").strip()
 
 

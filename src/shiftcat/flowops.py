@@ -12,9 +12,8 @@ makes the family η a natural isomorphism.
 
 from __future__ import annotations
 
-from .errors import (ClassificationFailure, DiamondOnly, InvalidArrow,
-                     MismatchBug, NotIdempotentWitness, NotInMirage2,
-                     SizeLimit)
+from .errors import (ClassificationFailure, InvalidArrow, MismatchBug,
+                     NotIdempotentWitness, NotInMirage2, SizeLimit)
 from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
                           check_equal_in_quotients, connector, format_term,
                           idempotent_terms, image_E_membership,
@@ -135,15 +134,12 @@ def _classify(w, ctx: ExpansionContext):
         # a lone ◊ or α, or ◊·α
         return ("DiamondImageEAlpha" if lead and trail else "Letter"), None
     local = image_E_membership(Word(t.alphabet, core), alpha, dia)
-    try:
-        image = term_expand_of_contract(t, ctx)
-    except DiamondOnly:
-        image = None
-        roundtrip = False
-    else:
-        marker = _letter_term(ctx, dia)
-        roundtrip = ((canonical(marker * image) if lead else image)
-                     == (canonical(t * marker) if trail else t))
+    # the core holds a letter other than ◊: it would start with ◊ only
+    # after a leading ◊, and ◊◊ is no block of the expanded shift
+    image = term_expand_of_contract(t, ctx)
+    marker = _letter_term(ctx, dia)
+    roundtrip = ((canonical(marker * image) if lead else image)
+                 == (canonical(t * marker) if trail else t))
     if local != roundtrip:
         raise MismatchBug("local expansion-image test disagrees with the "
                           "round trip")

@@ -10,10 +10,12 @@ and compares the J-class poset of arrows against the labeled poset of
 J-classes meeting a set of local units.
 
 No hom-set is enumerated; `tests/oracles.py` keeps the search.  Every
-claim about the envelope is certified by arrows read off the base
-semigroup and checked by a few table lookups: factors e = l·f·r of a
+claim about the envelope says that one arrow factors through another,
+and is checked by one certificate, semigroups.certify_composite, which
+reads the arrows x, y with a = x ∘ b ∘ y off factors l, r over S¹;
+this module reads no product of its own.  Factors u = l·v·r of a
 two-sided ideal, found by a breadth-first search of the two-sided
-Cayley graph (semigroups.ideal_factors), give retractions, and the
+Cayley graph (semigroups.ideal_factors), give the order, and the
 inverse pairs of a D-class (semigroups.inverse_pair) give
 isomorphisms.  The certified relations are compared with Green's
 relations, which come from the strongly connected components of the
@@ -24,11 +26,11 @@ can only come from an implementation error.
 from __future__ import annotations
 
 from .errors import MismatchBug, SizeLimit
-from .semigroups import (FiniteSemigroup, SchutzGroup, certify_retraction,
-                         d_class_factors, green, groups_isomorphic,
-                         ideal_factors, inverse_pair, local_units,
-                         right_factors, schutzenberger, translation_group,
-                         unit_pairs)
+from .semigroups import (Arrow, FiniteSemigroup, SchutzGroup,
+                         certify_composite, d_class_factors, green,
+                         groups_isomorphic, ideal_factors, inverse_pair,
+                         local_units, omega_plus, right_factors,
+                         schutzenberger, translation_group, unit_pairs)
 from .words import Record, _set
 
 TYPE_CHECKING = False
@@ -36,8 +38,6 @@ if TYPE_CHECKING:
     from collections.abc import Iterator
 
     from .pseudowords import OmegaTerm
-
-Arrow = tuple[int, int, int]
 
 
 class KaroubiCategory:
@@ -69,9 +69,33 @@ def build(s: FiniteSemigroup) -> KaroubiCategory:
     return KaroubiCategory(s)
 
 
-def _sandwich(t, e: int, l: int | None, f: int) -> int:
-    """e·l·f in the table t, where l = None is the adjoined identity."""
-    return t[e][f] if l is None else t[t[e][l]][f]
+def _certified_order(s: FiniteSemigroup,
+                     reps: dict[int, Arrow]) -> dict[int, dict]:
+    """Certify the J-order on the classes of reps, which maps J-class
+    ids to an arrow whose middle lies in that class.
+
+    One breadth-first search per class, from the middle v of its arrow
+    b, writes each middle u of S¹vS¹ as u = l·v·r
+    (semigroups.ideal_factors).  Every pair of classes i ≤_J j then has
+    its arrow a factor through b by those l, r
+    (semigroups.certify_composite), and every other pair is refuted by
+    the search itself, which reaches no u outside the ideal.  Returns
+    the factors of each search by class id.
+    """
+    g = green(s)
+    ideals = {j: ideal_factors(s, b[1]) for j, b in reps.items()}
+    for i, a in reps.items():
+        for j, b in reps.items():
+            lr = ideals[j].get(a[1])
+            if not g.j_leq(i, j):
+                if lr is not None:
+                    raise MismatchBug("arrow order exceeds the J-order")
+            elif lr is None:
+                raise MismatchBug("middles are not J-comparable despite "
+                                  "the J-order")
+            else:
+                certify_composite(s.table, a, b, *lr)
+    return ideals
 
 
 def retraction_order(k: KaroubiCategory) -> Iterator[tuple[int, int]]:
@@ -79,39 +103,22 @@ def retraction_order(k: KaroubiCategory) -> Iterator[tuple[int, int]]:
 
     e is a retract of f when some arrows x: e -> f and y: f -> e
     compose to the identity of e, which happens exactly when e ≤_J f.
-    One retraction is certified per pair of J-classes: one
-    breadth-first search from the first object f₀ of a class writes
-    the first object e₀ of each class in S¹f₀S¹ as e₀ = l·f₀·r, and
-    x₀ = e₀·l·f₀, y₀ = f₀·r·e₀ give x₀·y₀ = e₀ (certify_retraction).
-    The certified class pairs must be exactly the J-order pairs: the
-    search reaches no e₀ outside the ideal, which J-equivalent objects
-    share, so this also refutes every missing pair.  Other objects e
-    and f of the two classes take the inverse pairs a·a' = e₀, a'·a = e
-    and b·b' = f₀, b'·b = f that the category certified; the arrows
-    a'·x₀·b: e -> f and b'·y₀·a: f -> e compose to a'·e₀·a = e with no
-    lookup.  Every certificate is checked before the generator is
-    returned, so it cannot fail, and no set of object pairs is built.
+    The identity arrows of the first objects e₀, f₀ of two classes give
+    x₀: e₀ -> f₀ and y₀: f₀ -> e₀ with 1_{e₀} = x₀ ∘ 1_{f₀} ∘ y₀ for
+    every pair of classes the J-order relates, and no pair it does not
+    (_certified_order).  Other objects e and f of the two classes take
+    the inverse pairs a·a' = e₀, a'·a = e and b·b' = f₀, b'·b = f that
+    the category certified; the arrows a'·x₀·b: e -> f and
+    b'·y₀·a: f -> e compose to a'·e₀·a = e with no lookup.  Every
+    certificate is checked before the generator is returned, so it
+    cannot fail, and no set of object pairs is built.
     """
-    s = k.base
-    t = s.table
-    g = green(s)
-    classes = k.classes
-    certified = set()
-    for j, (f0, *_) in classes.items():
-        factors = ideal_factors(s, f0)
-        for i, (e0, *_) in classes.items():
-            if e0 in factors:
-                l, r = factors[e0]
-                certify_retraction(t, e0, f0, _sandwich(t, e0, l, f0),
-                                   _sandwich(t, f0, r, e0))
-                certified.add((i, j))
-    if certified != {(i, j) for i in classes for j in classes
-                     if g.j_leq(i, j)}:
-        raise MismatchBug("retraction order disagrees with the J-order "
-                          "of idempotents")
+    g = green(k.base)
+    _certified_order(k.base, {j: (e, e, e)
+                              for j, (e, *_) in k.classes.items()})
     j_of = g.j_of
-    above = {i: [f for f in k.objects if (i, j_of[f]) in certified]
-             for i in classes}
+    above = {i: [f for f in k.objects if g.j_leq(i, j_of[f])]
+             for i in k.classes}
     return ((e, f) for e in k.objects for f in above[j_of[e]])
 
 
@@ -119,8 +126,10 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
     """Group of invertible arrows e -> e.
 
     The units of the local monoid e·S·e are exactly the H-class of e:
-    u·v = e = v·u puts u in R_e and in L_e.  Each u in H_e is verified
-    to be an arrow e -> e with an inverse in H_e; the group is
+    u·v = e = v·u puts u in R_e and in L_e.  Each u in H_e is certified
+    to factor through the identity of e, so it is an arrow e -> e, and
+    the identity through u by its inverse v = u^(ω−1), a power of u, so
+    v·u = e = u·v (semigroups.certify_composite).  The group is
     assembled from right translations by the units and must equal the
     Schützenberger group of that H-class, permutation for permutation:
     if H_e·y ⊆ H_e then e·y is in H_e and x·y = x·(e·y) on H_e.
@@ -128,14 +137,12 @@ def automorphism_group(k: KaroubiCategory, e: int) -> SchutzGroup:
     if e not in k.objects:
         raise ValueError("not an object")
     s = k.base
-    t = s.table
     g = green(s)
     units = sorted(g.H[g.h_of[e]])
     for u in units:
-        if (t[t[e][u]][e] != u
-                or not any(t[u][v] == e and t[v][u] == e for v in units)):
-            raise MismatchBug("the H-class of the idempotent holds a "
-                              "non-unit of the local monoid")
+        certify_composite(s.table, (e, u, e), (e, e, e), None, u)
+        certify_composite(s.table, (e, e, e), (e, u, e),
+                          omega_plus(s, u, -1), None)
     grp = translation_group(s, tuple(units), units)
     if grp != schutzenberger(s, units):
         raise MismatchBug("automorphism group differs from the "
@@ -364,25 +371,23 @@ def poset_isomorphic(p: LabeledPoset, q: LabeledPoset) -> ComparisonVerdict:
 # -- arrow J-poset versus local-unit poset -----------------------------
 
 
-def _arrow_schutzenberger(s: FiniteSemigroup, g, u: int, f: int) -> SchutzGroup:
-    """Right translations of the H-class of an arrow middle u by arrows
-    f -> f, where u·f = u.
+def _arrow_schutzenberger(s: FiniteSemigroup, g,
+                          arrow: Arrow) -> SchutzGroup:
+    """Right translations of the H-class of the middle u of an arrow
+    (e, u, f) by arrows f -> f.
 
     Composing on the right with (f, y, f) multiplies middles by y.  Each
-    v ≠ u in H_u lies in u·S (v R u), say v = u·z, and y = f·z·f sends
-    u to v (y = f for v = u); the translations by these y must form a
-    group of order |H_u| (semigroups.translation_group).
+    v ≠ u in H_u lies in u·S (v R u), say v = u·z, and (e, v, f) is
+    certified to be (e, u, f) ∘ (f, y, f) with y = f·z·f (y = f for
+    v = u; semigroups.certify_composite); the translations by these y
+    must form a group of order |H_u| (semigroups.translation_group).
     """
-    t = s.table
+    e, u, f = arrow
     h = tuple(sorted(g.H[g.h_of[u]]))
     z_of = right_factors(s, u, h)
-    translators = []
-    for v in h:
-        y = f if v == u else _sandwich(t, f, z_of[v], f)
-        if t[u][y] != v:
-            raise MismatchBug("arrow translation misses its H-class mate")
-        translators.append(y)
-    return translation_group(s, h, translators)
+    return translation_group(s, h, [
+        certify_composite(s.table, (e, v, f), arrow, None, z_of.get(v))[1]
+        for v in h])
 
 
 def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
@@ -396,19 +401,16 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
 
     No arrow is enumerated.  Order claims are certified by composition
     witnesses: from u = l·v·r with e·u·f = u and g·v·h = v, the arrows
-    (e, e·l·g, g) and (h, r·f, f) compose with (g, v, h) to (e, u, f).
-    One search of the two-sided Cayley graph per class, from the middle
-    u₀ of its representative (semigroups.ideal_factors), relates the
-    classes and puts one arrow a = (e, u, f) per middle u below the
-    representative; the D-class gives u₀ = l·u·r the other way
+    (e, e·l·g, g) and (h, r·f, f) compose with (g, v, h) to (e, u, f)
+    (semigroups.certify_composite).  The representatives of the classes
+    are ordered by _certified_order, whose search from the middle u₀ of
+    each representative also puts one arrow a = (e, u, f) per middle u
+    below it; the D-class gives u₀ = l·u·r the other way
     (semigroups.d_class_factors).  Any (e', u, f') is then equivalent
     to a with no lookup: it is (e', e'·e, e) ∘ a ∘ (f, f·f', f'), and a
-    is (e, e·e', e') ∘ (e', u, f') ∘ (f', f'·f, f).  A pair of classes
-    the base order does not relate is refuted by the search itself: u
-    lies outside S¹vS¹, so no composite reaches (e, u, f).  Any failed
+    is (e, e·e', e') ∘ (e', u, f') ∘ (f', f'·f, f).  Any failed
     certificate raises MismatchBug.
     """
-    t = s.table
     g = green(s)
     base_poset = lu_labeled_poset(s, k)
     if not base_poset.elements:
@@ -423,36 +425,15 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
     kset = set(k)
     reps = {jid: arrow_at(min(g.J[jid] & kset))
             for jid in base_poset.elements}
-    ideals = {jid: ideal_factors(s, reps[jid][1])
-              for jid in base_poset.elements}
-
-    def certify_leq(a: Arrow, b: Arrow, factors) -> None:
-        """a ≤ b, given the ideal factors of the middle of b."""
-        (e, u, f), (gg, v, h) = a, b
-        lr = factors.get(u)
-        if lr is None:
-            raise MismatchBug("middles are not J-comparable despite the "
-                              "base order")
-        l, r = lr
-        x = _sandwich(t, e, l, gg)
-        y = _sandwich(t, h, r, f)
-        if t[t[x][v]][y] != u:
-            raise MismatchBug("composition certificate failed")
-
-    for i in base_poset.elements:
-        for j in base_poset.elements:
-            if i == j:
-                continue
-            if g.j_leq(i, j):
-                certify_leq(reps[i], reps[j], ideals[j])
-            elif reps[i][1] in ideals[j]:
-                raise MismatchBug("arrow order exceeds the base order")
-
+    ideals = _certified_order(s, reps)
     for jid, rep in reps.items():
         for u in g.J[jid] & kset:
             a = arrow_at(u)
-            certify_leq(a, rep, ideals[jid])
-            certify_leq(rep, a, {rep[1]: d_class_factors(s, rep[1], u)})
+            # a middle the search missed fails: x·v·y = u puts u in S¹vS¹
+            certify_composite(s.table, a, rep,
+                              *ideals[jid].get(u, (None, None)))
+            certify_composite(s.table, rep, a,
+                              *d_class_factors(s, rep[1], u))
 
     idems = s.idempotents()
     witness = []
@@ -462,11 +443,9 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
         if reg_arrow != reg_base:
             raise MismatchBug("regularity labels disagree")
         e, u, f = reps[jid]
-        hmid = g.H[g.h_of[u]]
-        for v in hmid:
-            if t[t[e][v]][f] != v:
-                raise MismatchBug("H-class middle escapes the hom-set")
-        grp_arrow = _arrow_schutzenberger(s, g, u, f)
+        for v in g.H[g.h_of[u]]:
+            certify_composite(s.table, (e, v, f), (e, v, f), None, None)
+        grp_arrow = _arrow_schutzenberger(s, g, reps[jid])
         if not groups_isomorphic(grp_arrow, grp_base):
             raise MismatchBug("group labels disagree")
         witness.append((jid, jid))

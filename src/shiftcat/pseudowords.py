@@ -258,9 +258,11 @@ def canonical_equal(s: OmegaTerm, t: OmegaTerm) -> bool:
 
 # The most letters times k that unroll(t, k) will spell.  The product
 # bounds the unrolled word, the windows of length k that
-# mirage_membership_k holds (about 32 MiB of tuples at the cap), the
-# factor trie of term_factors and the per-level report of member.  The
-# test suite reaches under 10^6: a 22000-item stdin term at bound 4.
+# mirage_membership_k holds (about 32 MiB of tuples at the cap) and the
+# per-level report of member.  The distinct factors of the word can hold
+# about k³/6 letters, so term_factors also stops when they hold more
+# than this many letters.  The test suite reaches under 10^6 of either:
+# a 22000-item stdin term at bound 4, and (a b)^w at bound 1000.
 _MAX_UNROLL = 4_000_000
 
 
@@ -306,8 +308,11 @@ def term_suffix_k(t: OmegaTerm, k: int) -> Word:
 
 
 def term_factors(t: OmegaTerm, k: int) -> set[Word]:
-    """All factors of length ≤ k of the term (stably, via one unrolling)."""
-    return factors_up_to(unroll(t, k), k)
+    """All factors of length ≤ k of the term (stably, via one unrolling).
+
+    SizeLimit is raised once they hold more than _MAX_UNROLL letters.
+    """
+    return factors_up_to(unroll(t, k), k, _MAX_UNROLL)
 
 
 def mirage_membership(t: OmegaTerm, x: ShiftPresentation, k: int) -> bool:

@@ -2,9 +2,11 @@
 
 Generation from transformations, syntactic semigroups of block
 languages, Green's relations, omega powers, Schützenberger groups,
-local units, factors of two-sided ideals, and inverse pairs of
-idempotents.  Elements are table indices; each carries a witness word
-over the declared alphabet that the generating morphism sends to it.
+local units, factors of two-sided ideals, inverse pairs of idempotents,
+and the certificate that one arrow of the Karoubi envelope factors
+through another.  Elements are table indices; each carries a witness
+word over the declared alphabet that the generating morphism sends to
+it.
 """
 
 from __future__ import annotations
@@ -513,24 +515,36 @@ def ideal_factors(s: FiniteSemigroup,
     return factors
 
 
-def certify_retraction(table, e: int, f: int, x: int, y: int) -> None:
-    """Check that x ∈ e·S·f and y ∈ f·S·e compose to x·y = e.
+Arrow = tuple[int, int, int]
 
-    Read in the Karoubi envelope, x: e -> f and y: f -> e are arrows
-    exhibiting e as a retract of f.  Raises MismatchBug otherwise.
+
+def certify_composite(table, a: Arrow, b: Arrow, l: int | None,
+                      r: int | None) -> tuple[int, int]:
+    """x = e·l·g and y = h·r·f, checked to give x·v·y = u, for arrows
+    a = (e, u, f) and b = (g, v, h) and factors l, r over S¹ (None
+    stands for the adjoined identity).
+
+    Read in the Karoubi envelope, x: e -> g and y: h -> f are arrows
+    with a = x ∘ b ∘ y, so a factors through b.  Returns (x, y); raises
+    MismatchBug otherwise.
     """
-    if (table[table[e][x]][f] != x or table[table[f][y]][e] != y
-            or table[x][y] != e):
-        raise MismatchBug(f"retraction certificate ({x}, {y}) of {e} "
-                          f"through {f} fails")
+    e, u, f = a
+    g, v, h = b
+    x = table[e][g] if l is None else table[table[e][l]][g]
+    y = table[h][f] if r is None else table[table[h][r]][f]
+    if table[table[x][v]][y] != u:
+        raise MismatchBug(f"composition certificate failed: {a} is not "
+                          f"{x}·{v}·{y}")
+    return x, y
 
 
 def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
     """a, a' with a·a' = e and a'·a = f, for D-related idempotents e, f.
 
     a is the least element of R_e ∩ L_f and a' its inverse in R_f ∩ L_e
-    (Miller–Clifford); the pair is verified both ways as a retraction,
-    so (e, a, f) and (f, a', e) are mutually inverse arrows.
+    (Miller–Clifford); the identity of each of e and f is certified to
+    factor through the other's by a and a' (certify_composite), so
+    (e, a, f) and (f, a', e) are mutually inverse arrows.
     """
     g = green(s)
     t = s.table
@@ -540,9 +554,8 @@ def inverse_pair(s: FiniteSemigroup, e: int, f: int) -> tuple[int, int]:
         None)
     if a is None or a_inv is None:
         raise MismatchBug("D-related idempotents admit no inverse pair")
-    certify_retraction(t, e, f, a, a_inv)
-    certify_retraction(t, f, e, a_inv, a)
-    return a, a_inv
+    certify_composite(t, (f, f, f), (e, e, e), a_inv, a)
+    return certify_composite(t, (e, e, e), (f, f, f), a, a_inv)
 
 
 def _least_meet(g: GreenData, x: int, y: int) -> int | None:

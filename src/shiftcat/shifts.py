@@ -365,6 +365,14 @@ def is_block(x: ShiftPresentation, w: Word) -> bool:
     return x.subset_automaton().read(0, w.letters) is not None
 
 
+# The most vertices the interned states of one subset automaton hold,
+# counted with multiplicity.  A presentation on n vertices can have up
+# to 2^n subset states, each holding up to n vertices, so a count of
+# states alone would not bound the memory.  The tests' inputs hold at
+# most 81 920, the benchmark's 108 and seeded_sofic(40, 2) 772 831.
+_MAX_SUBSET_VERTICES = 2**20
+
+
 class SubsetAutomaton:
     """The subset automaton of the path-label NFA of g, built on demand.
 
@@ -372,6 +380,8 @@ class SubsetAutomaton:
     set once, as states[i] in discovery order, and row(i), its
     successors in alphabet order (the empty set included), is computed
     once.  A word is a block iff it walks 0 to a nonempty state.
+    Interning a state past _MAX_SUBSET_VERTICES held vertices raises
+    SizeLimit.
     """
 
     def __init__(self, g: LabeledGraph, alphabet: Alphabet):
@@ -381,12 +391,17 @@ class SubsetAutomaton:
         self.states: list[frozenset] = []
         self.index: dict[frozenset, int] = {}
         self.rows: dict[int, list[int]] = {}
+        self.held = 0
         self.state(frozenset(g.vertices))
 
     def state(self, vertices: frozenset) -> int:
         """The id of a vertex set, interned on first sight."""
         i = self.index.get(vertices)
         if i is None:
+            self.held += len(vertices)
+            if self.held > _MAX_SUBSET_VERTICES:
+                raise SizeLimit("subset automaton holds more than "
+                                f"{_MAX_SUBSET_VERTICES} vertices")
             i = self.index[vertices] = len(self.states)
             self.states.append(vertices)
         return i

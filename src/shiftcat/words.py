@@ -9,6 +9,8 @@ alphabets) behave the same as single letters.
 
 from __future__ import annotations
 
+from .errors import SizeLimit
+
 # how a Record's __init__ sets its fields
 _set = object.__setattr__
 
@@ -192,18 +194,21 @@ def suffix_k(u: Word, k: int) -> Word:
     return Word(u.alphabet, u.letters[-k:])
 
 
-def factors_up_to(u: Word, k: int) -> set[Word]:
+def factors_up_to(u: Word, k: int, limit: int | None = None) -> set[Word]:
     """All nonempty factors of u of length at most k.
 
     The factors starting at each position are walked down a trie of the
     factors found so far, so a Word is built once per distinct factor,
-    not once per position and length.
+    not once per position and length.  With a limit, SizeLimit is raised
+    as soon as the factors found hold more than limit letters in all,
+    which also bounds the trie: it has one node per factor.
     """
     if k < 1:
         raise ValueError("k must be positive")
     out: set[Word] = set()
     trie: dict = {}
     letters, n = u.letters, len(u)
+    held = 0
     for i in range(n):
         node = trie
         for j in range(i, min(i + k, n)):
@@ -211,6 +216,10 @@ def factors_up_to(u: Word, k: int) -> set[Word]:
             if nxt is None:
                 nxt = node[letters[j]] = {}
                 out.add(Word(u.alphabet, letters[i:j + 1]))
+                held += j + 1 - i
+                if limit is not None and held > limit:
+                    raise SizeLimit(f"factors of length at most {k} hold "
+                                    f"more than {limit} letters")
             node = nxt
     return out
 

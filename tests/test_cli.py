@@ -494,6 +494,32 @@ def test_a_de_bruijn_graph_over_the_size_limit_is_refused(capsys,
         "blocks"] == ["a", "b"]
 
 
+def test_a_subset_automaton_over_the_cap_is_refused(capsys, monkeypatch,
+                                                    tmp_path):
+    # 20 vertices present the full 2-shift, yet reading a from the whole
+    # set visits every nonempty subset: 10 485 760 vertices held, where
+    # the parent took 12.8 s and 1079 MiB
+    n = 20
+    edges = [[str(i), "a", str((i + 1) % n)] for i in range(n)]
+    edges += [["0", "b", "1"]] + [[str(i), "b", str(i)] for i in range(1, n)]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "kind": "sofic",
+                                "vertices": [str(i) for i in range(n)],
+                                "edges": edges}))
+    p = fresh(["zeta", str(path), "--order", "2"])
+    assert (p.returncode, p.stdout) == (1, b"")
+    assert p.stderr == (b"error: SizeLimit: subset automaton holds more "
+                        b"than 1048576 vertices\n")
+    # even's subset automaton holds 4 vertices in its 4 states
+    monkeypatch.setattr(shifts, "_MAX_SUBSET_VERTICES", 4)
+    assert run_json(capsys, "zeta", EVEN, "--order", "3")["p"] == [2, 2, 5]
+    monkeypatch.setattr(shifts, "_MAX_SUBSET_VERTICES", 3)
+    code, out, err = run(capsys, "zeta", EVEN, "--order", "3")
+    assert (code, out) == (1, "")
+    assert err == ("error: SizeLimit: subset automaton holds more than 3 "
+                   "vertices\n")
+
+
 def test_usage_exit_codes(capsys):
     assert run(capsys, "no-such-command")[0] == 64
     assert run(capsys, "blocks", GOLDEN)[0] == 64
@@ -747,6 +773,23 @@ def test_a_large_bound_is_refused_before_unrolling(capsys, argv):
                    "level 100000000: letters times level exceeds 4000000\n")
 
 
+def test_term_factors_are_refused_past_the_unroll_cap(capsys):
+    # the distinct factors of a random 300-letter word hold 4 535 918
+    # letters, of a 500-letter one 20 940 272; those of (a b)^w at bound
+    # 1000, 1 001 000
+    for n in (300, 500):
+        rng = random.Random(n)
+        word = " ".join(rng.choice("ab") for _ in range(n))
+        code, out, err = run(capsys, "term", "factors", FULL2, word,
+                             "--bound", str(n))
+        assert (code, out) == (1, ""), n
+        assert err == (f"error: SizeLimit: factors of length at most {n} "
+                       "hold more than 4000000 letters\n")
+    report = run_json(capsys, "term", "factors", FULL2, "(a b)^w",
+                      "--bound", "1000")
+    assert len(report["factors"]) == 2000
+
+
 def test_code_apply_over_the_size_limit_is_a_one_line_error(capsys,
                                                            tmp_path):
     """Eight vertices joined every way by a, at wing 2, have 8^6 paths
@@ -990,6 +1033,17 @@ def test_a_text_on_stdin_that_is_not_utf8_is_a_one_line_error(
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["member", EVEN, "-"],
+                                  ["classify", EVEN, "-", "--letter", "a"],
+                                  ["term", "factors", EVEN, "-"]],
+                         ids=lambda argv: argv[0])
+def test_a_closed_stdin_is_a_one_line_error(capsys, monkeypatch, argv):
+    # as in a process started with stdin closed (`<&-`)
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: stdin is closed\n")
 
 
 def test_failure_exit_code_for_bad_term(capsys):

@@ -84,7 +84,8 @@ def test_an_expansion_that_differs_only_beyond_length_six_is_refused():
     for source, other in ((full2, no_b7), (no_b7, full2)):
         ctx = ExpansionContext(source, "a", "o",
                                expand_shift(other, "a").target)
-        with pytest.raises(MismatchBug):
+        with pytest.raises(MismatchBug, match="^the expanded presentation "
+                           "and the source disagree on the expansion"):
             flowops._characterization_check(ctx)
 
 
@@ -415,6 +416,35 @@ def test_expansion_rejects_a_non_mirage_component():
     t = parse_term(AB, "(a)^w")
     with pytest.raises(InvalidArrow):
         functor_F((t, parse_term(AB, "b b"), t), gctx)
+
+
+def test_expansion_refutes_an_image_outside_the_target_mirage(monkeypatch):
+    # the source components pass; every component of the image fails
+    monkeypatch.setattr(flowops, "mirage_membership",
+                        lambda t, x, k: x is CTX.source)
+    t = parse_term(EVEN.alphabet, "(b)^w")
+    with pytest.raises(MismatchBug, match="^expanded component left the "
+                                          "mirage of the expanded shift$"):
+        functor_F((t, t, t), CTX)
+
+
+def test_contraction_refutes_an_image_outside_the_source_mirage(monkeypatch):
+    monkeypatch.setattr(flowops, "mirage_membership",
+                        lambda t, x, k: x is CTX.target)
+    t = term("(b)^w")
+    with pytest.raises(MismatchBug, match="^contracted component left the "
+                                          "mirage of the source shift$"):
+        functor_G((t, t, t), CTX)
+
+
+def test_classification_refutes_a_local_test_against_the_round_trip(
+        monkeypatch):
+    image_E = flowops.image_E_membership
+    monkeypatch.setattr(flowops, "image_E_membership",
+                        lambda *args: not image_E(*args))
+    with pytest.raises(MismatchBug, match="^local expansion-image test "
+                                          "disagrees with the round trip$"):
+        classify_type(term("a o b"), CTX)
 
 
 def test_contraction_rejects_a_marker_only_component():

@@ -24,7 +24,7 @@ from shiftcat.karoubi import (ComparisonVerdict, LabeledPoset,
 from shiftcat.pseudowords import (canonical, canonical_equal, parse_term,
                                   quotient_equal)
 from shiftcat.semigroups import (FiniteSemigroup, GreenData, SchutzGroup,
-                                 battery, certify_retraction, generate, green,
+                                 battery, certify_composite, generate, green,
                                  ideal_factors, inverse_pair, local_units,
                                  random_transformation_semigroup,
                                  schutzenberger, syntactic_semigroup,
@@ -412,7 +412,7 @@ def test_comparison_refutes_a_dropped_j_order_pair(monkeypatch, even_sg):
     assert lu_labeled_poset(s, range(s.size)).order == {
         (0, 0), (1, 1), (2, 2), (2, 0), (2, 1), (0, 1)}
     with_green(monkeypatch, s, j_below=g.j_below - {(0, 1)})
-    with pytest.raises(MismatchBug, match="arrow order exceeds the base"):
+    with pytest.raises(MismatchBug, match="arrow order exceeds the J-order"):
         karoubi_vs_lu_comparison(s, range(s.size))
 
 
@@ -436,7 +436,7 @@ def test_comparison_refutes_an_h_class_outside_the_hom_set(monkeypatch,
     h_of = list(g.h_of)
     h_of[u0] = next(g.h_of[w] for w in range(s.size) if t[t[e][w]][f] != w)
     with_green(monkeypatch, s, h_of=tuple(h_of))
-    with pytest.raises(MismatchBug, match="H-class middle escapes"):
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
         karoubi_vs_lu_comparison(s, range(s.size))
 
 
@@ -444,8 +444,21 @@ def test_comparison_refutes_a_translation_off_its_h_class(monkeypatch):
     s = z3()
     monkeypatch.setattr(karoubi, "right_factors",
                         lambda s, u, h: dict.fromkeys(v for v in h if v != u))
-    with pytest.raises(MismatchBug, match="misses its H-class mate"):
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
         karoubi_vs_lu_comparison(s, range(s.size))
+
+
+def test_automorphism_group_refutes_a_wrong_schutzenberger_group(
+        monkeypatch):
+    # the Schützenberger group of Z/3 cut down to its identity
+    s = z3()
+    e = s.idempotents()[0]
+    h = tuple(sorted(green(s).H[green(s).h_of[e]]))
+    monkeypatch.setattr(karoubi, "schutzenberger", lambda s, hclass: (
+        SchutzGroup(h, frozenset({tuple(range(len(h)))}), 1)))
+    with pytest.raises(MismatchBug, match="^automorphism group differs from "
+                                          "the Schützenberger group"):
+        automorphism_group(build(s), e)
 
 
 def test_comparison_refutes_unequal_group_labels(monkeypatch):
@@ -521,21 +534,22 @@ def test_a_corrupted_certificate_raises(even_sg):
     e, f = next((e, f) for e in s.idempotents() for f in s.idempotents()
                 if g.j_of[e] != g.j_of[f] and g.j_leq(g.j_of[e], g.j_of[f]))
     l, r = ideal_factors(s, f)[e]
-    x = s.product(e if l is None else s.product(e, l), f)
-    y = s.product(f if r is None else s.product(f, r), e)
-    certify_retraction(t, e, f, x, y)
+    x, y = certify_composite(t, (e, e, e), (f, f, f), l, r)
+    assert (x, y) == (s.product(e if l is None else s.product(e, l), f),
+                      s.product(f if r is None else s.product(f, r), e))
     bad = [list(row) for row in t]
     bad[x][y] = next(z for z in range(s.size) if z != e)
-    with pytest.raises(MismatchBug):
-        certify_retraction(bad, e, f, x, y)
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
+        certify_composite(bad, (e, e, e), (f, f, f), l, r)
     # the inverse pair of a D-class, with one of its products flipped
     e, f = next((e, f) for e in s.idempotents() for f in s.idempotents()
                 if e != f and g.j_of[e] == g.j_of[f])
     a, a_inv = inverse_pair(s, e, f)
+    assert certify_composite(t, (f, f, f), (e, e, e), a_inv, a) == (a_inv, a)
     bad = [list(row) for row in t]
     bad[a_inv][a] = e
-    with pytest.raises(MismatchBug):
-        certify_retraction(bad, f, e, a_inv, a)
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
+        certify_composite(bad, (f, f, f), (e, e, e), a_inv, a)
 
 
 def test_retraction_order_refutes_a_wrong_j_order(monkeypatch, even_sg):
@@ -548,7 +562,7 @@ def test_retraction_order_refutes_a_wrong_j_order(monkeypatch, even_sg):
     wrong = GreenData(*(getattr(g, name) for name in GreenData.__slots__[:-2]),
                       g.j_below - {dropped}, g.regular)
     monkeypatch.setattr(s, "_green", wrong)
-    with pytest.raises(MismatchBug, match="disagrees with the J-order"):
+    with pytest.raises(MismatchBug, match="arrow order exceeds the J-order"):
         retraction_order(build(s))
 
 
@@ -564,7 +578,7 @@ def test_retraction_order_refutes_wrong_ideal_factors(monkeypatch):
                and t[t[e][f]][e] != e for e in firsts for f in firsts)
     monkeypatch.setattr(karoubi, "ideal_factors", lambda s, f: dict.fromkeys(
         ideal_factors(s, f), (None, None)))
-    with pytest.raises(MismatchBug, match="retraction certificate"):
+    with pytest.raises(MismatchBug, match="composition certificate failed"):
         retraction_order(build(s))
 
 
@@ -596,12 +610,12 @@ def test_retraction_order_certifies_each_class_pair_once(monkeypatch,
         searches.append(f)
         return ideal_factors(s, f)
 
-    def counted_retraction(*args):
+    def counted_certificate(*args):
         retractions.append(args)
-        certify_retraction(*args)
+        return certify_composite(*args)
 
     monkeypatch.setattr(karoubi, "ideal_factors", counted_search)
-    monkeypatch.setattr(karoubi, "certify_retraction", counted_retraction)
+    monkeypatch.setattr(karoubi, "certify_composite", counted_certificate)
     cat = build(s)
     assert len(list(retraction_order(cat))) == 188_792
     assert (len(cat.objects), len(searches), len(retractions)) == (518, 5, 14)

@@ -17,8 +17,9 @@ from shiftcat.semigroups import (FiniteSemigroup, SchutzGroup, generate,
                                  green, groups_isomorphic, index_and_period,
                                  inverse_pair, local_units, omega_plus,
                                  omega_power, random_transformation_semigroup,
-                                 schutzenberger, syntactic_semigroup,
-                                 translation_group, unit_pairs)
+                                 right_factors, schutzenberger,
+                                 syntactic_semigroup, translation_group,
+                                 unit_pairs)
 from shiftcat.shifts import is_block, right_cayley_graph
 from shiftcat.words import Alphabet, Word
 
@@ -670,6 +671,41 @@ def test_conjugation_witness_or_refusal(corpus_semigroups):
             else:
                 with pytest.raises(MismatchBug):
                     inverse_pair(s, e, f)
+
+
+# -- refutations: one corrupted input per MismatchBug ------------------
+
+
+def test_an_l_partition_splitting_a_d_class_is_refuted(corpus_semigroups):
+    # with every element its own L-class, the 2x2 D-class of even has
+    # elements outside the L-classes of the R-class of its least one
+    s, _ = corpus_semigroups["even"]
+    g = green(s)
+    with pytest.raises(MismatchBug, match="^J-class is not a single "
+                                          "D-class$"):
+        semigroups._assert_j_equals_d(s, g.J, g.r_of, tuple(range(s.size)))
+
+
+def test_an_h_class_mate_outside_the_right_ideal_is_refuted(
+        corpus_semigroups):
+    s, _ = corpus_semigroups["even"]
+    u, v = next((u, v) for u in range(s.size) for v in range(s.size)
+                if v not in s.table[u])
+    with pytest.raises(MismatchBug, match="^H-class element outside u·S$"):
+        right_factors(s, u, (u, v))
+
+
+def test_local_units_splitting_a_j_class_are_refuted(corpus_semigroups,
+                                                     monkeypatch):
+    s, _ = corpus_semigroups["even"]
+    pairs = unit_pairs(s)
+    cl = next(cl for cl in green(s).J if len(cl & pairs.keys()) > 1)
+    dropped = min(cl)
+    monkeypatch.setattr(semigroups, "unit_pairs", lambda s: {
+        x: pair for x, pair in pairs.items() if x != dropped})
+    with pytest.raises(MismatchBug, match="^local units are not a union of "
+                                          "J-classes$"):
+        local_units(s, range(s.size))
 
 
 # -- misc --------------------------------------------------------------------
