@@ -379,8 +379,9 @@ def _arrow_schutzenberger(s: FiniteSemigroup, g,
     Composing on the right with (f, y, f) multiplies middles by y.  Each
     v ≠ u in H_u lies in u·S (v R u), say v = u·z, and (e, v, f) is
     certified to be (e, u, f) ∘ (f, y, f) with y = f·z·f (y = f for
-    v = u; semigroups.certify_composite); the translations by these y
-    must form a group of order |H_u| (semigroups.translation_group).
+    v = u; semigroups.certify_composite), which also puts v in the
+    hom-set eSf; the translations by these y must form a group of order
+    |H_u| (semigroups.translation_group).
     """
     e, u, f = arrow
     h = tuple(sorted(g.H[g.h_of[u]]))
@@ -429,9 +430,11 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
     for jid, rep in reps.items():
         for u in g.J[jid] & kset:
             a = arrow_at(u)
-            # a middle the search missed fails: x·v·y = u puts u in S¹vS¹
-            certify_composite(s.table, a, rep,
-                              *ideals[jid].get(u, (None, None)))
+            lr = ideals[jid].get(u)
+            if lr is None:
+                raise MismatchBug("middles are not J-comparable despite "
+                                  "the J-order")
+            certify_composite(s.table, a, rep, *lr)
             certify_composite(s.table, rep, a,
                               *d_class_factors(s, rep[1], u))
 
@@ -442,9 +445,6 @@ def karoubi_vs_lu_comparison(s: FiniteSemigroup, k) -> ComparisonVerdict:
         reg_arrow = any(g.j_of[w] == jid for w in idems)
         if reg_arrow != reg_base:
             raise MismatchBug("regularity labels disagree")
-        e, u, f = reps[jid]
-        for v in g.H[g.h_of[u]]:
-            certify_composite(s.table, (e, v, f), (e, v, f), None, None)
         grp_arrow = _arrow_schutzenberger(s, g, reps[jid])
         if not groups_isomorphic(grp_arrow, grp_base):
             raise MismatchBug("group labels disagree")

@@ -194,14 +194,14 @@ def suffix_k(u: Word, k: int) -> Word:
     return Word(u.alphabet, u.letters[-k:])
 
 
-def factors_up_to(u: Word, k: int, limit: int | None = None) -> set[Word]:
+def factors_up_to(u: Word, k: int, limit: int) -> set[Word]:
     """All nonempty factors of u of length at most k.
 
     The factors starting at each position are walked down a trie of the
     factors found so far, so a Word is built once per distinct factor,
-    not once per position and length.  With a limit, SizeLimit is raised
-    as soon as the factors found hold more than limit letters in all,
-    which also bounds the trie: it has one node per factor.
+    not once per position and length.  SizeLimit is raised as soon as
+    the factors found hold more than limit letters in all, which also
+    bounds the trie: it has one node per factor.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -217,7 +217,7 @@ def factors_up_to(u: Word, k: int, limit: int | None = None) -> set[Word]:
                 nxt = node[letters[j]] = {}
                 out.add(Word(u.alphabet, letters[i:j + 1]))
                 held += j + 1 - i
-                if limit is not None and held > limit:
+                if held > limit:
                     raise SizeLimit(f"factors of length at most {k} hold "
                                     f"more than {limit} letters")
             node = nxt

@@ -378,6 +378,21 @@ def test_comparison_refutes_a_search_that_misses_the_middle(monkeypatch,
         karoubi_vs_lu_comparison(s, range(s.size))
 
 
+def test_comparison_refutes_a_search_that_misses_another_middle(
+        monkeypatch, even_sg):
+    # each search keeps only the least middle of each J-class: the
+    # representatives are still ordered, the other middles are missed
+    s, _ = even_sg
+    least = {min(j) for j in green(s).J}
+    assert len(least) < s.size
+    monkeypatch.setattr(karoubi, "ideal_factors",
+                        lambda s, v: {u: lr for u, lr
+                                      in ideal_factors(s, v).items()
+                                      if u in least})
+    with pytest.raises(MismatchBug, match="middles are not J-comparable"):
+        karoubi_vs_lu_comparison(s, range(s.size))
+
+
 def test_comparison_refutes_wrong_ideal_factors(monkeypatch, even_sg):
     s, _ = even_sg
     monkeypatch.setattr(karoubi, "ideal_factors",
@@ -428,7 +443,8 @@ def test_comparison_refutes_a_flipped_regularity_label(monkeypatch,
 def test_comparison_refutes_an_h_class_outside_the_hom_set(monkeypatch,
                                                            even_sg):
     # the least middle of class 0 takes the H-class of an element that
-    # its unit pair does not fix
+    # its unit pair does not fix; the translations of its H-class find
+    # an element outside u0·S
     s, _ = even_sg
     t, g = s.table, green(s)
     u0 = min(g.J[0])
@@ -436,7 +452,7 @@ def test_comparison_refutes_an_h_class_outside_the_hom_set(monkeypatch,
     h_of = list(g.h_of)
     h_of[u0] = next(g.h_of[w] for w in range(s.size) if t[t[e][w]][f] != w)
     with_green(monkeypatch, s, h_of=tuple(h_of))
-    with pytest.raises(MismatchBug, match="composition certificate failed"):
+    with pytest.raises(MismatchBug, match="H-class element outside u·S"):
         karoubi_vs_lu_comparison(s, range(s.size))
 
 

@@ -250,7 +250,7 @@ def test_term_factors_match_deep_unfolding():
         t = t_ab(text)
         deep = Word(AB, oracles.unfold(t, DEEP))
         for k in (1, 2, 3, 4):
-            assert term_factors(t, k) == factors_up_to(deep, k)
+            assert term_factors(t, k) == factors_up_to(deep, k, 10**6)
 
 
 def test_unroll_refuses_exactly_above_its_cap(monkeypatch):
@@ -259,7 +259,7 @@ def test_unroll_refuses_exactly_above_its_cap(monkeypatch):
     monkeypatch.setattr(pseudowords, "_MAX_UNROLL", 25 * 10)
     assert len(unroll(t, 10)) == 25
     assert term_factors(t, 10) == factors_up_to(
-        Word(AB, oracles.unfold(t, DEEP)), 10)
+        Word(AB, oracles.unfold(t, DEEP)), 10, 10**6)
     monkeypatch.setattr(pseudowords, "_MAX_UNROLL", 25 * 10 - 1)
     for call in (lambda: unroll(t, 10), lambda: term_factors(t, 10),
                  lambda: mirage_levels(t, util.load("full2"), 10)):
@@ -288,7 +288,7 @@ def test_affixes_and_factors_ignore_the_exponent_offsets(t, shift, k):
     deep = Word(AB, oracles.unfold(t, k + max_q + 2))
     assert term_prefix_k(t, k) == Word(AB, deep.letters[:k])
     assert term_suffix_k(t, k) == Word(AB, deep.letters[-k:])
-    assert term_factors(t, k) == factors_up_to(deep, k)
+    assert term_factors(t, k) == factors_up_to(deep, k, 10**6)
     assert (image_E_membership(unroll(t, 2), "a", "b")
             == image_E_membership(Word(AB, oracles.unfold(t, max_q + 4)),
                                   "a", "b"))

@@ -564,7 +564,7 @@ def test_word_mirage_equals_factor_legality(corpus):
             u = x.word(text)
             for k in (1, 2, 3):
                 expected = all(rule(f.as_str())
-                               for f in factors_up_to(u, k))
+                               for f in factors_up_to(u, k, 10**6))
                 assert mirage_membership_k(x, u, k) == expected, (text, k)
 
 
@@ -588,7 +588,8 @@ def test_word_mirage_equals_factor_sets_on_random_shifts():
                     letters[rng.randrange(n)] = rng.choice(x.alphabet.symbols)
             u = x.word(letters)
             for k in range(1, n + 3):
-                expected = all(is_block(x, f) for f in factors_up_to(u, k))
+                expected = all(is_block(x, f)
+                               for f in factors_up_to(u, k, 10**6))
                 assert mirage_membership_k(x, u, k) == expected, \
                     (x.to_json(), letters, k)
         with pytest.raises(ValueError, match="nonempty"):
@@ -691,5 +692,5 @@ def test_block_factor_closure(text):
     x = util.load("even")
     u = x.word(text)
     if is_block(x, u):
-        for f in factors_up_to(u, len(u)):
+        for f in factors_up_to(u, len(u), 10**6):
             assert is_block(x, f)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from shiftcat.errors import SizeLimit
 from shiftcat.words import (Alphabet, Word, factors_up_to, is_primitive,
                             prefix_k, primitive_root, suffix_k,
                             word_from_json, word_to_json)
@@ -55,8 +56,12 @@ def test_prefix_suffix_clamp():
 
 def test_factors_up_to_exact():
     u = w("abba")
-    fs = {v.as_str() for v in factors_up_to(u, 2)}
+    fs = {v.as_str() for v in factors_up_to(u, 2, 8)}
     assert fs == {"a", "b", "ab", "bb", "ba"}
+    # a, b, ab, bb and ba hold 8 letters in all
+    with pytest.raises(SizeLimit, match="^factors of length at most 2 hold "
+                                        "more than 7 letters$"):
+        factors_up_to(u, 2, 7)
 
 
 def test_factors_up_to_match_every_slice(monkeypatch):
@@ -72,7 +77,7 @@ def test_factors_up_to_match_every_slice(monkeypatch):
                         for _ in range(rng.randint(0, 40)))
         k = rng.randint(1, 12)
         built.clear()
-        got = factors_up_to(Word(abc, letters), k)
+        got = factors_up_to(Word(abc, letters), k, 10**6)
         assert len(built) == len(got)
         assert {f.letters for f in got} == oracles.factors_up_to(letters, k)
         assert all(f.alphabet == abc for f in got)
