@@ -271,8 +271,9 @@ def cmd_blocks(args) -> int:
     from .shifts import spell_blocks
     _check_positive(args.order, "--order")
     x = _load_shift(args.shift)
-    # the store is filled, or refused, here, before any byte is written;
-    # a longer symbol makes each block a list of symbols, as
+    # the blocks are counted, and refused over the limit, here, before
+    # any byte is written, and spelled as the report is written; a
+    # longer symbol makes each block a list of symbols, as
     # words.word_to_json writes it, spaced out in text
     single = x.alphabet.is_single_char()
     images = x.alphabet.symbols if single else [[a] for a in x.alphabet]
@@ -530,12 +531,41 @@ def _suite_word_code_identities(seed: int) -> tuple[bool, dict]:
 
 
 def _suite_zeta_integrality(seed: int | None) -> tuple[bool, dict]:
-    from .shifts import zeta
+    from .shifts import is_periodic_point, ordered_blocks, zeta
     out = {}
     for name, x in _corpus().items():
         z = zeta(x, 10)
+        # p(n) again, as the blocks w of length n with w^∞ in x
+        p = [0] * 10
+        for w in ordered_blocks(x, 10):
+            p[len(w) - 1] += is_periodic_point(x, w)
+        if p != list(z.p):
+            return False, {"failure": {"shift": name, "p": list(z.p),
+                                       "periodic_blocks": p}}
         out[name] = [int(c) for c in z.coefficients]
     return True, {"coefficients": out}
+
+
+def _d_class_census(s) -> dict[int, int]:
+    """iso_class_census of s's Karoubi envelope counted again, as the
+    idempotents per D-class: e D f iff R_e meets L_f."""
+    from .semigroups import green
+    g = green(s)
+    meets = set(zip(g.r_of, g.l_of))
+    classes: list[list[int]] = []
+    for e in range(s.size):
+        if s.table[e][e] != e:
+            continue
+        for cl in classes:
+            if (g.r_of[e], g.l_of[cl[0]]) in meets:
+                cl.append(e)
+                break
+        else:
+            classes.append([e])
+    census: dict[int, int] = {}
+    for cl in classes:
+        census[len(cl)] = census.get(len(cl), 0) + len(cl)
+    return census
 
 
 def _suite_census_coherence(seed: int) -> tuple[bool, dict]:
@@ -553,9 +583,13 @@ def _suite_census_coherence(seed: int) -> tuple[bool, dict]:
         s = random_transformation_semigroup(ab, rng.randrange(2, 5), rng)
         if s.size <= 60:
             pairs.append((f"random-{i}", s))
-    rows = [{"name": name, "census": {str(k): v for k, v in
-                                      iso_class_census(build(s)).items()}}
-            for name, s in pairs]
+    rows = []
+    for name, s in pairs:
+        census = iso_class_census(build(s))
+        if census != _d_class_census(s):
+            return False, {"failure": name}
+        rows.append({"name": name,
+                     "census": {str(k): v for k, v in census.items()}})
     return True, {"semigroups": rows}
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import (ClassificationFailure, InvalidArrow, MismatchBug,
                      NotIdempotentWitness, NotInMirage2, SizeLimit)
-from .pseudowords import (OmegaTerm, Verdict, canonical, check_arrow,
+from .pseudowords import (OmegaTerm, Verdict, canonical,
                           check_equal_in_quotients, connector, format_term,
                           idempotent_terms, image_E_membership,
                           mirage_membership, quotient_equal, term_contract,
@@ -151,9 +151,8 @@ def _classify(w, ctx: ExpansionContext):
 # -- the flow functors --------------------------------------------------
 
 
-def functor_F(arrow, ctx: ExpansionContext, tests=()):
+def functor_F(arrow, ctx: ExpansionContext):
     """Componentwise expansion of an arrow of terms over the source."""
-    check_arrow(arrow, tests)
     for comp in arrow:
         if not mirage_membership(comp, ctx.source, _LEVEL):
             raise InvalidArrow("component is not a mirage member of the "

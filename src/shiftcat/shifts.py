@@ -133,11 +133,6 @@ class ShiftPresentation:
         else:
             self._raw = None
         self._graph: LabeledGraph | None = None
-        # the blocks of each length m, in alphabet order, as three
-        # parallel arrays: the index of the block's length-(m-1) prefix
-        # in level m - 1, its last letter's index in the alphabet, and
-        # the state of _subsets its path ends in
-        self._blocks: dict[int, tuple] = {}
         self._subsets: SubsetAutomaton | None = None
 
     # -- constructors -------------------------------------------------
@@ -258,9 +253,9 @@ def _vertex_name(v: Hashable) -> str:
     return str(v)
 
 
-# The most blocks `blocks` will hold.  The store keeps 12 bytes a block;
-# at the limit, spelling them for `shiftcat blocks` peaks at about 40 MiB
-# and ordered_blocks' list of Words holds about 50 MiB.  The test suite
+# The most blocks `blocks` will spell.  Golden-mean has 196 415 up to
+# length 23: `shiftcat blocks` spells them at a 13 MiB tracemalloc peak,
+# and ordered_blocks' list of Words holds 51 MiB.  The test suite
 # reaches 32766 (full-2 up to length 14), the benchmark 8190 (up to 12).
 _MAX_BLOCKS = 200_000
 
@@ -286,52 +281,35 @@ def spell_blocks(x: ShiftPresentation, n: int, images, unit) -> Iterator:
     ordered_blocks, each spelled as unit + images[i] + images[j] + ...
     over the alphabet indices i, j, ... of its letters: with the symbols
     and "" they are the blocks' strings, with one-letter tuples and ()
-    their letters.  The store is filled, or SizeLimit raised, by the
-    call; each level is spelled from the one below it when the first of
-    its blocks is asked for, so a block costs one concatenation."""
+    their letters.  The call counts them, and raises SizeLimit over
+    _MAX_BLOCKS; each level is spelled from the one below it when the
+    first of its blocks is asked for, so a block costs one
+    concatenation."""
     if n < 1:
         raise ValueError("n must be positive")
-    _fill_blocks(x, n)
-    return _spell(x._blocks, n, images, unit)
-
-
-def _spell(store, n: int, images, unit) -> Iterator:
-    level = [unit]
-    for m in range(1, n + 1):
-        prefix, letter, _ = store[m]
-        level = [level[p] + images[k] for p, k in zip(prefix, letter)]
-        yield from level
-
-
-def _fill_blocks(x: ShiftPresentation, n: int) -> None:
-    # extend the store x._blocks to every length up to n; a level in
-    # alphabet order extended letter by letter in alphabet order stays so
-    have = max(x._blocks) if x._blocks else 0
-    if have >= n:
-        return
-    sub = x.subset_automaton()
     if _more_blocks_than(x, n, _MAX_BLOCKS):
         raise SizeLimit(f"more than {_MAX_BLOCKS} blocks of length at "
                         f"most {n}")
-    # imported here: loading the array module costs about 0.4 MiB of
-    # peak RSS, which the subcommands that store no block need not pay
-    from array import array
-    ends = x._blocks[have][2] if have else array("I", [0])
-    # per state, the (letter, successor) pairs whose successor is nonempty
-    live: dict[int, list[tuple[int, int]]] = {}
-    for m in range(have + 1, n + 1):
-        prefix, letter, nxt = array("I"), array("I"), array("I")
-        for p, e in enumerate(ends):
-            succ = live.get(e)
-            if succ is None:
-                succ = live[e] = [(k, j) for k, j in enumerate(sub.row(e))
-                                  if sub.states[j]]
-            for k, j in succ:
-                prefix.append(p)
-                letter.append(k)
-                nxt.append(j)
-        x._blocks[m] = (prefix, letter, nxt)
-        ends = nxt
+    return _spell(x.subset_automaton(), n, images, unit)
+
+
+def _spell(sub: SubsetAutomaton, n: int, images, unit) -> Iterator:
+    # one level of blocks beside the states their paths end in, and per
+    # state the images and successors of the letters that lead to a
+    # nonempty state; a level in alphabet order extended letter by letter
+    # in alphabet order stays so
+    words, ends = [unit], [0]
+    imgs: dict[int, list] = {}
+    succ: dict[int, list[int]] = {}
+    for _ in range(n):
+        for s in dict.fromkeys(ends):
+            if s not in imgs:
+                row = sub.row(s)
+                imgs[s] = [a for a, j in zip(images, row) if sub.states[j]]
+                succ[s] = [j for j in row if sub.states[j]]
+        words = [w + img for w, s in zip(words, ends) for img in imgs[s]]
+        ends = [j for s in ends for j in succ[s]]
+        yield from words
 
 
 def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
@@ -340,8 +318,8 @@ def _more_blocks_than(x: ShiftPresentation, n: int, cap: int) -> bool:
     walks x's subset automaton from state 0 to a nonempty state, so the
     words reaching each state are pushed along its row one length at a
     time.  The count stops once it passes cap; it reads only the rows of
-    states that blocks shorter than n reach, which are the rows
-    _fill_blocks reads next."""
+    states that blocks shorter than n reach, which are the rows the
+    spelling reads next."""
     sub = x.subset_automaton()
     words = {0: 1}                           # words of length m reaching s
     total = 0
@@ -365,12 +343,16 @@ def is_block(x: ShiftPresentation, w: Word) -> bool:
     return x.subset_automaton().read(0, w.letters) is not None
 
 
-# The most vertices the interned states of one subset automaton hold,
-# counted with multiplicity.  A presentation on n vertices can have up
-# to 2^n subset states, each holding up to n vertices, so a count of
-# states alone would not bound the memory.  The tests' inputs hold at
-# most 81 920, the benchmark's 108 and seeded_sofic(40, 2) 772 831.
-_MAX_SUBSET_VERTICES = 2**20
+# The most states one subset automaton or one Cayley closure holds,
+# counted with multiplicity: the vertices of the automaton's interned
+# vertex sets, or m per element of a closure of maps over m states.  On
+# n vertices there can be 2^n subset states of up to n vertices each,
+# and a closure can reach _MAX_SIZE maps over thousands of states, so a
+# count of states or of elements alone would not bound the memory.  The
+# largest that answer hold 81 920 vertices in the tests and 772 831 on
+# seeded_sofic(40, 2), and 614 656 map entries in the tests (a
+# Schützenberger group of order 784) and 883 298 on seeded_sofic(9, 1).
+_MAX_HELD = 2**20
 
 
 class SubsetAutomaton:
@@ -380,8 +362,7 @@ class SubsetAutomaton:
     set once, as states[i] in discovery order, and row(i), its
     successors in alphabet order (the empty set included), is computed
     once.  A word is a block iff it walks 0 to a nonempty state.
-    Interning a state past _MAX_SUBSET_VERTICES held vertices raises
-    SizeLimit.
+    Interning a state past _MAX_HELD held vertices raises SizeLimit.
     """
 
     def __init__(self, g: LabeledGraph, alphabet: Alphabet):
@@ -399,9 +380,9 @@ class SubsetAutomaton:
         i = self.index.get(vertices)
         if i is None:
             self.held += len(vertices)
-            if self.held > _MAX_SUBSET_VERTICES:
+            if self.held > _MAX_HELD:
                 raise SizeLimit("subset automaton holds more than "
-                                f"{_MAX_SUBSET_VERTICES} vertices")
+                                f"{_MAX_HELD} vertices")
             i = self.index[vertices] = len(self.states)
             self.states.append(vertices)
         return i
@@ -497,7 +478,8 @@ def right_cayley_graph(maps):
     parent): elems[x] is the map of x, gens[i] the element of letter i,
     right[x][i] = x·(letter i), and parent[y] = (y', i) with y = y'·a_i,
     or (-1, i) when y is the generator of letter i.  A closure of more
-    than _MAX_SIZE elements raises SizeLimit.
+    than _MAX_SIZE elements, or whose maps hold more than _MAX_HELD
+    entries in all, raises SizeLimit.
     """
     deg = len(maps[0])
     if any(len(t) != deg for t in maps):
@@ -522,6 +504,9 @@ def right_cayley_graph(maps):
             if comp not in index:
                 if len(elems) >= _MAX_SIZE:
                     raise SizeLimit(f"closure exceeds {_MAX_SIZE} elements")
+                if (len(elems) + 1) * deg > _MAX_HELD:
+                    raise SizeLimit(f"closure holds more than {_MAX_HELD} "
+                                    "map entries")
                 index[comp] = len(elems)
                 elems.append(comp)
                 parent.append((x, i))

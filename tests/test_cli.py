@@ -510,14 +510,47 @@ def test_a_subset_automaton_over_the_cap_is_refused(capsys, monkeypatch,
     assert (p.returncode, p.stdout) == (1, b"")
     assert p.stderr == (b"error: SizeLimit: subset automaton holds more "
                         b"than 1048576 vertices\n")
-    # even's subset automaton holds 4 vertices in its 4 states
-    monkeypatch.setattr(shifts, "_MAX_SUBSET_VERTICES", 4)
+    # even's subset automaton holds 4 vertices in its 4 states; blocks
+    # reads no closure, which the same budget bounds
+    monkeypatch.setattr(shifts, "_MAX_HELD", 4)
+    assert len(run_json(capsys, "blocks", EVEN, "--order", "3")[
+        "blocks"]) == 13
+    monkeypatch.setattr(shifts, "_MAX_HELD", 3)
+    for argv in (("blocks", EVEN, "--order", "3"),
+                 ("zeta", EVEN, "--order", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: SizeLimit: subset automaton holds more "
+                       "than 3 vertices\n")
+
+
+def test_a_closure_holding_too_many_map_entries_is_refused(capsys,
+                                                           monkeypatch,
+                                                           tmp_path):
+    # seeded_sofic(30, 0) has a 2199-state minimal automaton; a count of
+    # elements alone took 3.5-4.6 s and 410 MiB to refuse it at 20000
+    from test_shifts import seeded_sofic
+    path = tmp_path / "s30.json"
+    path.write_text(json.dumps(seeded_sofic(30, 0).to_json()))
+    for argv in (["zeta", str(path), "--order", "2"], ["syntactic", str(path)],
+                 ["member", str(path), "(a b)^w"]):
+        start = time.perf_counter()
+        p = fresh(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (p.returncode, p.stdout) == (1, b""), argv
+        assert p.stderr == (b"error: SizeLimit: closure holds more than "
+                            b"1048576 map entries\n"), argv
+    # even's closure is 7 maps over the 4 states of its minimal
+    # automaton, and its subset automaton holds 4 vertices
+    assert len(shifts.minimal_automaton(util.load("even"))[0][0]) == 4
+    monkeypatch.setattr(shifts, "_MAX_HELD", 28)
     assert run_json(capsys, "zeta", EVEN, "--order", "3")["p"] == [2, 2, 5]
-    monkeypatch.setattr(shifts, "_MAX_SUBSET_VERTICES", 3)
-    code, out, err = run(capsys, "zeta", EVEN, "--order", "3")
-    assert (code, out) == (1, "")
-    assert err == ("error: SizeLimit: subset automaton holds more than 3 "
-                   "vertices\n")
+    monkeypatch.setattr(shifts, "_MAX_HELD", 27)
+    for argv in (("zeta", EVEN, "--order", "3"), ("syntactic", EVEN)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: SizeLimit: closure holds more than 27 map "
+                       "entries\n"), argv
 
 
 def test_usage_exit_codes(capsys):
@@ -553,6 +586,23 @@ def test_check_suites_report_their_failures(capsys, monkeypatch):
     report = json.loads(out)
     assert (code, err, report["passed"]) == (1, "", False)
     assert report["details"] == {"failure": "a"}
+
+    # the two suites that compute one thing twice, one side corrupted
+    from shiftcat import karoubi
+    census = karoubi.iso_class_census
+    monkeypatch.setattr(shifts, "is_periodic_point", lambda x, w: False)
+    monkeypatch.setattr(karoubi, "iso_class_census",
+                        lambda k: {**census(k), 99: 99})
+    for argv, failure in (
+            (("zeta-integrality",), {"shift": "golden-mean",
+                                     "p": [1, 3, 4, 7, 11, 18, 29, 47, 76,
+                                           123],
+                                     "periodic_blocks": [0] * 10}),
+            (("census-coherence", "--seed", "2"), "golden-mean")):
+        code, out, err = run(capsys, "check", *argv)
+        report = json.loads(out)
+        assert (code, err, report["passed"]) == (1, "", False), argv
+        assert report["details"] == {"failure": failure}, argv
 
 
 def test_missing_file_exit_code(capsys):

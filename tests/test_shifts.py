@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,21 +52,31 @@ def test_even_blocks_of_length_three_exclude_aba(corpus):
                                "bbb"]
 
 
+def spelled(monkeypatch) -> list:
+    """The calls of the spelling generator from now on, recorded."""
+    calls = []
+    spell = shifts._spell
+    monkeypatch.setattr(shifts, "_spell",
+                        lambda *args: calls.append(args) or spell(*args))
+    return calls
+
+
 def test_blocks_refuse_to_hold_more_than_the_limit(monkeypatch):
+    calls = spelled(monkeypatch)
     monkeypatch.setattr(shifts, "_MAX_BLOCKS", 126)
     assert len(blocks(util.load("full2"), 6)) == 126  # 2 + 4 + ... + 64
+    assert len(calls) == 1
     monkeypatch.setattr(shifts, "_MAX_BLOCKS", 125)
     x = util.load("full2")
     with pytest.raises(SizeLimit, match="^more than 125 blocks of length "
                                         "at most 6$"):
         blocks(x, 6)
-    assert x._blocks == {}            # counted, not enumerated
-    # blocks cached by an earlier call count against the limit too
+    assert len(calls) == 1            # counted, not enumerated
     monkeypatch.setattr(shifts, "_MAX_BLOCKS", 100)
     assert len(blocks(x, 5)) == 62
     with pytest.raises(SizeLimit):
         blocks(x, 6)
-    assert sorted(x._blocks) == [1, 2, 3, 4, 5]
+    assert len(calls) == 2
 
 
 def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
@@ -82,17 +91,19 @@ def test_blocks_refuse_exactly_when_the_enumeration_would(monkeypatch):
         for n in (1, 2, 5, 7):
             monkeypatch.undo()
             total = len(blocks(ShiftPresentation.from_json(x.to_json()), n))
+            calls = spelled(monkeypatch)
             monkeypatch.setattr(shifts, "_MAX_BLOCKS", total - 1)
             y = ShiftPresentation.from_json(x.to_json())
             with pytest.raises(SizeLimit):
                 blocks(y, n)
-            assert y._blocks == {}
+            assert calls == []
             monkeypatch.setattr(shifts, "_MAX_BLOCKS", total)
             assert len(blocks(y, n)) == total
+            assert len(calls) == 1
 
 
 def test_blocks_build_one_subset_automaton(monkeypatch):
-    # the count and the store share the presentation's automaton, and
+    # the count and the spelling share the presentation's automaton, and
     # neither builds the whole subset DFA or the minimal automaton
     def unused(*args):
         raise AssertionError("whole automaton built")
@@ -151,23 +162,12 @@ def test_ordered_blocks_match_path_enumeration_on_random_shifts():
         assert all(w.alphabet == x.alphabet for w in got)
         assert list(shifts.spell_blocks(x, 6, x.alphabet.symbols, "")) == [
             w.as_str() for w in got]
-        # a store extended from length 3 equals one filled at once
+        # a shorter call first, which reads part of the automaton,
+        # changes nothing
         y = ShiftPresentation.from_json(x.to_json())
         shifts.ordered_blocks(y, 3)
         assert shifts.ordered_blocks(y, 8) == shifts.ordered_blocks(
             ShiftPresentation.from_json(x.to_json()), 8)
-
-
-def test_the_block_store_holds_under_64_bytes_a_block():
-    x = util.load("full2")
-    x.graph()
-    tracemalloc.start()
-    try:
-        shifts._fill_blocks(x, 12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**19               # 8190 blocks in under 0.5 MiB
 
 
 # -- irreducibility --------------------------------------------------------
@@ -436,8 +436,9 @@ def warmed_like_fresh(v, seed, warm) -> bool:
 
 
 def test_the_syntactic_semigroup_ignores_the_automaton_order():
-    # block tests read deep states first, the store then fills in
-    # breadth-first order, and the cross-check interns closures
+    # block tests read deep states first, the count and the spelling
+    # then read in breadth-first order, and the cross-check interns
+    # closures
     def queries(x, rng):
         for _ in range(50):
             is_block(x, x.word([rng.choice("abc")
@@ -509,6 +510,7 @@ def test_periodic_counts_at_order_64_closed_forms(corpus, monkeypatch):
         raise AssertionError("periodic_counts must not enumerate blocks")
     monkeypatch.setattr(shifts, "blocks", refuse)
     monkeypatch.setattr(shifts, "is_periodic_point", refuse)
+    calls = spelled(monkeypatch)
     closed = {"full2": lambda n: 2 ** n, "golden_mean": lucas,
               "fixed_point": lambda n: 1,
               "periodic_ab": lambda n: 2 if n % 2 == 0 else 0}
@@ -516,7 +518,7 @@ def test_periodic_counts_at_order_64_closed_forms(corpus, monkeypatch):
         x = ShiftPresentation.from_json(corpus[name].to_json())
         p, _ = periodic_counts(x, 64)
         assert p == [form(n) for n in range(1, 65)], name
-        assert x._blocks == {}
+        assert calls == []
         assert list(zeta(x, 64).p) == p
 
 
